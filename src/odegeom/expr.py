@@ -106,8 +106,13 @@ class Const(Expr):
     __slots__ = ("value", "fvalue")
 
     def __init__(self, value: Rational):
-        object.__setattr__(self, "value", Fraction(value))
-        object.__setattr__(self, "fvalue", float(Fraction(value)))
+        value = Fraction(value)
+        try:
+            fvalue = float(value)
+        except OverflowError:
+            raise ExprError("constant too large for a float") from None
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "fvalue", fvalue)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
@@ -272,7 +277,11 @@ def _rational_root(value: Fraction, exponent: Fraction) -> Optional[Fraction]:
         return None
 
     def int_root(n: int, k: int) -> Optional[int]:
-        r = round(n ** (1.0 / k))
+        try:
+            r = round(n ** (1.0 / k))
+        except OverflowError:
+            # too large to estimate in floats; the power is left unfolded
+            return None
         for c in (r - 1, r, r + 1):
             if c >= 0 and c ** k == n:
                 return c
@@ -714,7 +723,10 @@ class Evaluator:
                 base = vals[a]
                 if base == 0.0 and b < 0:
                     raise EvalError("division by zero in integer power", assignment)
-                v = base ** b
+                try:
+                    v = base ** b
+                except OverflowError:
+                    v = math.inf  # rejected below like any other overflow
             else:
                 base = vals[a]
                 if base < 0.0:
@@ -723,7 +735,10 @@ class Evaluator:
                     )
                 if base == 0.0 and b < 0:
                     raise EvalError("zero base with negative exponent", assignment)
-                v = base ** b
+                try:
+                    v = base ** b
+                except OverflowError:
+                    v = math.inf
             if not math.isfinite(v):
                 raise EvalError("non-finite value during evaluation", assignment)
             vals[i] = v

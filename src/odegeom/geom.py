@@ -11,6 +11,14 @@ Curvature is numeric-at-a-point but all metric derivatives entering it are
 symbolic; nothing is finite-differenced.  Conventions: Gamma^c_ab standard
 Levi-Civita, R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma Gamma,
 Ricci_cb = R^a_cab, R = g^cb Ricci_cb.
+
+The metric derivatives come in two table levels, each compiled once per
+`MetricField` on first use.  The first-order table (g, dg) serves
+`christoffel_at`, and through it the signature and harmonic-coordinate
+checks, the frame compatibility law, and the `so3` operator and expansion
+checks; the `radon` suite never reads more.  The second-order table
+(g, dg, ddg) differentiates the same dg expressions and serves
+`derivatives_at`, which only `curvature` needs.
 """
 
 from __future__ import annotations
@@ -121,6 +129,8 @@ class MetricField:
                 upper[b][a] = entry
         self.g_upper = tuple(tuple(r) for r in upper)
 
+        self._dg: Optional[list] = None
+        self._first_evaluator: Optional[Evaluator] = None
         self._deriv_cache: Optional[tuple] = None
         self._evaluator: Optional[Evaluator] = None
 
@@ -141,38 +151,49 @@ class MetricField:
 
     # -- numeric evaluation ----------------------------------------------------
 
+    def _dg_exprs(self) -> list:
+        """dg[c][a][b] = d_c g_ab as expressions; built once and shared by
+        both table levels."""
+        if self._dg is None:
+            n = 5
+            g = self.g_lower
+            self._dg = [[[diff(g[a][b], c) for b in range(n)] for a in range(n)]
+                        for c in self.coords]
+        return self._dg
+
+    def _first_order_evaluator(self) -> Evaluator:
+        """Compiled first-order table: g then dg, flattened."""
+        if self._first_evaluator is None:
+            dg = self._dg_exprs()
+            flat = [ex for row in self.g_lower for ex in row]
+            flat += [ex for blk in dg for row in blk for ex in row]
+            self._first_evaluator = Evaluator(flat)
+        return self._first_evaluator
+
     def _derivative_exprs(self):
-        """(g, dg, ddg) expression tables; built once."""
+        """(g, dg, ddg) expression tables, the second-order level; built once,
+        ddg by differentiating the cached dg."""
         if self._deriv_cache is not None:
             return self._deriv_cache
         n = 5
         coords = self.coords
         g = self.g_lower
-        dg = [[[diff(g[a][b], coords[c]) for b in range(n)] for a in range(n)] for c in range(n)]
+        dg = self._dg_exprs()
         ddg = [
             [[[diff(dg[c][a][b], coords[e]) for b in range(n)] for a in range(n)] for c in range(n)]
             for e in range(n)
         ]
-        flat = []
-        for a in range(n):
-            for b in range(n):
-                flat.append(g[a][b])
-        for c in range(n):
-            for a in range(n):
-                for b in range(n):
-                    flat.append(dg[c][a][b])
-        for e in range(n):
-            for c in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        flat.append(ddg[e][c][a][b])
+        flat = [ex for row in g for ex in row]
+        flat += [ex for blk in dg for row in blk for ex in row]
+        flat += [ex for blk3 in ddg for blk in blk3 for row in blk for ex in row]
         self._deriv_cache = (g, dg, ddg)
         self._evaluator = Evaluator(flat)
         return self._deriv_cache
 
     def derivatives_at(self, point: Dict[str, float]):
-        """Numeric (g, dg, ddg, g_inv) at a point; derivatives are exact
-        symbolic expressions evaluated there."""
+        """Numeric (g, dg, ddg, g_inv) at a point from the second-order table;
+        derivatives are exact symbolic expressions evaluated there.  Only
+        curvature needs ddg; everything else reads `christoffel_at`."""
         self._derivative_exprs()
         n = 5
         vals = self._evaluator(point)
@@ -183,12 +204,21 @@ class MetricField:
         return g, dg, ddg, g_inv
 
     def christoffel_at(self, point: Dict[str, float]):
-        g, dg, ddg, g_inv = self.derivatives_at(point)
-        # Gamma^d_ab = 1/2 g^de (d_a g_eb + d_b g_ea - d_e g_ab)
-        gamma = 0.5 * np.einsum(
-            "de,aeb->dab", g_inv, dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
-        )
-        return g, dg, ddg, g_inv, gamma
+        """Numeric (g, dg, g_inv, gamma) at a point from the first-order table
+        alone; never builds ddg.  gamma[d, a, b] = Gamma^d_ab."""
+        n = 5
+        vals = self._first_order_evaluator()(point)
+        g = np.array(vals[: n * n]).reshape(n, n)
+        dg = np.array(vals[n * n:]).reshape(n, n, n)
+        g_inv = np.linalg.inv(g)
+        return g, dg, g_inv, _christoffel(g_inv, dg)
+
+
+def _christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    # Gamma^d_ab = 1/2 g^de (d_a g_eb + d_b g_ea - d_e g_ab)
+    return 0.5 * np.einsum(
+        "de,aeb->dab", g_inv, dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
+    )
 
 
 @dataclass(frozen=True)
@@ -207,8 +237,10 @@ def metric_from_frame(pd: PentadData) -> MetricField:
 
 
 def curvature(m: MetricField, point: Dict[str, float]) -> CurvatureAtPoint:
-    """Riemann/Ricci/scalar at a point from symbolic metric derivatives."""
-    g, dg, ddg, g_inv, gamma = m.christoffel_at(point)
+    """Riemann/Ricci/scalar at a point from symbolic metric derivatives (the
+    second-order table)."""
+    g, dg, ddg, g_inv = m.derivatives_at(point)
+    gamma = _christoffel(g_inv, dg)
     # d_c Gamma^d_ab needs d g^{-1} = -g^{-1} (dg) g^{-1}
     dg_inv = -np.einsum("dm,cmn,ne->cde", g_inv, dg, g_inv)
     sym = dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
@@ -450,7 +482,7 @@ def structure_checks(
         pts = sample_points(ode, 10, seed)
         worst = 0.0
         for pt in pts:
-            g, dg, ddg, g_inv, gamma = m.christoffel_at(pt)
+            _, _, g_inv, gamma = m.christoffel_at(pt)
             div_c = np.einsum("ab,cab->c", g_inv, gamma)
             worst = max(worst, float(np.max(np.abs(div_c))) / (np.max(np.abs(gamma)) + 1e-300))
         checks.append(CheckRecord.from_residual(
@@ -460,7 +492,7 @@ def structure_checks(
     pts = sample_points(ode, 5, seed + 1)
     split_ok = True
     for pt in pts:
-        g, _, _, _ = m.derivatives_at(pt)
+        g, _, _, _ = m.christoffel_at(pt)
         eigs = np.linalg.eigvalsh(g)
         split_ok = split_ok and (int(np.sum(eigs > 0)), int(np.sum(eigs < 0))) == (3, 2)
     checks.append(CheckRecord(
@@ -573,7 +605,7 @@ def connection_checks(
         phi_v = np.array(vals[off: off + n])
         psi_v = np.array(vals[off + n: off + 2 * n])
         chi_v = np.array(vals[off + 2 * n: off + 3 * n])
-        _, _, _, _, gamma_np = m.christoffel_at(pt)
+        _, _, _, gamma_np = m.christoffel_at(pt)
         # nabla_a e^i_b = d_a C[i,b] - Gamma^c_ab C[i,c]
         nabla = np.einsum("aib->iab", dCv) - np.einsum("ic,cab->iab", Cv, gamma_np)
         scale = np.max(np.abs(nabla)) + 1e-300

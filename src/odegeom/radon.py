@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -198,6 +199,11 @@ class RadonConfig:
         if extra:
             raise RadonError(f"test function may only use x and y, got {sorted(extra)}")
 
+    @cached_property
+    def f_evaluator(self) -> Evaluator:
+        """f compiled once per configuration."""
+        return Evaluator([self.f])
+
 
 _GAUSS_CACHE: dict = {}
 
@@ -208,22 +214,74 @@ def _gauss(order: int):
     return _GAUSS_CACHE[order]
 
 
+def _branch_at_nodes(conic: ConicCoefficients, branch: int, x: np.ndarray):
+    """(y, q) of the branch at every node x in one numpy pass.
+
+    The formulas and their order of operations are those of `_branch_y` and
+    `conic_jet`, so each value is bitwise the scalar one.  Returns None when
+    any node would take a special case on the scalar path (a near-linear
+    equation, B = 0, qf = 0) or raise there (no real root, no root with the
+    defining orientation, a vertical tangent), or when any intermediate is
+    not finite.
+    """
+    a, b, c, d, e, f = conic.vector
+    with np.errstate(all="ignore"):
+        B = 2 * b * x + 2 * e
+        C = a * x * x + 2 * d * x + f
+        disc = B * B - 4 * c * C
+        sq = np.sqrt(disc)
+        qf = -(B + np.copysign(sq, B)) / 2.0
+        y1, y2 = qf / c, C / qf
+        fy1 = 2 * b * x + 2 * c * y1 + 2 * e
+        fy2 = 2 * b * x + 2 * c * y2 + 2 * e
+        take1 = (fy1 > 0) == (branch > 0)
+        take2 = (fy2 > 0) == (branch > 0)
+        y = np.where(take1, y1, y2)
+        fy = np.where(take1, fy1, fy2)
+        p = -(2 * a * x + 2 * b * y + 2 * d) / fy
+        q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
+        regular = (
+            ~(abs(c) < 1e-14 * (np.abs(B) + np.abs(C) + 1.0))
+            & (disc > 0.0)
+            & (B != 0.0)
+            & (qf != 0.0)
+            & (take1 | take2)
+            & ~(np.abs(fy) < 1e-13 * (1.0 + np.abs(x) + np.abs(y)))
+        )
+        finite = np.isfinite(B) & np.isfinite(C) & np.isfinite(disc) & np.isfinite(q)
+    if not (regular & finite).all():
+        return None
+    return y.tolist(), q.tolist()
+
+
 def radon_F(cfg: RadonConfig, jet: Dict[str, float], order: Optional[int] = None) -> float:
     """Gauss-Legendre quadrature of f(x, Z) * q^(1/3) over the interval.
 
     q must keep one sign across the nodes; the cube root is the real one and
     carries that sign.
+
+    The branch y and q at all nodes come from one numpy pass
+    (`_branch_at_nodes`).  If any node is irregular there, the call falls
+    back to `eval_Z` node by node, so every error is the scalar path's and
+    names the first bad node.  f is compiled once per configuration and
+    evaluated per node by the scalar `Evaluator`, which rejects non-finite
+    intermediates.  The sum runs over the nodes from left to right.
     """
     conic, branch = conic_from_jet(jet, cfg.x0)
     nodes, weights = _gauss(order or cfg.order)
     half = 0.5 * (cfg.x_b - cfg.x_a)
     mid = 0.5 * (cfg.x_a + cfg.x_b)
-    ev = Evaluator([cfg.f])
+    xs = mid + half * nodes
+    yq = _branch_at_nodes(conic, branch, xs)
+    xs = xs.tolist()
+    if yq is None:
+        yq_nodes = (eval_Z(conic, branch, x) for x in xs)
+    else:
+        yq_nodes = zip(*yq)
+    ev = cfg.f_evaluator
     total = 0.0
     q_sign = 0
-    for t, w in zip(nodes, weights):
-        x = mid + half * t
-        yv, qv = eval_Z(conic, branch, x)
+    for x, w, (yv, qv) in zip(xs, weights.tolist(), yq_nodes):
         if qv == 0.0:
             raise RadonError(f"q vanishes at x={x}; cube-root branch point inside the contour")
         sgn = 1 if qv > 0 else -1

@@ -517,7 +517,7 @@ def hor_operator(
     _, grad, hess = F(point)
     grad = np.asarray(grad, dtype=float)
     hess = np.asarray(hess, dtype=float)
-    g, dg, ddg, g_inv, gamma = m.christoffel_at(point)
+    _, _, g_inv, gamma = m.christoffel_at(point)
     Gl = G.lower_at(point)
     Gmixed = np.einsum("abc,bx,cy->axy", Gl, g_inv, g_inv)
     cov_hess = hess - np.einsum("dbc,d->bc", gamma, grad)
@@ -580,7 +580,7 @@ def expansion_check(
             coeff_val[key] = factor * lam_val
 
         # per-point tensors, shared by all test fields
-        g, dg, ddg, g_inv, gamma = m.christoffel_at(pt)
+        _, _, g_inv, gamma = m.christoffel_at(pt)
         Gl = G.lower_at(pt)
         Gmixed = np.einsum("abc,bx,cy->axy", Gl, g_inv, g_inv)
 

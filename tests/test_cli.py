@@ -91,3 +91,39 @@ def test_failing_check_exit_1(tmp_path):
     code, text = run(["pentad", "--ode", str(path)])
     assert code == 1
     assert "fail" in text
+
+
+def test_oversized_constant_exit_2(tmp_path):
+    code, text = run(["radon", "--ode", "conics5", "--f", "(10^400)^(1/2)*x"])
+    assert code == 2
+    assert text.startswith("error:")
+    path = tmp_path / "big.ode"
+    path.write_text("name = big\norder = 5\nrhs = (10^400)^(1/2)*r^3/q^2 + 5*r*s/q\n")
+    code, text = run(["pentad", "--ode", str(path)])
+    assert code == 2
+    assert text.startswith("error:")
+
+
+def test_radon_f_overflowing_power_exit_2():
+    code, text = run(["radon", "--ode", "conics5", "--f", "(x + 2)^100000"])
+    assert code == 2
+    assert text.startswith("error:")
+
+
+def test_radon_branch_error_names_first_bad_node():
+    code, text = run(["radon", "--ode", "conics5", "--interval", "-5", "5"])
+    assert code == 2
+    assert "x=3.224864142447385" in text
+
+
+def test_radon_f_nonfinite_intermediate_exit_2():
+    code, text = run(["radon", "--ode", "conics5", "--f", "x + 1/(1 + 1/(x - x))"])
+    assert code == 2
+    assert text.startswith("error:")
+    assert "np.float64" not in text
+
+
+def test_radon_f_negative_fractional_base_exit_2():
+    code, text = run(["radon", "--ode", "conics5", "--f", "(x - 0.9)^(1/2)"])
+    assert code == 2
+    assert "{'x': -0.7993680985819488, 'y': 1.38743434848519}" in text

@@ -108,6 +108,9 @@ def test_eval_errors():
         evaluate(parse("q^(1/2)"), {"q": -1.0})
     with pytest.raises(EvalError):
         evaluate(parse("1/q"), {"q": 0.0})
+    for text in ("q^1000", "q^(2001/2)"):
+        with pytest.raises(EvalError):
+            evaluate(parse(text), {"q": 1e300})
     with pytest.raises(EvalError) as exc:
         evaluate(parse("q + r"), {"q": 1.0})
     assert exc.value.point == {"q": 1.0}

@@ -137,3 +137,30 @@ def test_connection_requires_conics5(pd_gn5):
 
 def test_integrability(conn, metric_conics5):
     _all_pass(integrability_check(conn, metric_conics5))
+
+
+@pytest.mark.parametrize("metric", ["metric_conics5", "metric_gn5"])
+def test_christoffel_first_order_table_matches_full_table(metric, request):
+    m = request.getfixturevalue(metric)
+    for pt in sample_points(m.ode, 4, seed=11):
+        g, dg, g_inv, gamma = m.christoffel_at(pt)
+        g2, dg2, _, g_inv2 = m.derivatives_at(pt)
+        gamma2 = 0.5 * np.einsum(
+            "de,aeb->dab", g_inv2,
+            dg2 + np.transpose(dg2, (2, 1, 0)) - np.transpose(dg2, (1, 0, 2)))
+        assert np.array_equal(g, g2)
+        assert np.array_equal(dg, dg2)
+        assert np.array_equal(g_inv, g_inv2)
+        assert np.array_equal(gamma, gamma2)
+
+
+def test_radon_suite_never_builds_second_order_table(monkeypatch, conics5):
+    from odegeom import cli
+    from odegeom.geom import MetricField
+
+    def refuse(self):
+        raise AssertionError("second-order metric table built")
+
+    monkeypatch.setattr(MetricField, "_derivative_exprs", refuse)
+    report = cli.radon_suite(conics5, 50, 1e-9, 0x5EED)
+    assert report.checks

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from odegeom.expr import parse
+from odegeom.expr import Evaluator, parse
 from odegeom.radon import (
     RadonConfig,
     RadonError,
+    _aux_points,
+    _gauss,
     conic_checks,
     conic_from_jet,
     default_test_jets,
@@ -118,3 +122,45 @@ def test_verify_system_accepts_single_point(gtensor, metric_conics5):
 
 def test_system_suite(gtensor, metric_conics5):
     _all_pass(system_checks(gtensor, metric_conics5))
+
+
+def _per_node_radon_F(cfg, jet, order=None):
+    """Reference quadrature: the scalar branch and f, one Gauss node at a time."""
+    conic, branch = conic_from_jet(jet, cfg.x0)
+    nodes, weights = _gauss(order or cfg.order)
+    half = 0.5 * (cfg.x_b - cfg.x_a)
+    mid = 0.5 * (cfg.x_a + cfg.x_b)
+    ev = Evaluator([cfg.f])
+    total = 0.0
+    q_sign = 0
+    for t, w in zip(nodes, weights):
+        x = mid + half * t
+        yv, qv = eval_Z(conic, branch, x)
+        if qv == 0.0:
+            raise RadonError(f"q vanishes at x={x}; cube-root branch point inside the contour")
+        sgn = 1 if qv > 0 else -1
+        if q_sign == 0:
+            q_sign = sgn
+        elif sgn != q_sign:
+            raise RadonError("q changes sign inside the contour")
+        total += w * ev({"x": x, "y": yv})[0] * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
+    return half * total
+
+
+_ORACLE_JETS = [j for base in default_test_jets() for j in [base] + _aux_points(base)]
+
+
+@pytest.mark.parametrize("text", ["1", "x", "y", "x*y"])
+@pytest.mark.parametrize("order", [None, 120])
+def test_radon_F_matches_per_node_quadrature(text, order):
+    cfg = RadonConfig(f=parse(text))
+    for jet in _ORACLE_JETS:
+        assert radon_F(cfg, jet, order=order) == _per_node_radon_F(cfg, jet, order=order)
+
+
+def test_radon_F_scalar_fallback_matches_per_node_quadrature():
+    # the parabola has c = 0, a special branch: the whole call runs per node
+    jet = {"y": 0.0, "p": 0.0, "q": 2.0, "r": 0.0, "s": 0.0}
+    for text in ("1", "x*y"):
+        cfg = RadonConfig(f=parse(text), x_a=-1.0, x_b=1.0)
+        assert radon_F(cfg, jet) == _per_node_radon_F(cfg, jet)
