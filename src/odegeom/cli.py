@@ -5,12 +5,18 @@ aligned table or as JSON (a list of records with keys name, status,
 max_residual, tolerance, samples, seed, notes).  Exit code 0 means every
 check passed, 1 means at least one failed, 2 means the invocation or its
 inputs were invalid.
+
+A run builds one `Session`, and every suite it runs takes it, so each pipeline
+stage (frame, metric and its derivative tables, structure tensor) is computed
+once per run however many suites read it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from . import catalog, geom, pentad, radon, so3
@@ -19,16 +25,16 @@ from .expr import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     ExprError,
+    ONE,
     ParseError,
     ZERO,
     add,
-    equiv,
     mul,
     parse,
 )
 from .jet import JetError, JetOde, builtin, builtin_names, resolve_ode
 from .pentad import PentadError
-from .report import CheckRecord, CheckReport
+from .report import CheckRecord, CheckReport, check_identities
 
 
 class UsageError(Exception):
@@ -51,144 +57,134 @@ def _parse_point(text: str) -> Dict[str, float]:
     return point
 
 
-def pentad_suite(ode: JetOde, samples: int, tol: float, seed: int) -> CheckReport:
+@dataclass
+class Session:
+    """One equation and the run settings.  Each pipeline stage (the solved
+    frame, the metric, the structure tensor) is computed on first use and
+    then shared by every suite of the run."""
+
+    ode: JetOde
+    samples: int
+    tol: float
+    seed: int
+
+    @cached_property
+    def pd(self) -> pentad.PentadData:
+        return pentad.solve_pentad(self.ode, samples=self.samples, tol=self.tol,
+                                   seed=self.seed)
+
+    @cached_property
+    def metric(self) -> geom.MetricField:
+        return geom.metric_from_frame(self.pd)
+
+    @cached_property
+    def G(self) -> so3.GTensor:
+        return so3.build_G(self.pd, self.metric)
+
+
+def pentad_suite(s: Session) -> CheckReport:
     report = CheckReport()
-    pd = pentad.solve_pentad(ode, samples=samples, tol=tol, seed=seed)
-    dom = ode.domain
+    ode, pd = s.ode, s.pd
+    n = ode.order
+    sampling = (ode.domain, s.samples, s.tol, s.seed)
     cat = catalog.for_ode(ode.name)
 
     if cat:
-        res = equiv(pd.P, catalog.expr(cat["P"]), dom, n=samples, tol=tol, seed=seed)
-        report.add(CheckRecord.from_equiv(catalog.p_check_name(ode.name), res))
-        res = equiv(pd.Q, catalog.expr(cat["Q"]), dom, n=samples, tol=tol, seed=seed)
-        report.add(CheckRecord.from_equiv("Q_matches_expected", res))
-        worst = 0.0
-        ok = True
-        for letter, text in cat["coefficients"].items():
-            res = equiv(pd.coefficients[letter], catalog.expr(text), dom,
-                        n=samples, tol=tol, seed=seed)
-            worst = max(worst, res.max_residual)
-            ok = ok and res.passed
-        report.add(CheckRecord("coefficients_match_expected", "pass" if ok else "fail",
-                               worst, tol, samples, seed))
+        report.add(check_identities(catalog.p_check_name(ode.name),
+                                    [(pd.P, catalog.expr(cat["P"]))], *sampling))
+        report.add(check_identities("Q_matches_expected",
+                                    [(pd.Q, catalog.expr(cat["Q"]))], *sampling))
+        report.add(check_identities(
+            "coefficients_match_expected",
+            [(pd.coefficients[letter], catalog.expr(text))
+             for letter, text in cat["coefficients"].items()],
+            *sampling))
         if "coframe" in cat:
             ref = catalog.matrix(cat["coframe"])
-            worst = 0.0
-            ok = True
-            for i in range(ode.order):
-                for a in range(ode.order):
-                    res = equiv(pd.coframe_rows[i][a], ref[i][a], dom,
-                                n=samples, tol=tol, seed=seed)
-                    worst = max(worst, res.max_residual)
-                    ok = ok and res.passed
-            report.add(CheckRecord("coframe_matches_expected", "pass" if ok else "fail",
-                                   worst, tol, samples, seed))
+            report.add(check_identities(
+                "coframe_matches_expected",
+                [(pd.coframe_rows[i][a], ref[i][a]) for i in range(n) for a in range(n)],
+                *sampling))
 
     for (name, _), chk in zip(pd.residual_identities, pd.residual_checks):
         report.add(CheckRecord.from_equiv(name, chk))
 
-    n = ode.order
-    worst = 0.0
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            acc = add(*[mul(pd.coframe_rows[i][a], pd.lower[a][j]) for a in range(n)])
-            want = parse("1") if i == j else ZERO
-            res = equiv(acc, want, dom, n=samples, tol=tol, seed=seed)
-            worst = max(worst, res.max_residual)
-            ok = ok and res.passed
-    report.add(CheckRecord("coframe_frame_inverse_identity", "pass" if ok else "fail",
-                           worst, tol, samples, seed))
+    report.add(check_identities(
+        "coframe_frame_inverse_identity",
+        [(add(*[mul(pd.coframe_rows[i][a], pd.lower[a][j]) for a in range(n)]),
+          ONE if i == j else ZERO)
+         for i in range(n) for j in range(n)],
+        *sampling))
 
-    if ode.order == 4:
+    if n == 4:
         form = pentad.symplectic(pd)
         if cat and "symplectic" in cat:
             coords = ode.coords
-            worst = 0.0
-            ok = True
-            for (ca, cb), text in cat["symplectic"].items():
-                a, b = coords.index(ca), coords.index(cb)
-                res = equiv(form.matrix[a][b], catalog.expr(text), dom,
-                            n=samples, tol=tol, seed=seed)
-                worst = max(worst, res.max_residual)
-                ok = ok and res.passed
-            report.add(CheckRecord("symplectic_matches_expected", "pass" if ok else "fail",
-                                   worst, tol, samples, seed))
-            res = equiv(pentad.symplectic_volume_ratio(form),
-                        catalog.expr(cat["symplectic_volume"]), dom,
-                        n=samples, tol=tol, seed=seed)
-            report.add(CheckRecord.from_equiv("symplectic_wedge_square", res,
-                                              "coefficient of the coordinate 4-volume"))
-        worst = 0.0
-        ok = True
-        for _, comp in pentad.symplectic_closure_components(form):
-            res = equiv(comp, ZERO, dom, n=samples, tol=tol, seed=seed)
-            worst = max(worst, res.max_residual)
-            ok = ok and res.passed
-        report.add(CheckRecord("symplectic_closed", "pass" if ok else "fail",
-                               worst, tol, samples, seed))
-        worst = 0.0
-        ok = True
-        for _, comp in pentad.symplectic_x_invariance_components(form):
-            res = equiv(comp, ZERO, dom, n=samples, tol=tol, seed=seed)
-            worst = max(worst, res.max_residual)
-            ok = ok and res.passed
-        report.add(CheckRecord("symplectic_base_point_independent", "pass" if ok else "fail",
-                               worst, tol, samples, seed))
+            report.add(check_identities(
+                "symplectic_matches_expected",
+                [(form.matrix[coords.index(ca)][coords.index(cb)], catalog.expr(text))
+                 for (ca, cb), text in cat["symplectic"].items()],
+                *sampling))
+            report.add(check_identities(
+                "symplectic_wedge_square",
+                [(pentad.symplectic_volume_ratio(form), catalog.expr(cat["symplectic_volume"]))],
+                *sampling, "coefficient of the coordinate 4-volume"))
+        report.add(check_identities(
+            "symplectic_closed",
+            [(comp, ZERO) for _, comp in pentad.symplectic_closure_components(form)],
+            *sampling))
+        report.add(check_identities(
+            "symplectic_base_point_independent",
+            [(comp, ZERO) for _, comp in pentad.symplectic_x_invariance_components(form)],
+            *sampling))
     return report
 
 
-def geom_suite(ode: JetOde, samples: int, tol: float, seed: int) -> CheckReport:
-    if ode.order != 5:
+def geom_suite(s: Session) -> CheckReport:
+    if s.ode.order != 5:
         raise UsageError(
-            f"{ode.name} has order 4: its moduli space carries a symplectic form, "
+            f"{s.ode.name} has order 4: its moduli space carries a symplectic form, "
             "not a metric (run the pentad suite)"
         )
     report = CheckReport()
-    pd = pentad.solve_pentad(ode, samples=samples, tol=tol, seed=seed)
-    m = geom.metric_from_frame(pd)
-    report.extend(geom.metric_pairing_check(m, samples=samples, tol=tol, seed=seed))
-    report.extend(geom.curvature_checks(m, seed=seed))
-    report.extend(geom.structure_checks(m, samples=samples, tol=tol, seed=seed))
-    if ode.name == "conics5":
-        cf = geom.connection_forms(pd)
-        report.extend(geom.connection_checks(cf, m, samples=samples, tol=tol, seed=seed))
-        report.extend(geom.integrability_check(cf, m, samples=samples, tol=tol, seed=seed))
+    m = s.metric
+    report.extend(geom.metric_pairing_check(m, samples=s.samples, tol=s.tol, seed=s.seed))
+    report.extend(geom.curvature_checks(m, seed=s.seed))
+    report.extend(geom.structure_checks(m, samples=s.samples, tol=s.tol, seed=s.seed))
+    if s.ode.name == "conics5":
+        cf = geom.connection_forms(s.pd)
+        report.extend(geom.connection_checks(cf, m, samples=s.samples, tol=s.tol, seed=s.seed))
+        report.extend(geom.integrability_check(cf, m, samples=s.samples, tol=s.tol,
+                                               seed=s.seed))
     return report
 
 
-def so3_suite(ode: JetOde, samples: int, tol: float, seed: int) -> CheckReport:
-    if ode.name != "conics5":
+def so3_suite(s: Session) -> CheckReport:
+    if s.ode.name != "conics5":
         raise UsageError(
             "the parallel structure tensor exists for conics5 only "
             "(other cases carry torsion)"
         )
     report = CheckReport()
-    pd = pentad.solve_pentad(ode, samples=samples, tol=tol, seed=seed)
-    m = geom.metric_from_frame(pd)
-    G = so3.build_G(pd, m)
+    G = s.G
     report.extend(so3.frame_constant_checks(G))
-    report.extend(so3.trace_checks_symbolic(G, samples=samples, tol=tol, seed=seed))
-    report.extend(so3.g_identities(G, seed=seed))
-    report.extend(so3.expansion_check(G, m, seed=seed))
+    report.extend(so3.trace_checks_symbolic(G, samples=s.samples, tol=s.tol, seed=s.seed))
+    report.extend(so3.g_identities(G, seed=s.seed))
+    report.extend(so3.expansion_check(G, s.metric, seed=s.seed))
     return report
 
 
 def radon_suite(
-    ode: JetOde,
-    samples: int,
-    tol: float,
-    seed: int,
+    s: Session,
     f_text: Optional[str] = None,
     interval: Optional[Sequence[float]] = None,
     point: Optional[Dict[str, float]] = None,
 ) -> CheckReport:
-    if ode.name != "conics5":
+    if s.ode.name != "conics5":
         raise UsageError("the integral-transform verification runs on conics5")
     report = CheckReport()
-    pd = pentad.solve_pentad(ode, samples=samples, tol=tol, seed=seed)
-    m = geom.metric_from_frame(pd)
-    G = so3.build_G(pd, m)
+    G = s.G
+    seed = s.seed
 
     span = tuple(interval) if interval else (-0.8, 0.8)
     f_texts = [f_text] if f_text else ["1", "x", "y", "x*y"]
@@ -198,10 +194,10 @@ def radon_suite(
         points = [base] + radon._aux_points(base)
 
     report.extend(radon.conic_checks(seed=seed))
-    report.extend(radon.integration_cross_checks(ode, builtin("gn5"), seed=seed))
+    report.extend(radon.integration_cross_checks(s.ode, builtin("gn5"), seed=seed))
     cfg = radon.RadonConfig(f=parse(f_texts[0]), x_a=span[0], x_b=span[1])
     report.extend(radon.numerics_checks(cfg, jet=points[0] if points else None, seed=seed))
-    report.extend(radon.system_checks(G, m, f_texts=f_texts, interval=span,
+    report.extend(radon.system_checks(G, s.metric, f_texts=f_texts, interval=span,
                                       points=points, seed=seed))
     return report
 
@@ -256,43 +252,38 @@ def run(argv: Sequence[str]) -> tuple:
         return (2 if exc.code not in (0, None) else 0), ""
 
     try:
-        ode = resolve_ode(args.ode)
-        report = CheckReport()
+        session = Session(resolve_ode(args.ode), args.samples, args.tol, args.seed)
         extra_lines: List[str] = []
 
         if args.command == "pentad":
-            report = pentad_suite(ode, args.samples, args.tol, args.seed)
+            report = pentad_suite(session)
         elif args.command == "geom":
-            report = geom_suite(ode, args.samples, args.tol, args.seed)
+            report = geom_suite(session)
             if getattr(args, "point", None):
-                pt = _parse_point(args.point)
-                pd = pentad.solve_pentad(ode, samples=args.samples, tol=args.tol,
-                                         seed=args.seed)
-                m = geom.metric_from_frame(pd)
-                cv = geom.curvature(m, pt)
+                cv = geom.curvature(session.metric, _parse_point(args.point))
                 extra_lines.append(f"scalar curvature at point: {cv.scalar:.12g}")
                 extra_lines.append("metric at point:")
                 for row in cv.g:
                     extra_lines.append("  " + "  ".join(f"{v: .6e}" for v in row))
         elif args.command == "so3":
-            report = so3_suite(ode, args.samples, args.tol, args.seed)
+            report = so3_suite(session)
         elif args.command == "radon":
             point = _parse_point(args.point) if getattr(args, "point", None) else None
             if point is not None:
                 missing = set(radon.COORDS) - set(point)
                 if missing:
                     raise UsageError(f"--point must set all of y,p,q,r,s (missing {sorted(missing)})")
-            report = radon_suite(ode, args.samples, args.tol, args.seed,
+            report = radon_suite(session,
                                  f_text=getattr(args, "f", None),
                                  interval=getattr(args, "interval", None),
                                  point=point)
         elif args.command == "all":
-            report = pentad_suite(ode, args.samples, args.tol, args.seed)
-            if ode.order == 5:
-                report.extend(geom_suite(ode, args.samples, args.tol, args.seed).checks)
-            if ode.name == "conics5":
-                report.extend(so3_suite(ode, args.samples, args.tol, args.seed).checks)
-                report.extend(radon_suite(ode, args.samples, args.tol, args.seed).checks)
+            report = pentad_suite(session)
+            if session.ode.order == 5:
+                report.extend(geom_suite(session).checks)
+            if session.ode.name == "conics5":
+                report.extend(so3_suite(session).checks)
+                report.extend(radon_suite(session).checks)
     except (UsageError, JetError, ParseError, ExprError, PentadError,
             geom.GeomError, so3.So3Error, radon.RadonError) as exc:
         return 2, f"error: {exc}"

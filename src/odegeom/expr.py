@@ -4,8 +4,11 @@ Expressions are immutable trees over a fixed variable alphabet with exact
 rational constants and exact rational exponents.  There is deliberately no
 canonical simplification: identities between expressions are certified by
 randomized point sampling over a box on which all fractional-power bases are
-positive (`equiv`).  Constructors only do cheap local folding (constants,
-neutral elements, nested sums/products) to keep trees small.
+positive.  `equiv_all` is the one identity test: it compiles every pair of a
+check into one `Evaluator` and evaluates them in one vectorised pass over a
+shared sample set, each pair still a separate test with its own residual;
+`equiv` is its one-pair case.  Constructors only do cheap local folding
+(constants, neutral elements, nested sums/products) to keep trees small.
 
 Large expressions built here share subtrees freely, so evaluation and
 differentiation treat an expression as a DAG: both are iterative and memoize
@@ -18,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -198,10 +201,6 @@ def var(name: str) -> Var:
         raise ExprError(f"unknown variable {name!r}; alphabet is {VARIABLES}") from None
 
 
-def const(value: Rational) -> Const:
-    return Const(value)
-
-
 def as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
@@ -212,10 +211,6 @@ def as_expr(value) -> Expr:
 
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
 
 
 def add(*terms) -> Expr:
@@ -651,10 +646,6 @@ def diff(e: Expr, v: Union[str, Var]) -> Expr:
     return memo[id(e)]
 
 
-def gradient(e: Expr, names: Iterable[str]) -> dict:
-    return {n: diff(e, n) for n in names}
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -745,7 +736,8 @@ class Evaluator:
         return [vals[o] for o in self._outs]
 
     def eval_points(self, points: Sequence[Mapping[str, float]]):
-        """Vectorised evaluation: returns an array of shape (n_exprs, n_points)."""
+        """Vectorised evaluation: returns an array of shape (n_exprs, n_points).
+        Raises `EvalError` wherever the scalar path does."""
         n = len(points)
         arrays: dict = {}
         vals: list = [None] * len(self._prog)
@@ -770,14 +762,20 @@ class Evaluator:
                     v = vals[a[0]].copy()
                     for f in a[1:]:
                         v *= vals[f]
-                elif op == _OP_IPOW:
-                    v = vals[a] ** b
                 else:
                     base = vals[a]
-                    if np.any(base < 0.0):
+                    if op == _OP_FPOW and np.any(base < 0.0):
                         bad = int(np.argmax(base < 0.0))
                         raise EvalError(
                             f"negative base under fractional exponent {b}", points[bad]
+                        )
+                    # the one place a zero or non-finite intermediate can turn
+                    # finite again (1/inf == 0), so the only one tested
+                    # before the outputs
+                    if b < 0 and not (base.all() and np.isfinite(base).all()):
+                        bad = int(np.argmax((base == 0.0) | ~np.isfinite(base)))
+                        raise EvalError(
+                            "zero or non-finite base under a negative exponent", points[bad]
                         )
                     v = base ** b
                 vals[i] = v
@@ -787,11 +785,6 @@ class Evaluator:
             bad = int(np.argmax(~finite.all(axis=0)))
             raise EvalError("non-finite value during evaluation", points[bad])
         return out
-
-
-def eval_batch(exprs: Sequence[Expr], assignment: Mapping[str, float]) -> list:
-    """Evaluate several expressions sharing one memo pass over their DAG."""
-    return Evaluator(exprs)(assignment)
 
 
 def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
@@ -840,6 +833,35 @@ class EquivResult:
         return self.passed
 
 
+def equiv_all(
+    pairs: Iterable[Tuple[Expr, Expr]],
+    dom: SampleDomain,
+    n: int = DEFAULT_SAMPLES,
+    tol: float = DEFAULT_REL_TOL,
+    seed: int = DEFAULT_SEED,
+) -> EquivResult:
+    """Randomized identity test: e1 == e2 on dom, for every pair (e1, e2).
+
+    A pair passes iff |e1 - e2| <= tol * (1 + max(|e1|, |e2|)) at all n
+    uniformly sampled points; the result passes iff every pair does, with the
+    largest residual and its point.  The pairs share one sample set and one
+    vectorised pass, each still its own test.  Deterministic for a fixed seed.
+    """
+    if n < 1:
+        raise ExprError("equiv needs n >= 1 samples")
+    exprs = [as_expr(e) for pair in pairs for e in pair]
+    if not exprs:
+        raise ExprError("equiv_all needs at least one pair")
+    rng = random.Random(seed)
+    points = [dom.sample(rng) for _ in range(n)]
+    vals = Evaluator(exprs).eval_points(points)
+    v1, v2 = vals[0::2], vals[1::2]
+    residuals = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
+    k, i = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
+    worst = float(residuals[k, i])
+    return EquivResult(worst <= tol, worst, n, tol, seed, points[i])
+
+
 def equiv(
     e1: Expr,
     e2: Expr,
@@ -848,22 +870,5 @@ def equiv(
     tol: float = DEFAULT_REL_TOL,
     seed: int = DEFAULT_SEED,
 ) -> EquivResult:
-    """Randomized identity test: e1 == e2 on dom.
-
-    Passes iff |e1 - e2| <= tol * (1 + max(|e1|, |e2|)) at every one of n
-    uniformly sampled points.  Deterministic for a fixed seed.
-    """
-    if n < 1:
-        raise ExprError("equiv needs n >= 1 samples")
-    e1, e2 = as_expr(e1), as_expr(e2)
-    rng = random.Random(seed)
-    points = [dom.sample(rng) for _ in range(n)]
-    v1, v2 = Evaluator([e1, e2]).eval_points(points)
-    residuals = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    return EquivResult(worst <= tol, worst, n, tol, seed, points[i])
-
-
-def equiv_zero(e: Expr, dom: SampleDomain, **kw) -> EquivResult:
-    return equiv(e, ZERO, dom, **kw)
+    """Randomized identity test of one pair: `equiv_all` on [(e1, e2)]."""
+    return equiv_all([(e1, e2)], dom, n=n, tol=tol, seed=seed)

@@ -43,14 +43,13 @@ from .expr import (
     add,
     diff,
     div,
-    equiv,
     mul,
     neg,
     pow_,
 )
 from .jet import JetOde, prolongation, total_derivative
 from .pentad import PentadData
-from .report import CheckRecord
+from .report import CheckRecord, check_identities
 
 # frame pairing constants for g = 2 e1.e5 - 8 e2.e4 + 6 e3.e3
 _K_LOWER = {(0, 4): Fraction(1), (4, 0): Fraction(1),
@@ -279,29 +278,16 @@ def metric_pairing_check(
 ) -> List[CheckRecord]:
     """Verify the repeated-differentiation route: route agreement, the
     P-expressed pairings, and (for built-ins) the catalogued matrices."""
-    dom = m.ode.domain
+    sampling = (m.ode.domain, samples, tol, seed)
     checks: List[CheckRecord] = []
     n = 5
+    upper_half = [(a, b) for a in range(n) for b in range(a, n)]
     route2 = m.contravariant_from_pairing()
 
-    worst = 0.0
-    ok = True
-    for a in range(n):
-        for b in range(a, n):
-            res = equiv(m.g_upper[a][b], route2[a][b], dom, n=samples, tol=tol, seed=seed)
-            worst = max(worst, res.max_residual)
-            ok = ok and res.passed
-    checks.append(
-        CheckRecord(
-            "metric_routes_agree",
-            "pass" if ok else "fail",
-            worst,
-            tol,
-            samples,
-            seed,
-            "coframe pairing + inversion vs direct row pairing",
-        )
-    )
+    checks.append(check_identities(
+        "metric_routes_agree",
+        [(m.g_upper[a][b], route2[a][b]) for a, b in upper_half],
+        *sampling, "coframe pairing + inversion vs direct row pairing"))
 
     P, Q = m.pd.P, m.pd.Q
     Pp = total_derivative(P, m.ode)
@@ -323,49 +309,27 @@ def metric_pairing_check(
         (2, 4): add(mul(Const(96), pow_(P, 5), Q), neg(mul(Pp, coeffs["H"])),
                     mul(Const(2), pow_(P, 2), coeffs["G"])),
     }
-    worst = 0.0
-    ok = True
-    for (a, b), e in expected.items():
-        res = equiv(m.g_upper[a][b], e, dom, n=samples, tol=tol, seed=seed)
-        worst = max(worst, res.max_residual)
-        ok = ok and res.passed
-    checks.append(
-        CheckRecord(
-            "metric_differentiation_chain",
-            "pass" if ok else "fail",
-            worst,
-            tol,
-            samples,
-            seed,
-            "g(d.,d.) entries in terms of P, P', Q and the recurrence letters",
-        )
-    )
+    checks.append(check_identities(
+        "metric_differentiation_chain",
+        [(m.g_upper[a][b], e) for (a, b), e in expected.items()],
+        *sampling, "g(d.,d.) entries in terms of P, P', Q and the recurrence letters"))
 
     cat = catalog.for_ode(m.ode.name)
     if cat and "metric_upper" in cat:
-        for key, table in (("metric_upper_matches_expected", m.g_upper),
-                           ("metric_lower_matches_expected", m.g_lower)):
-            ref = catalog.matrix(cat["metric_upper" if "upper" in key else "metric_lower"])
-            worst = 0.0
-            ok = True
-            for a in range(n):
-                for b in range(a, n):
-                    res = equiv(table[a][b], ref[a][b], dom, n=samples, tol=tol, seed=seed)
-                    worst = max(worst, res.max_residual)
-                    ok = ok and res.passed
-            checks.append(CheckRecord(key, "pass" if ok else "fail", worst, tol, samples, seed))
+        for key, table, texts in (
+            ("metric_upper_matches_expected", m.g_upper, cat["metric_upper"]),
+            ("metric_lower_matches_expected", m.g_lower, cat["metric_lower"]),
+        ):
+            ref = catalog.matrix(texts)
+            checks.append(check_identities(
+                key, [(table[a][b], ref[a][b]) for a, b in upper_half], *sampling))
 
-    worst = 0.0
-    ok = True
-    for a in range(n):
-        for b in range(n):
-            acc = add(*[mul(m.g_lower[a][c], m.g_upper[c][b]) for c in range(n)])
-            want = ONE if a == b else ZERO
-            res = equiv(acc, want, dom, n=samples, tol=tol, seed=seed)
-            worst = max(worst, res.max_residual)
-            ok = ok and res.passed
-    checks.append(CheckRecord("metric_inverse_identity", "pass" if ok else "fail",
-                              worst, tol, samples, seed))
+    checks.append(check_identities(
+        "metric_inverse_identity",
+        [(add(*[mul(m.g_lower[a][c], m.g_upper[c][b]) for c in range(n)]),
+          ONE if a == b else ZERO)
+         for a in range(n) for b in range(n)],
+        *sampling))
     return checks
 
 
@@ -451,14 +415,13 @@ def structure_checks(
 ) -> List[CheckRecord]:
     """Flow invariance, first integral, harmonicity, signature."""
     ode = m.ode
-    dom = ode.domain
+    sampling = (ode.domain, samples, tol, seed)
     coords = ode.coords
     n = 5
     V = prolongation(ode).components
     checks: List[CheckRecord] = []
 
-    worst = 0.0
-    ok = True
+    lie = []
     for a in range(n):
         for b in range(a, n):
             terms = [diff(m.g_lower[a][b], "x")]
@@ -466,16 +429,13 @@ def structure_checks(
                 terms.append(mul(V[c], diff(m.g_lower[a][b], coords[c])))
                 terms.append(mul(m.g_lower[c][b], diff(V[c], coords[a])))
                 terms.append(mul(m.g_lower[a][c], diff(V[c], coords[b])))
-            res = equiv(add(*terms), ZERO, dom, n=samples, tol=tol, seed=seed)
-            worst = max(worst, res.max_residual)
-            ok = ok and res.passed
-    checks.append(CheckRecord("killing_prolongation", "pass" if ok else "fail",
-                              worst, tol, samples, seed,
-                              "Lie derivative of g along the shift field vanishes"))
+            lie.append((add(*terms), ZERO))
+    checks.append(check_identities("killing_prolongation", lie, *sampling,
+                                   "Lie derivative of g along the shift field vanishes"))
 
-    res = equiv(total_derivative(m.g_lower[0][0], ode), ZERO, dom, n=samples, tol=tol, seed=seed)
-    checks.append(CheckRecord.from_equiv("first_integral_gyy", res,
-                                         "g_yy is constant along solutions"))
+    checks.append(check_identities(
+        "first_integral_gyy", [(total_derivative(m.g_lower[0][0], ode), ZERO)], *sampling,
+        "g_yy is constant along solutions"))
 
     cat = catalog.for_ode(ode.name) or {}
     if cat.get("harmonic"):
@@ -566,23 +526,17 @@ def connection_checks(
     checked against the numeric Levi-Civita derivative of the coframe.
     """
     ode = cf.pd.ode
-    dom = ode.domain
+    sampling = (ode.domain, samples, tol, seed)
     checks: List[CheckRecord] = []
     cat = catalog.for_ode(ode.name)
     conn = cat["connection"]
 
     for name, built in (("delta", cf.delta), ("gamma", cf.gamma), ("alpha", cf.alpha)):
-        res = equiv(built, catalog.expr(conn[name]), dom, n=samples, tol=tol, seed=seed)
-        checks.append(CheckRecord.from_equiv(f"connection_{name}_expected", res))
-
-    worst = 0.0
-    ok = True
-    for comp, text in zip(cf.psi, conn["psi"]):
-        res = equiv(comp, catalog.expr(text), dom, n=samples, tol=tol, seed=seed)
-        worst = max(worst, res.max_residual)
-        ok = ok and res.passed
-    checks.append(CheckRecord("connection_psi_expected", "pass" if ok else "fail",
-                              worst, tol, samples, seed))
+        checks.append(check_identities(f"connection_{name}_expected",
+                                       [(built, catalog.expr(conn[name]))], *sampling))
+    checks.append(check_identities(
+        "connection_psi_expected",
+        [(comp, catalog.expr(text)) for comp, text in zip(cf.psi, conn["psi"])], *sampling))
 
     if points is None:
         points = sample_points(ode, count, seed)
@@ -632,17 +586,10 @@ def integrability_check(
 ) -> List[CheckRecord]:
     """The constant-y surfaces: chi has no dq/dr/ds components and the
     conormal dy is null."""
-    dom = cf.pd.ode.domain
-    checks: List[CheckRecord] = []
-    worst = 0.0
-    ok = True
-    for comp in cf.chi[2:]:
-        res = equiv(comp, ZERO, dom, n=samples, tol=tol, seed=seed)
-        worst = max(worst, res.max_residual)
-        ok = ok and res.passed
-    checks.append(CheckRecord("chi_spans_dy_dp_only", "pass" if ok else "fail",
-                              worst, tol, samples, seed))
-    res = equiv(m.g_upper[0][0], ZERO, dom, n=samples, tol=tol, seed=seed)
-    checks.append(CheckRecord.from_equiv("null_surface_gyy_upper", res,
-                                         "constant-y surfaces are null"))
-    return checks
+    sampling = (cf.pd.ode.domain, samples, tol, seed)
+    return [
+        check_identities("chi_spans_dy_dp_only",
+                         [(comp, ZERO) for comp in cf.chi[2:]], *sampling),
+        check_identities("null_surface_gyy_upper", [(m.g_upper[0][0], ZERO)], *sampling,
+                         "constant-y surfaces are null"),
+    ]

@@ -13,10 +13,12 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .expr import (
+    EvalError,
     Expr,
     SampleDomain,
     add,
     diff,
+    equiv,
     free_variables,
     mul,
     parse,
@@ -95,9 +97,6 @@ class ProlongationField:
 
     ode: JetOde
     components: tuple
-
-    def __getitem__(self, i: int) -> Expr:
-        return self.components[i]
 
 
 def total_derivative(e: Expr, ode: JetOde) -> Expr:
@@ -179,11 +178,26 @@ def load_ode_file(path: Union[str, Path]) -> JetOde:
 
 
 def resolve_ode(name_or_path: str) -> JetOde:
-    """A builtin name, or a path to an ODE definition file."""
+    """A builtin name, or a path to an ODE definition file.
+
+    A file whose order and rhs agree with a built-in's (`equiv` on the
+    built-in's domain) resolves to that built-in, so the suites and catalogued
+    forms keyed on its name apply; a file that takes a built-in's name for
+    another equation is refused."""
     if name_or_path in _BUILTINS:
         return builtin(name_or_path)
     p = Path(name_or_path)
-    if p.exists():
-        return load_ode_file(p)
-    raise JetError(f"unknown ODE {name_or_path!r}: not a builtin "
-                   f"({', '.join(builtin_names())}) and no such file")
+    if not p.exists():
+        raise JetError(f"unknown ODE {name_or_path!r}: not a builtin "
+                       f"({', '.join(builtin_names())}) and no such file")
+    ode = load_ode_file(p)
+    for known in map(builtin, builtin_names()):
+        try:
+            if known.order == ode.order and equiv(ode.rhs, known.rhs, known.domain).passed:
+                return known
+        except EvalError:
+            pass  # not even defined where the built-in is
+    if ode.name in _BUILTINS:
+        raise JetError(f"{p}: named {ode.name!r}, but its equation is not the "
+                       f"built-in {ode.name} equation")
+    return ode

@@ -265,26 +265,12 @@ def _is_const_one(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 1
 
 
-def coefficients(pd: PentadData) -> dict:
-    """The named recurrence coefficients (A..H; D only for order 4)."""
-    return dict(pd.coefficients)
-
-
-def coframe(pd: PentadData):
-    """(coframe, frame): e^i rows over d(coords), and E_i rows over d/d(coords)."""
-    return pd.coframe_rows, pd.frame_cols
-
-
 @dataclass(frozen=True)
 class SymplecticForm:
     """Antisymmetric matrix of the two-form on the order-4 moduli space."""
 
     pd: PentadData
     matrix: tuple  # n x n Exprs, antisymmetric by construction
-
-    def __getitem__(self, ab):
-        a, b = ab
-        return self.matrix[a][b]
 
 
 def symplectic(pd: PentadData) -> SymplecticForm:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
-from .expr import DEFAULT_SEED, EquivResult
+from .expr import DEFAULT_SEED, EquivResult, Expr, SampleDomain, equiv_all
 
 PASS = "pass"
 FAIL = "fail"
@@ -65,6 +65,21 @@ class CheckRecord:
             seed=DEFAULT_SEED,
             notes=f"{type(exc).__name__}: {exc}",
         )
+
+
+def check_identities(
+    name: str,
+    pairs: Iterable[Tuple[Expr, Expr]],
+    dom: SampleDomain,
+    samples: int,
+    tol: float,
+    seed: int,
+    notes: str = "",
+) -> CheckRecord:
+    """One named check: every (e1, e2) in pairs is an identity on dom,
+    certified by `equiv_all` on one shared sample set."""
+    res = equiv_all(pairs, dom, n=samples, tol=tol, seed=seed)
+    return CheckRecord.from_equiv(name, res, notes)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 
+from odegeom import geom, pentad, so3
 from odegeom.cli import run
 
 JSON_KEYS = {"name", "status", "max_residual", "tolerance", "samples", "seed", "notes"}
@@ -80,8 +81,27 @@ def test_ode_file(tmp_path):
     path.write_text("name = mine\norder = 5\nrhs = -(40/9)*r^3/q^2 + 5*r*s/q\n")
     code, text = run(["pentad", "--ode", str(path)])
     assert code == 0
-    # no catalogued forms for a file-defined equation, but identities run
+    # the file holds the conics5 equation, so it resolves to that built-in
     assert "residual_identity_1" in text
+
+
+def test_ode_file_selects_builtin_by_equation(tmp_path):
+    # a file named conics5 that holds the gn5 equation gets the gn5 catalogue
+    path = tmp_path / "c.ode"
+    path.write_text("name = conics5\norder = 5\nrhs = (5/3)*s^2/r\n")
+    code, text = run(["pentad", "--ode", str(path)])
+    assert code == 0
+    assert "P_equals_r_1_3" in text and "P_equals_q_1_2" not in text
+    # the conics5 equation with its terms reordered, under another name
+    path.write_text("name = mine\norder = 5\nrhs = 5*r*s/q - (40/9)*r^3/q^2\n")
+    code, text = run(["pentad", "--ode", str(path)])
+    assert code == 0
+    assert "P_equals_q_1_2" in text
+    # a built-in's name on an equation that is no built-in
+    path.write_text("name = conics5\norder = 5\nrhs = -(41/9)*r^3/q^2 + 5*r*s/q\n")
+    code, text = run(["pentad", "--ode", str(path)])
+    assert code == 2
+    assert text.startswith("error:") and "conics5" in text
 
 
 def test_failing_check_exit_1(tmp_path):
@@ -127,3 +147,40 @@ def test_radon_f_negative_fractional_base_exit_2():
     code, text = run(["radon", "--ode", "conics5", "--f", "(x - 0.9)^(1/2)"])
     assert code == 2
     assert "{'x': -0.7993680985819488, 'y': 1.38743434848519}" in text
+
+
+def _count_stages(monkeypatch):
+    counts = {"solve_pentad": 0, "build_G": 0, "second_order": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pentad, "solve_pentad", counted("solve_pentad", pentad.solve_pentad))
+    monkeypatch.setattr(so3, "build_G", counted("build_G", so3.build_G))
+    tables = geom.MetricField._derivative_exprs
+
+    def second_order(self):
+        if self._deriv_cache is None:
+            counts["second_order"] += 1
+        return tables(self)
+
+    monkeypatch.setattr(geom.MetricField, "_derivative_exprs", second_order)
+    return counts
+
+
+def test_all_runs_each_stage_once(monkeypatch):
+    counts = _count_stages(monkeypatch)
+    code, _ = run(["all", "--ode", "conics5", "--json"])
+    assert code == 0
+    assert counts == {"solve_pentad": 1, "build_G": 1, "second_order": 1}
+
+
+def test_geom_point_reuses_the_session(monkeypatch):
+    counts = _count_stages(monkeypatch)
+    code, text = run(["geom", "--ode", "gn5", "--point", "y=1,p=0.5,q=1.5,r=0.7,s=0.3"])
+    assert code == 0
+    assert "scalar curvature at point" in text
+    assert counts == {"solve_pentad": 1, "build_G": 0, "second_order": 1}

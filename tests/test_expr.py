@@ -6,12 +6,14 @@ import pytest
 from odegeom.expr import (
     Const,
     EvalError,
+    Evaluator,
     ExprError,
     ParseError,
     SampleDomain,
     add,
     diff,
     equiv,
+    equiv_all,
     evaluate,
     mul,
     neg,
@@ -141,6 +143,32 @@ def test_equiv_eval_error_carries_point():
     with pytest.raises(EvalError) as exc:
         equiv(parse("s^(1/2)"), parse("s"), dom)
     assert exc.value.point is not None and "s" in exc.value.point
+
+
+def test_eval_points_rejects_what_the_scalar_path_rejects():
+    # 1/(x - x) is inf, and 1/(1 + inf) turns it back into a finite 0
+    e = parse("x + 1/(1 + 1/(x - x))")
+    with pytest.raises(EvalError):
+        Evaluator([e])({"x": 0.5})
+    with pytest.raises(EvalError) as exc:
+        Evaluator([e]).eval_points([{"x": 0.25}, {"x": 0.5}])
+    assert exc.value.point == {"x": 0.25}
+    with pytest.raises(EvalError):
+        equiv(e, parse("x"), SampleDomain.box(x=(0.5, 2.0)))
+    with pytest.raises(EvalError) as exc:
+        Evaluator([parse("(q - 1)^(-1/2)")]).eval_points([{"q": 2.0}, {"q": 1.0}])
+    assert exc.value.point == {"q": 1.0}
+
+
+def test_equiv_all_mixed_pairs_report_the_failing_pair():
+    good = (parse("q*q^(-1/2)"), parse("q^(1/2)"))
+    bad = (parse("q"), parse("r"))
+    res = equiv_all([good, bad, good], DOM, seed=3)
+    alone = equiv(*bad, DOM, seed=3)
+    assert not res.passed
+    assert res.max_residual == alone.max_residual
+    assert res.worst_point == alone.worst_point
+    assert equiv_all([good, good], DOM).passed
 
 
 def _random_expr(rng, depth):

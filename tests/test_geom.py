@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from odegeom import catalog
-from odegeom.expr import ZERO, equiv, parse
+from odegeom.expr import ZERO, Evaluator, equiv, equiv_all, parse
 from odegeom.geom import (
     GeomError,
     connection_checks,
@@ -37,11 +37,9 @@ def test_metric_upper_entries_conics5(metric_conics5, conics5):
 
 
 def test_metric_upper_antidiagonal_at_unit_point(metric_conics5):
-    from odegeom.expr import eval_batch
-
     point = {"q": 1.0, "r": 0.0, "s": 0.0, "y": 0.3, "p": 0.7, "x": 0.0}
     flat = [metric_conics5.g_upper[a][b] for a in range(5) for b in range(5)]
-    vals = np.array(eval_batch(flat, point)).reshape(5, 5)
+    vals = np.array(Evaluator(flat)(point)).reshape(5, 5)
     expected = np.zeros((5, 5))
     for i, v in enumerate([24.0, -24.0, 24.0, -24.0, 24.0]):
         expected[i, 4 - i] = v
@@ -51,6 +49,15 @@ def test_metric_upper_antidiagonal_at_unit_point(metric_conics5):
 def test_metric_upper_entry_gn5(metric_gn5, gn5):
     assert equiv(metric_gn5.g_upper[4][4], parse("(40/3)*r^(-8/3)*s^4"), gn5.domain).passed
     assert equiv(metric_gn5.g_upper[1][4], parse("-48*r^(1/3)*s"), gn5.domain).passed
+
+
+def test_equiv_all_matches_per_pair_equiv_on_metric_routes(metric_conics5, conics5):
+    route2 = metric_conics5.contravariant_from_pairing()
+    pairs = [(metric_conics5.g_upper[a][b], route2[a][b]) for a in range(5) for b in range(a, 5)]
+    singles = [equiv(e1, e2, conics5.domain) for e1, e2 in pairs]
+    joint = equiv_all(pairs, conics5.domain)
+    assert joint.max_residual == max(r.max_residual for r in singles)
+    assert joint.passed == all(r.passed for r in singles)
 
 
 def test_pairing_checks_conics5(metric_conics5):
@@ -162,5 +169,5 @@ def test_radon_suite_never_builds_second_order_table(monkeypatch, conics5):
         raise AssertionError("second-order metric table built")
 
     monkeypatch.setattr(MetricField, "_derivative_exprs", refuse)
-    report = cli.radon_suite(conics5, 50, 1e-9, 0x5EED)
+    report = cli.radon_suite(cli.Session(conics5, 50, 1e-9, 0x5EED))
     assert report.checks

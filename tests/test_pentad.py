@@ -5,8 +5,6 @@ from odegeom.expr import ZERO, add, equiv, mul, parse
 from odegeom.jet import JetOde
 from odegeom.pentad import (
     PentadError,
-    coefficients,
-    coframe,
     solve_pentad,
     symplectic,
     symplectic_closure_components,
@@ -41,7 +39,7 @@ def test_coefficients_match_catalog(ode_name, request):
     pd = request.getfixturevalue(f"pd_{ode_name}")
     dom = pd.ode.domain
     for letter, text in catalog.for_ode(ode_name)["coefficients"].items():
-        res = equiv(coefficients(pd)[letter], catalog.expr(text), dom)
+        res = equiv(pd.coefficients[letter], catalog.expr(text), dom)
         assert res.passed, f"{ode_name} coefficient {letter}: {res.max_residual}"
 
 
@@ -113,7 +111,7 @@ def test_defining_recurrences_hold_as_identities(ode_name, request):
 
 
 def test_coframe_times_lower_is_identity(pd_conics5, conics5):
-    C, F = coframe(pd_conics5)
+    C = pd_conics5.coframe_rows
     dom = conics5.domain
     for i in range(5):
         for j in range(5):
