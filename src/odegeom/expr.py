@@ -10,15 +10,23 @@ shared sample set, each pair still a separate test with its own residual;
 `equiv` is its one-pair case.  Constructors only do cheap local folding
 (constants, neutral elements, nested sums/products) to keep trees small.
 
-Large expressions built here share subtrees freely, so evaluation and
-differentiation treat an expression as a DAG: both are iterative and memoize
-on node identity.
+Nodes are hash-consed: every constructor looks its (type, children, exact
+value or exponent) key up in a weak-value intern table and returns the live
+node with that key if there is one, so structurally equal expressions are one
+object and `is` is structural equality.  Operands keep the order they were
+built in (no canonical sorting), so each node is evaluated with the same
+float operations as its tree form, only once.  Evaluation and differentiation
+treat an expression as a DAG and are iterative.  `diff` keeps a persistent
+memo per variable, keyed weakly on the interned node: a derivative taken once
+(by a total derivative, a frame row or a metric table) is reused by every
+later call, which walks only the nodes not differentiated before.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -58,12 +66,15 @@ class EvalError(ExprError):
 
 
 class Expr:
-    """Immutable expression node.  Subclasses: Const, Var, Sum, Prod, Pow, Neg."""
+    """Immutable, interned expression node.  Subclasses: Const, Var, Sum,
+    Prod, Pow, Neg.
 
-    __slots__ = ()
+    Each constructor returns the one live node with its (type, children,
+    value) key, so structurally equal expressions are the same object and
+    `is` is structural equality.  Hashing and `==` stay those of `object`:
+    on interned nodes identity is the structural comparison, in O(1)."""
 
-    # Identity-based hashing/equality: big shared DAGs must never be compared
-    # structurally by accident.  Use structurally_equal() for that.
+    __slots__ = ("__weakref__",)
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -101,46 +112,59 @@ class Expr:
     def __repr__(self):
         return f"<Expr {to_string(self)}>"
 
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __delattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
+
     def children(self) -> tuple:
         return ()
+
+
+# (class, children..., exact value or exponent) -> the live node with that
+# key.  The table holds its nodes weakly: a node leaves it when the last
+# expression using it is gone.
+_INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
+def _interned(cls, key: tuple, **fields) -> Expr:
+    node = _INTERN.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(node, name, value)
+        _INTERN[key] = node
+    return node
 
 
 class Const(Expr):
     __slots__ = ("value", "fvalue")
 
-    def __init__(self, value: Rational):
+    def __new__(cls, value: Rational):
         value = Fraction(value)
         try:
             fvalue = float(value)
         except OverflowError:
             raise ExprError("constant too large for a float") from None
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "fvalue", fvalue)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        return _interned(cls, (cls, value), value=value, fvalue=fvalue)
 
 
 class Var(Expr):
+    """A jet variable; `Var(name)` is the `var(name)` singleton."""
+
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if name not in VARIABLES:
-            raise ExprError(f"unknown variable {name!r}; alphabet is {VARIABLES}")
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    def __new__(cls, name: str):
+        return var(name)
 
 
 class Sum(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    def __new__(cls, terms: tuple):
+        terms = tuple(terms)
+        return _interned(cls, (cls, terms), terms=terms)
 
     def children(self):
         return self.terms
@@ -149,11 +173,9 @@ class Sum(Expr):
 class Prod(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    def __new__(cls, factors: tuple):
+        factors = tuple(factors)
+        return _interned(cls, (cls, factors), factors=factors)
 
     def children(self):
         return self.factors
@@ -164,12 +186,9 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Fraction):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", Fraction(exponent))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    def __new__(cls, base: Expr, exponent: Fraction):
+        exponent = Fraction(exponent)
+        return _interned(cls, (cls, base, exponent), base=base, exponent=exponent)
 
     def children(self):
         return (self.base,)
@@ -178,11 +197,8 @@ class Pow(Expr):
 class Neg(Expr):
     __slots__ = ("child",)
 
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    def __new__(cls, child: Expr):
+        return _interned(cls, (cls, child), child=child)
 
     def children(self):
         return (self.child,)
@@ -191,7 +207,14 @@ class Neg(Expr):
 ZERO = Const(0)
 ONE = Const(1)
 
-_VAR_CACHE = {name: Var(name) for name in VARIABLES}
+
+def _make_var(name: str) -> Var:
+    node = object.__new__(Var)
+    object.__setattr__(node, "name", name)
+    return node
+
+
+_VAR_CACHE = {name: _make_var(name) for name in VARIABLES}
 
 
 def var(name: str) -> Var:
@@ -209,14 +232,10 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot coerce {value!r} to Expr (floats are not exact)")
 
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0
-
-
 def add(*terms) -> Expr:
     """Sum with flattening, constant folding and zero elimination."""
     flat = []
-    acc = Fraction(0)
+    acc = 0
     stack = [as_expr(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
@@ -238,7 +257,7 @@ def add(*terms) -> Expr:
 def mul(*factors) -> Expr:
     """Product with flattening, constant folding, and 0/1 elimination."""
     flat = []
-    acc = Fraction(1)
+    acc = 1
     stack = [as_expr(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
@@ -338,11 +357,13 @@ def div(a, b) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# traversal, printing, structural comparison
+# traversal and printing
 
 
-def topo_order(roots: Sequence[Expr]) -> list:
-    """Children-first topological order of the expression DAG under roots."""
+def topo_order(roots: Sequence[Expr], stop=()) -> list:
+    """Children-first topological order of the expression DAG under roots.
+
+    Nodes in `stop` are neither listed nor descended into."""
     order: list = []
     seen = set()
     stack = [(r, False) for r in reversed(roots)]
@@ -354,6 +375,8 @@ def topo_order(roots: Sequence[Expr]) -> list:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node in stop:
+            continue
         stack.append((node, True))
         for child in reversed(node.children()):
             if id(child) not in seen:
@@ -372,7 +395,7 @@ def _fmt_fraction(v: Fraction) -> str:
 
 
 def to_string(e: Expr) -> str:
-    """ASCII infix form; parse(to_string(e)) is structurally equal to e."""
+    """ASCII infix form; parse(to_string(e)) is e."""
     if isinstance(e, Const):
         s = _fmt_fraction(e.value)
         return s
@@ -415,31 +438,6 @@ def to_string(e: Expr) -> str:
             exp = f"({exp})"
         return f"{base}^{exp}"
     raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def structurally_equal(a: Expr, b: Expr) -> bool:
-    """Structural equality on trees (memoized on id pairs)."""
-    memo: set = set()
-
-    def walk(u: Expr, v: Expr) -> bool:
-        if u is v or (id(u), id(v)) in memo:
-            return True
-        if type(u) is not type(v):
-            return False
-        if isinstance(u, Const):
-            ok = u.value == v.value
-        elif isinstance(u, Var):
-            ok = u.name == v.name
-        elif isinstance(u, Pow):
-            ok = u.exponent == v.exponent and walk(u.base, v.base)
-        else:
-            cu, cv = u.children(), v.children()
-            ok = len(cu) == len(cv) and all(walk(x, y) for x, y in zip(cu, cv))
-        if ok:
-            memo.add((id(u), id(v)))
-        return ok
-
-    return walk(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -608,42 +606,50 @@ def parse(text: str) -> Expr:
 # differentiation
 
 
+# variable name -> {node: d(node)/d(variable)}, kept across calls.  Keys are
+# held weakly, so an entry lives as long as its node.  A derivative is built
+# from the node's operands and their derivatives, never from the node itself,
+# so no entry keeps its own key alive.
+_DIFF_MEMO = {name: weakref.WeakKeyDictionary() for name in VARIABLES}
+
+
 def diff(e: Expr, v: Union[str, Var]) -> Expr:
-    """Exact partial derivative; iterative over the DAG, memoized per node."""
+    """Exact partial derivative; iterative over the DAG.  Memoized per
+    interned node and variable across calls, so only nodes never
+    differentiated before are visited."""
     name = v.name if isinstance(v, Var) else v
     if name not in VARIABLES:
         raise ExprError(f"unknown variable {name!r}")
-    memo: dict = {}
-    order = topo_order([e])
-    for node in order:
+    memo = _DIFF_MEMO[name]
+    for node in topo_order([e], stop=memo):
         if isinstance(node, Const):
             d = ZERO
         elif isinstance(node, Var):
             d = ONE if node.name == name else ZERO
         elif isinstance(node, Neg):
-            d = neg(memo[id(node.child)])
+            d = neg(memo[node.child])
         elif isinstance(node, Sum):
-            d = add(*[memo[id(t)] for t in node.terms])
+            d = add(*[memo[t] for t in node.terms])
         elif isinstance(node, Prod):
             terms = []
             factors = node.factors
             for i, f in enumerate(factors):
-                df = memo[id(f)]
-                if _is_zero(df):
+                df = memo[f]
+                if df is ZERO:
                     continue
                 rest = factors[:i] + factors[i + 1:]
                 terms.append(mul(df, *rest))
             d = add(*terms) if terms else ZERO
         elif isinstance(node, Pow):
-            db = memo[id(node.base)]
-            if _is_zero(db):
+            db = memo[node.base]
+            if db is ZERO:
                 d = ZERO
             else:
                 d = mul(Const(node.exponent), pow_(node.base, node.exponent - 1), db)
         else:
             raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = d
-    return memo[id(e)]
+        memo[node] = d
+    return memo[e]
 
 
 # ---------------------------------------------------------------------------

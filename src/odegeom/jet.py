@@ -15,13 +15,16 @@ from typing import Sequence, Union
 from .expr import (
     EvalError,
     Expr,
+    Pow,
     SampleDomain,
+    Var,
     add,
     diff,
     equiv,
     free_variables,
     mul,
     parse,
+    topo_order,
     var,
 )
 
@@ -174,7 +177,14 @@ def load_ode_file(path: Union[str, Path]) -> JetOde:
         raise JetError(f"{path}: order must be an integer") from None
     rhs = parse(fields["rhs"])
     x_dep = "x" in free_variables(rhs)
-    return JetOde(fields["name"], order, rhs, _domain_for(order, (), x_dep))
+    return JetOde(fields["name"], order, rhs, _domain_for(order, _fractional_bases(rhs), x_dep))
+
+
+def _fractional_bases(e: Expr) -> tuple:
+    """Variables that are the direct base of a fractional power in e."""
+    return tuple(sorted({n.base.name for n in topo_order([e])
+                         if isinstance(n, Pow) and n.exponent.denominator != 1
+                         and isinstance(n.base, Var)}))
 
 
 def resolve_ode(name_or_path: str) -> JetOde:

@@ -251,18 +251,14 @@ def _invert_lower(rows: Sequence[Sequence[Expr]]) -> tuple:
     n = len(rows)
     C = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        inv_diag = pow_(rows[i][i], Fraction(-1)) if not _is_const_one(rows[i][i]) else ONE
+        inv_diag = ONE if rows[i][i] is ONE else pow_(rows[i][i], Fraction(-1))
         for a in range(i + 1):
             if a == i:
                 acc = ONE
             else:
                 acc = neg(add(*[mul(rows[i][j], C[j][a]) for j in range(a, i)]))
-            C[i][a] = mul(acc, inv_diag) if not _is_const_one(inv_diag) else acc
+            C[i][a] = acc if inv_diag is ONE else mul(acc, inv_diag)
     return tuple(tuple(r) for r in C)
-
-
-def _is_const_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,19 @@ def test_failing_check_exit_1(tmp_path):
     assert "fail" in text
 
 
+def test_ode_file_fractional_powers_sample_positive_bases(tmp_path):
+    # s and p are bases of fractional powers, so they are sampled positive:
+    # the equations are well formed and fail certification (exit 1), no error
+    path = tmp_path / "frac.ode"
+    for rhs in ("s^(1/2)", "(5/3)*s^2/r + p^(1/2)"):
+        path.write_text(f"name = frac\norder = 5\nrhs = {rhs}\n")
+        code, text = run(["pentad", "--ode", str(path), "--json"])
+        assert code == 1, text
+        assert "error:" not in text
+        failed = {row["name"] for row in json.loads(text) if row["status"] == "fail"}
+        assert failed == {"residual_identity_1", "residual_identity_2", "residual_identity_3"}
+
+
 def test_oversized_constant_exit_2(tmp_path):
     code, text = run(["radon", "--ode", "conics5", "--f", "(10^400)^(1/2)*x"])
     assert code == 2

@@ -1,15 +1,19 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from odegeom import expr
 from odegeom.expr import (
     Const,
     EvalError,
     Evaluator,
     ExprError,
     ParseError,
+    Pow,
     SampleDomain,
+    Var,
     add,
     diff,
     equiv,
@@ -19,10 +23,12 @@ from odegeom.expr import (
     neg,
     parse,
     pow_,
-    structurally_equal,
     to_string,
+    topo_order,
     var,
 )
+from odegeom.jet import load_ode_file
+from odegeom.pentad import solve_pentad
 
 DOM = SampleDomain.box(q=(0.5, 2.0), r=(0.5, 2.0), s=(-1.0, 1.0))
 
@@ -77,7 +83,7 @@ def test_roundtrip_structural_equality():
     rng = random.Random(11)
     for _ in range(40):
         e = _random_expr(rng, 3)
-        assert structurally_equal(parse(to_string(e)), e), to_string(e)
+        assert parse(to_string(e)) is e, to_string(e)
 
 
 def test_diff_rhs_partials():
@@ -215,3 +221,90 @@ def test_diff_matches_finite_difference():
             except EvalError:
                 continue
             assert abs(fd - sym) <= 1e-6 * (1.0 + max(abs(fd), abs(sym)))
+
+
+# -- the interned core ------------------------------------------------------
+
+USER_RHS = "-(7/3)*r^3/q^2 + 5*r*s/q + (2/3)*s^2/r"
+
+
+def _user_ode(tmp_path):
+    path = tmp_path / "user.ode"
+    path.write_text(f"name = user\norder = 5\nrhs = {USER_RHS}\n")
+    return load_ode_file(path)
+
+
+def test_equal_constructions_are_one_node():
+    a = add(mul(Const(3), pow_(var("q"), Fraction(1, 2)), var("r")), neg(var("s")))
+    b = parse("3*q^(1/2)*r - s")
+    assert a is b
+    assert parse(USER_RHS) is parse(USER_RHS)
+    assert Const(Fraction(2, 4)) is Const(Fraction(1, 2))
+    assert Const(2) is Const(Fraction(4, 2))
+    assert Var("q") is var("q")
+    assert Pow(var("q"), 2) is pow_(var("q"), Fraction(2))
+
+
+def test_diff_is_memoized_per_node():
+    e = parse(USER_RHS)
+    assert diff(e, "q") is diff(e, "q")
+    assert diff(e, var("s")) is diff(parse(USER_RHS), "s")
+    # a node built again after the first diff maps to the same derivative
+    assert diff(parse("q^3*r"), "q") is diff(mul(pow_(var("q"), 3), var("r")), "q")
+
+
+def test_nodes_are_immutable():
+    e = parse("q*r + 1")
+    for node, attr in ((e, "terms"), (var("q"), "name"), (Const(2), "value"),
+                       (parse("q^(1/2)"), "exponent"), (parse("-(q*r)"), "child")):
+        with pytest.raises(AttributeError):
+            setattr(node, attr, None)
+        with pytest.raises(AttributeError):
+            setattr(node, "extra", 1)
+    assert parse("q*r + 1") is e
+
+
+def _table_sizes():
+    gc.collect()
+    return len(expr._INTERN), {v: len(m) for v, m in expr._DIFF_MEMO.items()}
+
+
+def test_solve_leaves_no_nodes_or_derivatives_behind(tmp_path):
+    # a first solve leaves derivatives keyed on the module-level singletons
+    # (variables, 0, 1); a second solve must leave nothing at all
+    warm = solve_pentad(_user_ode(tmp_path))
+    del warm
+    before = _table_sizes()
+    pd = solve_pentad(_user_ode(tmp_path))
+    during = _table_sizes()
+    assert during[0] > before[0] and during[1]["q"] > before[1]["q"]
+    del pd
+    assert _table_sizes() == before
+
+
+def _node_key(node):
+    if isinstance(node, Const):
+        return (Const, node.value)
+    if isinstance(node, Var):
+        return (Var, node.name)
+    if isinstance(node, Pow):
+        return (Pow, node.base, node.exponent)
+    return (type(node), node.children())
+
+
+def _assert_hash_consed(roots):
+    keys = {}
+    for node in topo_order(roots):
+        other = keys.setdefault(_node_key(node), node)
+        assert other is node, f"two nodes for {to_string(node)}"
+
+
+def _frame_roots(pd):
+    return ([e for row in pd.lower for e in row]
+            + [e for row in pd.coframe_rows for e in row]
+            + [e for _, e in pd.residual_identities])
+
+
+def test_solved_frames_have_one_node_per_key(pd_conics5, tmp_path):
+    _assert_hash_consed(_frame_roots(pd_conics5))
+    _assert_hash_consed(_frame_roots(solve_pentad(_user_ode(tmp_path))))
