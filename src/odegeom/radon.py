@@ -4,6 +4,10 @@ A conic is recovered from a 4-jet by solving the five linear conditions its
 implicit equation must satisfy at the base point; evaluation along the conic
 is exact (quadratic formula plus implicit differentiation), and a numeric
 ODE integration of the jet system is kept as an independent cross-check.
+That integration is a private port of the Dormand-Prince 5(4) pair with the
+starting-step rule of Hairer, Norsett & Wanner (Solving ODEs I, II.4); it
+repeats the RK45 step control of `solve_ivp` operation for operation, so its
+results are bitwise those of `solve_ivp(method="RK45")`.
 
 The transform F(X) = integral of f(x, Z(x, X)) * q^(1/3) dx is taken over a
 fixed real interval on which the branch stays smooth and q keeps one sign
@@ -23,7 +27,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.legendre import leggauss
 
 from .expr import Evaluator, Expr, free_variables, parse
 from .geom import MetricField
@@ -145,6 +149,102 @@ def eval_Z(conic: ConicCoefficients, branch: int, x: float) -> Tuple[float, floa
     return jet["y"], jet["q"]
 
 
+# Dormand-Prince 5(4): nodes, stage matrix, 5th-order weights and the
+# error-estimate weights (5th minus embedded 4th order, FSAL stage last).
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 5
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """Starting step size of Hairer, Norsett & Wanner, Solving ODEs I, II.4."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _rk45(fun, t: float, y: np.ndarray, t_bound: float, rtol: float, atol: float) -> np.ndarray:
+    """State at t_bound by adaptive Dormand-Prince 5(4) steps from (t, y).
+
+    The step control is that of `solve_ivp(method="RK45")` without a step
+    bound, operation for operation, so the result is bitwise the same.
+    """
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    direction = np.sign(t_bound - t)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
+    K = np.empty((7, y.size))
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RadonError(
+                    "jet integration failed: "
+                    "Required step size is less than spacing between numbers."
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            K[0] = f
+            for s in range(1, 6):
+                dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
+                K[s] = fun(t + _DP_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
+
+
 def integrate_ode(
     ode: JetOde,
     jet0: Dict[str, float],
@@ -152,8 +252,16 @@ def integrate_ode(
     x1: float,
     tol: float = 1e-10,
 ) -> Dict[str, float]:
-    """Integrate the jet system with an adaptive Runge-Kutta scheme; the
-    cross-check path for the exact conic evaluation."""
+    """Integrate the jet system from x0 to x1; the cross-check path for the
+    exact conic evaluation.
+
+    Adaptive Dormand-Prince 5(4) steps (Dormand & Prince 1980) with the
+    starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4, at
+    relative tolerance tol and absolute tolerance tol * 1e-2.  The port
+    repeats the step control of `solve_ivp(method="RK45")`, so the values
+    (`np.float64`) are those of `solve_ivp` bit for bit.  Raises
+    `RadonError` when the step size underflows.
+    """
     if x1 == x0:
         return dict(jet0)
     coords = ode.coords
@@ -163,20 +271,11 @@ def integrate_ode(
         point = dict(zip(coords, u))
         point["x"] = x
         lam = ev(point)[0]
-        return list(u[1:]) + [lam]
+        return np.asarray(list(u[1:]) + [lam], dtype=float)
 
-    sol = solve_ivp(
-        rhs,
-        (x0, x1),
-        [jet0[c] for c in coords],
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RadonError(f"jet integration failed: {sol.message}")
-    return dict(zip(coords, sol.y[:, -1]))
+    y0 = np.asarray([jet0[c] for c in coords], dtype=float)
+    y1 = _rk45(rhs, float(x0), y0, float(x1), tol, tol * 1e-2)
+    return dict(zip(coords, y1))
 
 
 @dataclass(frozen=True)
@@ -210,7 +309,7 @@ _GAUSS_CACHE: dict = {}
 
 def _gauss(order: int):
     if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
+        _GAUSS_CACHE[order] = leggauss(order)
     return _GAUSS_CACHE[order]
 
 

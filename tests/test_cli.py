@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from odegeom import geom, pentad, so3
 from odegeom.cli import run
@@ -197,3 +201,22 @@ def test_geom_point_reuses_the_session(monkeypatch):
     assert code == 0
     assert "scalar curvature at point" in text
     assert counts == {"solve_pentad": 1, "build_G": 0, "second_order": 1}
+
+
+_SCIPY_FREE_REPORT = """
+import sys
+from odegeom import cli
+code, _ = cli.run(["radon", "--ode", "conics5", "--json"])
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_and_radon_report_do_not_import_scipy():
+    # a fresh interpreter: this one may have loaded scipy for the oracle tests
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_REPORT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    assert out == "0 []\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from odegeom.expr import Evaluator, parse
+from odegeom.jet import builtin
 from odegeom.radon import (
     RadonConfig,
     RadonError,
@@ -66,6 +67,65 @@ def test_integrate_zero_length(conics5):
 
 def test_integrate_matches_conic(conics5, gn5):
     _all_pass(integration_cross_checks(conics5, gn5))
+
+
+def _gn5_closed(x):
+    # y = 1 + x^2 + (1+x)^(3/2) solves the gn5 equation; singular at x = -1
+    return {
+        "y": 1 + x * x + (1 + x) ** 1.5,
+        "p": 2 * x + 1.5 * (1 + x) ** 0.5,
+        "q": 2 + 0.75 * (1 + x) ** (-0.5),
+        "r": -0.375 * (1 + x) ** (-1.5),
+        "s": 0.5625 * (1 + x) ** (-2.5),
+    }
+
+
+_CONIC_JET = {"y": 1.0, "p": 0.3, "q": 2.0, "r": 0.1, "s": -0.2}
+
+
+@pytest.mark.parametrize(
+    "name, jet0, x1, tol",
+    [
+        ("conics5", _CONIC_JET, 0.3, 1e-11),
+        ("gn5", _gn5_closed(0.0), 0.5, 1e-11),
+        ("conics5", _CONIC_JET, 1e-5, 1e-12),
+        ("conics5", _CONIC_JET, -1e-5, 1e-12),
+        ("gn5", _gn5_closed(0.0), -0.5, 1e-6),
+        ("gn5", _gn5_closed(0.0), -0.5, 1e-8),
+        ("gn5", _gn5_closed(0.0), -0.5, 1e-10),
+        # takes a step right after a rejected one, where growth is capped at 1
+        ("conics5", _CONIC_JET, 2.0, 1e-6),
+    ],
+)
+def test_integrate_ode_matches_solve_ivp_bitwise(name, jet0, x1, tol):
+    # the port of RK45 must give solve_ivp's results bit for bit
+    integrate = pytest.importorskip("scipy.integrate")
+    ode = builtin(name)
+    ev = Evaluator([ode.rhs])
+
+    def rhs(x, u):
+        point = dict(zip(ode.coords, u))
+        point["x"] = x
+        return list(u[1:]) + [ev(point)[0]]
+
+    sol = integrate.solve_ivp(
+        rhs, (0.0, x1), [jet0[c] for c in ode.coords],
+        method="RK45", rtol=tol, atol=tol * 1e-2,
+    )
+    assert sol.success
+    got = integrate_ode(ode, jet0, 0.0, x1, tol=tol)
+    assert list(got) == list(ode.coords)
+    for c, want in zip(ode.coords, sol.y[:, -1]):
+        assert type(got[c]) is np.float64
+        assert got[c] == want, c
+
+
+def test_integrate_ode_step_underflow(gn5):
+    with pytest.raises(RadonError) as err:
+        integrate_ode(gn5, _gn5_closed(0.0), 0.0, -1.5, tol=1e-11)
+    assert str(err.value) == (
+        "jet integration failed: Required step size is less than spacing between numbers."
+    )
 
 
 def test_radon_constant_f_on_parabola():
