@@ -14,6 +14,7 @@ once per run however many suites read it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,10 +52,40 @@ def _parse_point(text: str) -> Dict[str, float]:
             raise UsageError(f"bad point component {item!r}; expected name=value")
         k, v = item.split("=", 1)
         try:
-            point[k.strip()] = float(v)
+            value = float(v)
         except ValueError:
             raise UsageError(f"bad numeric value in point component {item!r}") from None
+        if not math.isfinite(value):
+            raise UsageError(f"--point coordinate {k.strip()} must be finite, got {v.strip()!r}")
+        point[k.strip()] = value
     return point
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
 
 
 @dataclass
@@ -223,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"builtin name ({', '.join(builtin_names())}) or an "
                             "ODE definition file")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-        p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
+        p.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
+        p.add_argument("--tol", type=_positive_tolerance, default=DEFAULT_REL_TOL)
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     for name, (help_text, _) in _SUITES.items():
@@ -234,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--point", help="evaluate curvature at y=..,p=..,q=..,r=..,s=..")
         if name == "radon":
             p.add_argument("--f", help="test function in x and y (default: 1, x, y, x*y)")
-            p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
+            p.add_argument("--interval", nargs=2, type=_finite_float, metavar=("A", "B"))
             p.add_argument("--point", help="base jet y=..,p=..,q=..,r=..,s=..")
 
     p = sub.add_parser("all", help="every suite that applies to the ODE")
@@ -252,6 +283,7 @@ def run(argv: Sequence[str]) -> tuple:
         return (2 if exc.code not in (0, None) else 0), ""
 
     try:
+        point = _parse_point(args.point) if getattr(args, "point", None) else None
         session = Session(resolve_ode(args.ode), args.samples, args.tol, args.seed)
         extra_lines: List[str] = []
 
@@ -259,8 +291,8 @@ def run(argv: Sequence[str]) -> tuple:
             report = pentad_suite(session)
         elif args.command == "geom":
             report = geom_suite(session)
-            if getattr(args, "point", None):
-                cv = geom.curvature(session.metric, _parse_point(args.point))
+            if point is not None:
+                cv = geom.curvature(session.metric, point)
                 extra_lines.append(f"scalar curvature at point: {cv.scalar:.12g}")
                 extra_lines.append("metric at point:")
                 for row in cv.g:
@@ -268,7 +300,6 @@ def run(argv: Sequence[str]) -> tuple:
         elif args.command == "so3":
             report = so3_suite(session)
         elif args.command == "radon":
-            point = _parse_point(args.point) if getattr(args, "point", None) else None
             if point is not None:
                 missing = set(radon.COORDS) - set(point)
                 if missing:

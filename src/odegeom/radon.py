@@ -11,11 +11,19 @@ results are bitwise those of `solve_ivp(method="RK45")`.
 
 The transform F(X) = integral of f(x, Z(x, X)) * q^(1/3) dx is taken over a
 fixed real interval on which the branch stays smooth and q keeps one sign
-(the real cube root carries the sign).  Gradients and Hessians of F over the
-moduli coordinates come from central differences (one Richardson level on
-the gradient); the second-order operator pair is then applied and the
+(the real cube root carries the sign).  Its gradient and Hessian over the
+moduli coordinates X = (y, p, q, r, s) are exact: second-order forward-mode
+numbers (value, gradient, Hessian; Fike & Alonso, AIAA 2011-886; Griewank &
+Walther, Evaluating Derivatives, 2008) are carried through the conic, its
+branch and the test function at all Gauss nodes in one numpy pass per
+point.  The conic there is the vector of signed 5x5 minors of the
+jet-condition matrix, whose exact first and second derivatives come from
+`expr.diff`; the branch does not depend on the conic's scale, so it needs no
+normalisation.  The second-order operator pair is then applied and the
 eigenvalue content extracted: a per-point least-squares lambda, and (mu, c)
-regressed across points from laplacian(F) = mu * (F + c).
+regressed across points from laplacian(F) = mu * (F + c).  Central
+differences of F remain only as an independent cross-check of those
+derivatives (`numerics_checks`).
 """
 
 from __future__ import annotations
@@ -23,13 +31,27 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import Evaluator, Expr, free_variables, parse
+from .expr import (
+    ONE,
+    ZERO,
+    EvalError,
+    Evaluator,
+    Expr,
+    add,
+    as_expr,
+    diff,
+    free_variables,
+    mul,
+    neg,
+    parse,
+    var,
+)
 from .geom import MetricField
 from .jet import JetOde
 from .report import CheckRecord
@@ -62,25 +84,36 @@ class ConicCoefficients:
         return 2 * a * x + 2 * b * y + 2 * d
 
 
+def _condition_rows(x, y, p, q, r, s) -> list:
+    """The five linear conditions on (a, b, c, d, e, f): the implicit
+    equation and its first four total x-derivatives vanish at the jet.
+    Generic in the number type: floats give the matrix `conic_from_jet`
+    solves, jet variables give the polynomial matrix of `_conic_minors`."""
+    return [
+        [x * x, 2 * x * y, y * y, 2 * x, 2 * y, 1],
+        [2 * x, 2 * (y + x * p), 2 * y * p, 2, 2 * p, 0],
+        [2, 2 * (2 * p + x * q), 2 * (p * p + y * q), 0, 2 * q, 0],
+        [0, 2 * (3 * q + x * r), 2 * (3 * p * q + y * r), 0, 2 * r, 0],
+        [0, 2 * (4 * r + x * s), 2 * (4 * p * r + 3 * q * q + y * s), 0, 2 * s, 0],
+    ]
+
+
 def conic_from_jet(jet: Dict[str, float], x0: float = 0.0) -> Tuple[ConicCoefficients, int]:
     """Solve the five jet conditions for the conic through a 4-jet.
 
     Returns the normalized coefficients and the branch selector (the sign of
     the y-partial of the implicit equation along the defining branch).
-    Raises if the null space is not one-dimensional or the recovered conic
-    does not reproduce the jet.
+    Raises if a condition is not finite, the null space is not
+    one-dimensional or the recovered conic does not reproduce the jet.
     """
     y, p, q, r, s = (float(jet[c]) for c in COORDS)
-    rows = np.array(
-        [
-            [x0 * x0, 2 * x0 * y, y * y, 2 * x0, 2 * y, 1.0],
-            [2 * x0, 2 * (y + x0 * p), 2 * y * p, 2.0, 2 * p, 0.0],
-            [2.0, 2 * (2 * p + x0 * q), 2 * (p * p + y * q), 0.0, 2 * q, 0.0],
-            [0.0, 2 * (3 * q + x0 * r), 2 * (3 * p * q + y * r), 0.0, 2 * r, 0.0],
-            [0.0, 2 * (4 * r + x0 * s), 2 * (4 * p * r + 3 * q * q + y * s), 0.0, 2 * s, 0.0],
-        ]
-    )
-    _, svals, vt = np.linalg.svd(rows)
+    rows = np.array(_condition_rows(x0, y, p, q, r, s), dtype=float)
+    if not np.isfinite(rows).all():
+        raise RadonError("jet conditions are not finite (jet too large or not a number)")
+    try:
+        _, svals, vt = np.linalg.svd(rows)
+    except np.linalg.LinAlgError as exc:
+        raise RadonError(f"jet conditions could not be solved: {exc}") from None
     scale = svals[0] if svals[0] > 0 else 1.0
     rank = int(np.sum(svals > 1e-10 * scale))
     if rank != 5:
@@ -260,11 +293,15 @@ def integrate_ode(
     relative tolerance tol and absolute tolerance tol * 1e-2.  The port
     repeats the step control of `solve_ivp(method="RK45")`, so the values
     (`np.float64`) are those of `solve_ivp` bit for bit.  Raises
-    `RadonError` when the step size underflows.
+    `RadonError` when a start coordinate is not finite and when the step
+    size underflows.
     """
+    coords = ode.coords
+    for c in coords:
+        if not math.isfinite(jet0[c]):
+            raise RadonError(f"start jet coordinate {c} = {jet0[c]!r} is not finite")
     if x1 == x0:
         return dict(jet0)
-    coords = ode.coords
     ev = Evaluator([ode.rhs])
 
     def rhs(x, u):
@@ -280,7 +317,8 @@ def integrate_ode(
 
 @dataclass(frozen=True)
 class RadonConfig:
-    """Contour, quadrature, and differencing parameters of the transform."""
+    """Contour and quadrature of the transform, and the step h of the
+    finite-difference cross-check (`numerics_checks`)."""
 
     f: Expr
     x_a: float = -0.8
@@ -302,6 +340,12 @@ class RadonConfig:
     def f_evaluator(self) -> Evaluator:
         """f compiled once per configuration."""
         return Evaluator([self.f])
+
+    @cached_property
+    def f_jet_evaluator(self) -> Evaluator:
+        """f, f_y and f_yy compiled once per configuration."""
+        fy = diff(self.f, "y")
+        return Evaluator([self.f, fy, diff(fy, "y")])
 
 
 _GAUSS_CACHE: dict = {}
@@ -353,6 +397,28 @@ def _branch_at_nodes(conic: ConicCoefficients, branch: int, x: np.ndarray):
     return y.tolist(), q.tolist()
 
 
+def _nodes(cfg: RadonConfig, order: Optional[int] = None):
+    """Gauss-Legendre nodes on the interval, their weights, and the
+    half-length that scales the weighted sum."""
+    nodes, weights = _gauss(order or cfg.order)
+    half = 0.5 * (cfg.x_b - cfg.x_a)
+    mid = 0.5 * (cfg.x_a + cfg.x_b)
+    return mid + half * nodes, weights, half
+
+
+def _check_q_sign(xs: Sequence[float], qs: Sequence[float]) -> None:
+    """q must not vanish at a node and must keep one sign across them."""
+    q_sign = 0
+    for x, qv in zip(xs, qs):
+        if qv == 0.0:
+            raise RadonError(f"q vanishes at x={x}; cube-root branch point inside the contour")
+        sgn = 1 if qv > 0 else -1
+        if q_sign == 0:
+            q_sign = sgn
+        elif sgn != q_sign:
+            raise RadonError("q changes sign inside the contour")
+
+
 def radon_F(cfg: RadonConfig, jet: Dict[str, float], order: Optional[int] = None) -> float:
     """Gauss-Legendre quadrature of f(x, Z) * q^(1/3) over the interval.
 
@@ -361,35 +427,190 @@ def radon_F(cfg: RadonConfig, jet: Dict[str, float], order: Optional[int] = None
 
     The branch y and q at all nodes come from one numpy pass
     (`_branch_at_nodes`).  If any node is irregular there, the call falls
-    back to `eval_Z` node by node, so every error is the scalar path's and
-    names the first bad node.  f is compiled once per configuration and
-    evaluated per node by the scalar `Evaluator`, which rejects non-finite
-    intermediates.  The sum runs over the nodes from left to right.
+    back to `eval_Z` node by node, so every branch error is the scalar
+    path's and names the first bad node.  f is compiled once per
+    configuration and evaluated at all nodes in one `eval_points` pass,
+    which rejects non-finite intermediates.  The sum runs over the nodes
+    from left to right.
     """
     conic, branch = conic_from_jet(jet, cfg.x0)
-    nodes, weights = _gauss(order or cfg.order)
-    half = 0.5 * (cfg.x_b - cfg.x_a)
-    mid = 0.5 * (cfg.x_a + cfg.x_b)
-    xs = mid + half * nodes
+    xs, weights, half = _nodes(cfg, order)
     yq = _branch_at_nodes(conic, branch, xs)
     xs = xs.tolist()
     if yq is None:
-        yq_nodes = (eval_Z(conic, branch, x) for x in xs)
+        ys, qs = zip(*(eval_Z(conic, branch, x) for x in xs))
     else:
-        yq_nodes = zip(*yq)
-    ev = cfg.f_evaluator
+        ys, qs = yq
+    _check_q_sign(xs, qs)
+    fs = cfg.f_evaluator.eval_points([{"x": x, "y": yv} for x, yv in zip(xs, ys)])[0]
     total = 0.0
-    q_sign = 0
-    for x, w, (yv, qv) in zip(xs, weights.tolist(), yq_nodes):
-        if qv == 0.0:
-            raise RadonError(f"q vanishes at x={x}; cube-root branch point inside the contour")
-        sgn = 1 if qv > 0 else -1
-        if q_sign == 0:
-            q_sign = sgn
-        elif sgn != q_sign:
-            raise RadonError("q changes sign inside the contour")
-        total += w * ev({"x": x, "y": yv})[0] * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
+    for w, fv, qv in zip(weights.tolist(), fs.tolist(), qs):
+        total += w * fv * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
     return half * total
+
+
+class _Fwd2:
+    """Second-order forward-mode number over the moduli coordinates
+    (y, p, q, r, s): values (N,), gradients (N, 5) and Hessians (N, 5, 5) of
+    one quantity at N points at once.  A float or an (N,) array as a factor
+    is a constant; a leading axis of length 1 broadcasts."""
+
+    __slots__ = ("v", "g", "h")
+    # numpy arrays on the left defer to the reflected operators below
+    __array_ufunc__ = None
+
+    def __init__(self, v: np.ndarray, g: np.ndarray, h: np.ndarray):
+        self.v, self.g, self.h = v, g, h
+
+    def __add__(self, other: "_Fwd2"):
+        return _Fwd2(self.v + other.v, self.g + other.g, self.h + other.h)
+
+    def __neg__(self):
+        return _Fwd2(-self.v, -self.g, -self.h)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _Fwd2):
+            gg = self.g[:, :, None] * other.g[:, None, :]
+            return _Fwd2(
+                self.v * other.v,
+                self.g * other.v[:, None] + self.v[:, None] * other.g,
+                self.h * other.v[:, None, None] + self.v[:, None, None] * other.h
+                + gg + gg.transpose(0, 2, 1),
+            )
+        k = np.asarray(other, dtype=float)
+        return _Fwd2(self.v * k, self.g * k[..., None], self.h * k[..., None, None])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "_Fwd2"):
+        inv = 1.0 / other.v
+        return self * other._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
+
+    def _chain(self, f0, f1, f2) -> "_Fwd2":
+        """phi(self) for a function phi of one variable, given phi, phi' and
+        phi'' at the values."""
+        g = self.g
+        return _Fwd2(f0, f1[:, None] * g,
+                     f1[:, None, None] * self.h + f2[:, None, None] * (g[:, :, None] * g[:, None, :]))
+
+    def sqrt(self) -> "_Fwd2":
+        r = np.sqrt(self.v)
+        return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
+
+    def cbrt(self) -> "_Fwd2":
+        """The real cube root, which carries the sign."""
+        r = np.copysign(np.abs(self.v) ** (1.0 / 3.0), self.v)
+        return self._chain(r, r / (3.0 * self.v), -2.0 * r / (9.0 * self.v * self.v))
+
+    @staticmethod
+    def where(mask: np.ndarray, a: "_Fwd2", b: "_Fwd2") -> "_Fwd2":
+        return _Fwd2(np.where(mask, a.v, b.v), np.where(mask[:, None], a.g, b.g),
+                     np.where(mask[:, None, None], a.h, b.h))
+
+
+@lru_cache(maxsize=None)
+def _conic_minors() -> Evaluator:
+    """The six signed 5x5 minors of the jet-condition matrix, each followed
+    by its 5 first and 15 second partials over (y, p, q, r, s): 126
+    polynomials in x, y, p, q, r, s, compiled into one Evaluator.
+
+    The minor without column k, signed (-1)^k, is the k-th coefficient of a
+    null vector of the matrix (expanding the 6x6 determinant with a repeated
+    row): the conic through the jet, up to scale.  Built on first use.
+    """
+    rows = [[as_expr(e) for e in row]
+            for row in _condition_rows(*(var(n) for n in ("x",) + COORDS))]
+    memo: dict = {}
+
+    def det(i: int, cols: tuple) -> Expr:
+        # Laplace expansion along row i of rows i.. restricted to cols
+        if i == len(rows):
+            return ONE
+        if (i, cols) not in memo:
+            terms = []
+            for j, col in enumerate(cols):
+                if rows[i][col] is not ZERO:
+                    term = mul(rows[i][col], det(i + 1, cols[:j] + cols[j + 1:]))
+                    terms.append(neg(term) if j % 2 else term)
+            memo[(i, cols)] = add(*terms)
+        return memo[(i, cols)]
+
+    exprs = []
+    for k in range(6):
+        minor = det(0, tuple(c for c in range(6) if c != k))
+        if k % 2:
+            minor = neg(minor)
+        first = [diff(minor, c) for c in COORDS]
+        exprs += [minor] + first + [diff(first[i], COORDS[j]) for i in range(5) for j in range(i, 5)]
+    return Evaluator(exprs)
+
+
+_UPPER = np.triu_indices(5)
+
+
+def _conic_fwd(jet: Dict[str, float], x0: float) -> List[_Fwd2]:
+    """The conic's six coefficients (the signed minors, unnormalised) as
+    forward-mode numbers over the jet, from one evaluation at (x0, jet)."""
+    point = {c: float(jet[c]) for c in COORDS}
+    point["x"] = x0
+    try:
+        vals = np.array(_conic_minors()(point)).reshape(6, 21)
+    except EvalError:
+        raise RadonError("conic minors are not finite at the jet") from None
+    hess = np.zeros((6, 5, 5))
+    hess[:, _UPPER[0], _UPPER[1]] = vals[:, 6:]
+    hess[:, _UPPER[1], _UPPER[0]] = vals[:, 6:]
+    return [_Fwd2(vals[k, :1], vals[k, None, 1:6], hess[k, None]) for k in range(6)]
+
+
+def radon_derivatives(cfg: RadonConfig, jet: Dict[str, float]) -> Tuple[float, np.ndarray, np.ndarray]:
+    """F at the jet with its exact gradient (5,) and Hessian (5, 5) over
+    (y, p, q, r, s), in one forward-mode pass over the Gauss nodes.
+
+    The conic is the vector of signed minors with its derivatives
+    (`RadonError` if they are not finite); the jet is validated by
+    `conic_from_jet` too, so it is accepted when `radon_F` accepts it.  At
+    each node the root of the branch's orientation is chosen from the float
+    values, and y, p, q, the signed cube root of q and f (with f_y and f_yy
+    from one `eval_points` pass) follow by the chain rule.  Irregular nodes
+    raise `RadonError` naming the first one, as the quadrature does.
+    """
+    a, b, c, d, e, f = _conic_fwd(jet, cfg.x0)
+    conic_from_jet(jet, cfg.x0)  # validation only: rank, tangent, jet reproduced
+    xs, weights, half = _nodes(cfg)
+    fy0 = 2 * b.v[0] * cfg.x0 + 2 * c.v[0] * float(jet["y"]) + 2 * e.v[0]
+    branch = 1.0 if fy0 > 0 else -1.0
+    scale = math.sqrt(sum(k.v[0] ** 2 for k in (a, b, c, d, e, f)))
+    with np.errstate(all="ignore"):
+        B = 2 * xs * b + 2 * e
+        C = (xs * xs) * a + (2 * xs) * d + f
+        disc = B * B - 4 * c * C
+        sign_B = np.copysign(1.0, B.v)
+        qf = (B + sign_B * disc.sqrt()) * -0.5
+        # qf/c has phi_y = -sign(B) sqrt(disc), C/qf has +sign(B) sqrt(disc)
+        y = _Fwd2.where(sign_B != branch, qf / c, C / qf)
+        fy = B + 2 * c * y
+        p = -(2 * xs * a + 2 * b * y + 2 * d) / fy
+        q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
+    x_list = xs.tolist()
+    for x, dv, fv, yv in zip(x_list, disc.v.tolist(), fy.v.tolist(), y.v.tolist()):
+        if not dv > 0.0:
+            raise RadonError(f"branch leaves the reals at x={x} "
+                             f"(discriminant {dv / scale ** 2:.2e})")
+        if not (fv * branch > 0 and abs(fv) >= 1e-13 * scale * (1.0 + abs(x) + abs(yv))):
+            raise RadonError(f"vertical tangent at x={x}")
+    _check_q_sign(x_list, q.v.tolist())
+    fvals = cfg.f_jet_evaluator.eval_points(
+        [{"x": x, "y": yv} for x, yv in zip(x_list, y.v.tolist())])
+    integrand = y._chain(*fvals) * q.cbrt()
+    w = half * weights
+    value, grad, hess = w @ integrand.v, w @ integrand.g, np.tensordot(w, integrand.h, axes=1)
+    if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        raise RadonError("the transform or its derivatives are not finite")
+    return float(value), grad, hess
 
 
 def _fd_gradient(Ffun: Callable[[Dict[str, float]], float], X: Dict[str, float], h: float) -> np.ndarray:
@@ -405,31 +626,6 @@ def _fd_gradient(Ffun: Callable[[Dict[str, float]], float], X: Dict[str, float],
         d2 = (at(h / 2) - at(-h / 2)) / h
         g[i] = (4 * d2 - d1) / 3
     return g
-
-
-def _fd_hessian(
-    Ffun: Callable[[Dict[str, float]], float], X: Dict[str, float], h: float, F0: float
-) -> np.ndarray:
-    H = np.zeros((5, 5))
-
-    def at(**delta):
-        Xp = dict(X)
-        for k, v in delta.items():
-            Xp[k] += v
-        return Ffun(Xp)
-
-    for i, ci in enumerate(COORDS):
-        H[i, i] = (at(**{ci: h}) - 2 * F0 + at(**{ci: -h})) / (h * h)
-        for j in range(i + 1, 5):
-            cj = COORDS[j]
-            v = (
-                at(**{ci: h, cj: h})
-                - at(**{ci: h, cj: -h})
-                - at(**{ci: -h, cj: h})
-                + at(**{ci: -h, cj: -h})
-            ) / (4 * h * h)
-            H[i, j] = H[j, i] = v
-    return H
 
 
 @dataclass
@@ -486,11 +682,13 @@ def verify_system(
 ) -> RadonVerification:
     """Check that the transform solves the operator pair.
 
-    Per point: lambda-hat from least squares on (covector = lambda * grad F)
-    with its relative residual.  Across points (at least two; a single input
-    point gets deterministic companions): mu-hat and the additive constant
-    from laplacian(F) = mu * (F + c), and the gap against the eigenvalue
-    relation mu = 6 lambda^2 + R/10.
+    Per point: F with its exact gradient and Hessian (`radon_derivatives`,
+    one forward-mode pass; no finite differences), then lambda-hat from
+    least squares on (covector = lambda * grad F) with its relative
+    residual.  Across points (at least two; a single input point gets
+    deterministic companions): mu-hat and the additive constant from
+    laplacian(F) = mu * (F + c), and the gap against the eigenvalue relation
+    mu = 6 lambda^2 + R/10.
     """
     if isinstance(points, dict):
         points = [points] + _aux_points(points)
@@ -498,14 +696,9 @@ def verify_system(
     if len(points) < 2:
         points = points + _aux_points(points[0])
 
-    def Ffun(X):
-        return radon_F(cfg, X)
-
     per_point: List[PointVerification] = []
     for jet in points:
-        F0 = Ffun(jet)
-        grad = _fd_gradient(Ffun, jet, cfg.h)
-        hess = _fd_hessian(Ffun, jet, cfg.h, F0)
+        F0, grad, hess = radon_derivatives(cfg, jet)
 
         def F_eval(_pt, F0=F0, grad=grad, hess=hess):
             return F0, grad, hess
@@ -677,7 +870,6 @@ def system_checks(
     f_texts: Sequence[str] = ("1", "x", "y", "x*y"),
     interval: Tuple[float, float] = (-0.8, 0.8),
     points: Optional[Sequence[Dict[str, float]]] = None,
-    h: float = 1e-4,
     seed: int = 0x5EED,
 ) -> List[CheckRecord]:
     """The eigen-system residuals for a family of test functions."""
@@ -687,7 +879,7 @@ def system_checks(
     all_lams: List[float] = []
     worst_gap = 0.0
     for text in f_texts:
-        cfg = RadonConfig(f=parse(text), x_a=interval[0], x_b=interval[1], h=h)
+        cfg = RadonConfig(f=parse(text), x_a=interval[0], x_b=interval[1])
         ver = verify_system(cfg, points, G, m)
         all_lams.extend(p.lam for p in ver.points)
         worst_gap = max(worst_gap, ver.relation_gap)

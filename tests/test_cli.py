@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from odegeom import geom, pentad, so3
 from odegeom.cli import run
 
@@ -63,6 +65,55 @@ def test_malformed_f_exit_2():
 def test_radon_point_requires_all_coords():
     code, text = run(["radon", "--ode", "conics5", "--point", "y=1,p=0.3"])
     assert code == 2
+
+
+_JET = "y=1,p=0.3,q=2,r=0.1,s=-0.2"
+
+
+def test_radon_point_nan_exit_2():
+    code, text = run(["radon", "--ode", "conics5", "--point", _JET.replace("y=1", "y=nan")])
+    assert code == 2
+    assert text.startswith("error:") and "--point" in text and "coordinate y" in text
+
+
+def test_radon_point_inf_exit_2():
+    code, text = run(["radon", "--ode", "conics5", "--point", _JET.replace("q=2", "q=inf")])
+    assert code == 2
+    assert text.startswith("error:") and "--point" in text and "coordinate q" in text
+
+
+def test_radon_point_overflowing_jet_exit_2():
+    # finite, but the jet conditions overflow: no SVD traceback
+    code, text = run(["radon", "--ode", "conics5", "--point", _JET.replace("y=1", "y=1e308")])
+    assert code == 2
+    assert text.startswith("error:") and "not finite" in text
+
+
+def test_geom_point_nan_exit_2():
+    # the conics5 metric does not read y, so only the parser can catch this
+    code, text = run(["geom", "--ode", "conics5", "--point", _JET.replace("y=1", "y=nan")])
+    assert code == 2
+    assert text.startswith("error:") and "--point" in text and "coordinate y" in text
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"), ("--tol", "abc"),
+    ("--samples", "0"), ("--samples", "-3"), ("--samples", "1.5"),
+])
+def test_tol_and_samples_validated_at_parse_time(capsys, flag, value):
+    code, text = run(["pentad", "--ode", "gn5", flag, value])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    # not the late errors of the suites ("no ... ansatz matches", "equiv needs n >= 1")
+    assert "ansatz" not in err and "equiv" not in err
+
+
+@pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "1")])
+def test_radon_interval_must_be_finite(capsys, bounds):
+    code, text = run(["radon", "--ode", "conics5", "--interval", *bounds])
+    assert (code, text) == (2, "")
+    assert "argument --interval: must be finite" in capsys.readouterr().err
 
 
 def test_bad_seed_overrides_are_recorded():

@@ -1,22 +1,28 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from odegeom import radon
 from odegeom.expr import Evaluator, parse
 from odegeom.jet import builtin
 from odegeom.radon import (
+    COORDS,
     RadonConfig,
     RadonError,
     _aux_points,
+    _fd_gradient,
     _gauss,
     conic_checks,
     conic_from_jet,
+    conic_jet,
     default_test_jets,
     eval_Z,
     integrate_ode,
     integration_cross_checks,
     numerics_checks,
+    radon_derivatives,
     radon_F,
     system_checks,
     verify_system,
@@ -54,6 +60,22 @@ def test_degenerate_jet_rejected():
         conic_from_jet({"y": 1.0, "p": 0.0, "q": 0.0, "r": 1.0, "s": 0.0}, 0.0)
 
 
+@pytest.mark.parametrize("coord, value", [("y", math.nan), ("q", math.inf), ("y", 1e308)])
+def test_conic_from_nonfinite_jet_rejected(coord, value):
+    jet = dict(_CONIC_JET, **{coord: value})
+    with pytest.raises(RadonError, match="not finite"):
+        conic_from_jet(jet, 0.0)
+
+
+def test_conic_from_jet_svd_failure_is_radon_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(radon.np.linalg, "svd", no_convergence)
+    with pytest.raises(RadonError, match="SVD did not converge"):
+        conic_from_jet(_CONIC_JET, 0.0)
+
+
 def test_branch_leaves_reals():
     conic, branch = conic_from_jet({"y": 1.0, "p": 0.0, "q": -1.0, "r": 0.0, "s": -3.0}, 0.0)
     with pytest.raises(RadonError):
@@ -63,6 +85,17 @@ def test_branch_leaves_reals():
 def test_integrate_zero_length(conics5):
     jet = {"y": 1.0, "p": 0.3, "q": 2.0, "r": 0.1, "s": -0.2}
     assert integrate_ode(conics5, jet, 0.0, 0.0) == jet
+
+
+@pytest.mark.parametrize("coord, value", [("y", math.nan), ("q", math.inf)])
+def test_integrate_nonfinite_start_jet(conics5, monkeypatch, coord, value):
+    def no_rhs(*args, **kwargs):
+        raise AssertionError("the rhs must not be evaluated")
+
+    monkeypatch.setattr(radon, "Evaluator", no_rhs)
+    jet = dict(_CONIC_JET, **{coord: value})
+    with pytest.raises(RadonError, match=f"coordinate {coord} = {value!r} is not finite"):
+        integrate_ode(conics5, jet, 0.0, 0.3)
 
 
 def test_integrate_matches_conic(conics5, gn5):
@@ -224,3 +257,95 @@ def test_radon_F_scalar_fallback_matches_per_node_quadrature():
     for text in ("1", "x*y"):
         cfg = RadonConfig(f=parse(text), x_a=-1.0, x_b=1.0)
         assert radon_F(cfg, jet) == _per_node_radon_F(cfg, jet)
+
+
+def _central_hessian(Ffun, X, h):
+    """Second central differences of F: the finite-difference oracle of the
+    exact Hessian."""
+    def at(**delta):
+        Xp = dict(X)
+        for k, v in delta.items():
+            Xp[k] += v
+        return Ffun(Xp)
+
+    F0 = Ffun(X)
+    H = np.zeros((5, 5))
+    for i, ci in enumerate(COORDS):
+        H[i, i] = (at(**{ci: h}) - 2 * F0 + at(**{ci: -h})) / (h * h)
+        for j in range(i + 1, 5):
+            cj = COORDS[j]
+            H[i, j] = H[j, i] = (
+                at(**{ci: h, cj: h}) - at(**{ci: h, cj: -h})
+                - at(**{ci: -h, cj: h}) + at(**{ci: -h, cj: -h})
+            ) / (4 * h * h)
+    return H
+
+
+@pytest.mark.parametrize("text", ["1", "x", "y", "x*y"])
+def test_exact_derivatives_match_quadrature_and_finite_differences(text):
+    cfg = RadonConfig(f=parse(text))
+
+    def Ffun(X):
+        return radon_F(cfg, X)
+
+    for jet in _ORACLE_JETS:
+        F, grad, hess = radon_derivatives(cfg, jet)
+        F_ref = radon_F(cfg, jet)
+        assert abs(F - F_ref) <= 1e-13 * abs(F_ref)
+        g_ref = _fd_gradient(Ffun, jet, cfg.h)
+        assert np.linalg.norm(grad - g_ref) <= 1e-8 * np.linalg.norm(g_ref)
+        scale = np.max(np.abs(hess))
+        assert np.max(np.abs(hess - hess.T)) <= 1e-14 * scale
+        assert np.max(np.abs(hess - _central_hessian(Ffun, jet, cfg.h))) <= 1e-4 * scale
+
+
+def test_exact_derivatives_follow_the_base_point():
+    # the same conic, its jet carried to another base point: same transform
+    cfg = RadonConfig(f=parse("x*y"))
+    jet = default_test_jets()[0]
+    conic, branch = conic_from_jet(jet, 0.0)
+    moved = RadonConfig(f=cfg.f, x0=0.1)
+    F, _, _ = radon_derivatives(moved, conic_jet(conic, branch, 0.1))
+    assert F == pytest.approx(radon_F(cfg, jet), rel=1e-12)
+
+
+@pytest.mark.parametrize("coord, value", [("y", math.nan), ("q", math.inf), ("y", 1e308)])
+def test_exact_derivatives_reject_nonfinite_minors(coord, value):
+    jet = dict(_CONIC_JET, **{coord: value})
+    with pytest.raises(RadonError, match="minors are not finite"):
+        radon_derivatives(RadonConfig(f=parse("x")), jet)
+
+
+def test_exact_derivatives_name_the_first_bad_node():
+    cfg = RadonConfig(f=parse("1"), x_a=-5.0, x_b=5.0)
+    # the quadrature names the same node and, scaled to the unit conic, the
+    # same discriminant
+    message = r"branch leaves the reals at x=3\.224864142447385 \(discriminant -8\.97e-03\)"
+    with pytest.raises(RadonError, match=message):
+        radon_F(cfg, default_test_jets()[1])
+    with pytest.raises(RadonError, match=message):
+        radon_derivatives(cfg, default_test_jets()[1])
+
+
+def test_verify_system_at_random_jets(gtensor, metric_conics5):
+    # the box the benchmark draws its radon --point jets from
+    box = (("y", 0.8, 1.3), ("p", -0.2, 0.3), ("q", 1.7, 2.4),
+           ("r", -0.2, 0.3), ("s", -0.2, 0.4))
+    rng = random.Random(20261018)
+    cfgs = [RadonConfig(f=parse(text)) for text in ("1", "x", "y", "x*y")]
+    for _ in range(10):
+        jet = {name: rng.uniform(lo, hi) for name, lo, hi in box}
+        for cfg in cfgs:
+            ver = verify_system(cfg, jet, gtensor, metric_conics5)
+            assert ver.max_residual < 1e-12
+            assert ver.lam == pytest.approx(1.0 / 3.0, abs=1e-12)
+            assert ver.relation_gap <= 1e-9
+
+
+def test_verify_system_does_not_use_the_quadrature(gtensor, metric_conics5, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("verify_system must not call radon_F")
+
+    monkeypatch.setattr(radon, "radon_F", no_quadrature)
+    ver = verify_system(RadonConfig(f=parse("x*y")), default_test_jets(), gtensor, metric_conics5)
+    assert ver.max_residual < 1e-12
