@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +60,16 @@ def _parse_point(text: str) -> Dict[str, float]:
             raise UsageError(f"--point coordinate {k.strip()} must be finite, got {v.strip()!r}")
         point[k.strip()] = value
     return point
+
+
+# argparse takes a token for a negative number only if it looks like -5 or
+# -0.5 (the pattern it keeps in `_negative_number_matcher`); any other token
+# that starts with "-", such as -1e-3 or -inf, it reads as an unknown option.
+# Every subparser gets this wider pattern, so each negative float literal
+# reaches its argument's type and validation.  No option name here looks like
+# a number, so none is shadowed.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _finite_float(text: str) -> float:
@@ -250,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--ode", default="conics5",
                        help=f"builtin name ({', '.join(builtin_names())}) or an "
                             "ODE definition file")

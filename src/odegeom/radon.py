@@ -24,6 +24,14 @@ eigenvalue content extracted: a per-point least-squares lambda, and (mu, c)
 regressed across points from laplacian(F) = mu * (F + c).  Central
 differences of F remain only as an independent cross-check of those
 derivatives (`numerics_checks`).
+
+The quadrature itself takes a batch of jets (`radon_F_batch`; `radon_F` is
+the batch of one): the branch at every jet's nodes is one numpy pass and f
+at all of them one `eval_points` pass, while each jet's node sum stays the
+scalar one, so a value does not depend on the batch it was computed in.
+`numerics_checks` evaluates each 20-jet finite-difference stencil as one
+batch: 22 batches per call, one stencil at a time, which bounds the
+per-point dicts alive at once.
 """
 
 from __future__ import annotations
@@ -357,17 +365,21 @@ def _gauss(order: int):
     return _GAUSS_CACHE[order]
 
 
-def _branch_at_nodes(conic: ConicCoefficients, branch: int, x: np.ndarray):
-    """(y, q) of the branch at every node x in one numpy pass.
+def _branch_at_nodes(vectors: np.ndarray, branches: np.ndarray, x: np.ndarray):
+    """(y, q) of each conic's branch at every node x in one numpy pass.
 
-    The formulas and their order of operations are those of `_branch_y` and
-    `conic_jet`, so each value is bitwise the scalar one.  Returns None when
-    any node would take a special case on the scalar path (a near-linear
-    equation, B = 0, qf = 0) or raise there (no real root, no root with the
-    defining orientation, a vertical tangent), or when any intermediate is
-    not finite.
+    vectors holds one conic per row (J, 6), branches their selectors (J,);
+    the coefficients broadcast as columns against the nodes (N,), so y and
+    q are (J, N).  The formulas and their order of operations are those of
+    `_branch_y` and `conic_jet`, so each value is bitwise the scalar one.
+    The third result marks the regular rows (J,): a row is not regular when
+    any of its nodes would take a special case on the scalar path (a
+    near-linear equation, B = 0, qf = 0) or raise there (no real root, no
+    root with the defining orientation, a vertical tangent), or when any
+    intermediate is not finite.  Its y and q are then meaningless.
     """
-    a, b, c, d, e, f = conic.vector
+    a, b, c, d, e, f = (vectors[:, k, None] for k in range(6))
+    branch = branches[:, None]
     with np.errstate(all="ignore"):
         B = 2 * b * x + 2 * e
         C = a * x * x + 2 * d * x + f
@@ -392,9 +404,7 @@ def _branch_at_nodes(conic: ConicCoefficients, branch: int, x: np.ndarray):
             & ~(np.abs(fy) < 1e-13 * (1.0 + np.abs(x) + np.abs(y)))
         )
         finite = np.isfinite(B) & np.isfinite(C) & np.isfinite(disc) & np.isfinite(q)
-    if not (regular & finite).all():
-        return None
-    return y.tolist(), q.tolist()
+    return y, q, (regular & finite).all(axis=1)
 
 
 def _nodes(cfg: RadonConfig, order: Optional[int] = None):
@@ -419,34 +429,50 @@ def _check_q_sign(xs: Sequence[float], qs: Sequence[float]) -> None:
             raise RadonError("q changes sign inside the contour")
 
 
-def radon_F(cfg: RadonConfig, jet: Dict[str, float], order: Optional[int] = None) -> float:
-    """Gauss-Legendre quadrature of f(x, Z) * q^(1/3) over the interval.
+def radon_F_batch(cfg: RadonConfig, jets: Sequence[Dict[str, float]],
+                  order: Optional[int] = None) -> List[float]:
+    """Gauss-Legendre quadrature of f(x, Z) * q^(1/3) over the interval, at
+    each jet; each value is bitwise that of `radon_F` at the jet alone.
 
     q must keep one sign across the nodes; the cube root is the real one and
     carries that sign.
 
-    The branch y and q at all nodes come from one numpy pass
-    (`_branch_at_nodes`).  If any node is irregular there, the call falls
-    back to `eval_Z` node by node, so every branch error is the scalar
-    path's and names the first bad node.  f is compiled once per
-    configuration and evaluated at all nodes in one `eval_points` pass,
-    which rejects non-finite intermediates.  The sum runs over the nodes
-    from left to right.
+    Each jet's conic comes from `conic_from_jet`.  The branch y and q at all
+    jets' nodes come from one numpy pass (`_branch_at_nodes`), and one array
+    test finds the jets whose q keeps one sign.  A jet that is irregular
+    there falls back to `eval_Z` node by node, and a jet whose q vanishes or
+    changes sign goes through the per-node sign check, so every error is the
+    scalar path's and names the first bad node.  f is compiled once per
+    configuration and evaluated at all jets' nodes in one `eval_points`
+    pass, which rejects non-finite intermediates.  Each jet's sum runs over
+    its nodes from left to right.
     """
-    conic, branch = conic_from_jet(jet, cfg.x0)
+    conics = [conic_from_jet(jet, cfg.x0) for jet in jets]
     xs, weights, half = _nodes(cfg, order)
-    yq = _branch_at_nodes(conic, branch, xs)
+    y, q, regular = _branch_at_nodes(np.array([conic.vector for conic, _ in conics]),
+                                     np.array([branch for _, branch in conics]), xs)
+    one_sign = regular & ((q > 0).all(axis=1) | (q < 0).all(axis=1))
     xs = xs.tolist()
-    if yq is None:
-        ys, qs = zip(*(eval_Z(conic, branch, x) for x in xs))
-    else:
-        ys, qs = yq
-    _check_q_sign(xs, qs)
-    fs = cfg.f_evaluator.eval_points([{"x": x, "y": yv} for x, yv in zip(xs, ys)])[0]
-    total = 0.0
-    for w, fv, qv in zip(weights.tolist(), fs.tolist(), qs):
-        total += w * fv * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
-    return half * total
+    ys, qs = y.tolist(), q.tolist()
+    for j in np.flatnonzero(~one_sign):
+        if not regular[j]:
+            ys[j], qs[j] = zip(*(eval_Z(*conics[j], x) for x in xs))
+        _check_q_sign(xs, qs[j])
+    fs = cfg.f_evaluator.eval_points(
+        [{"x": x, "y": yv} for row in ys for x, yv in zip(xs, row)])[0]
+    weights = weights.tolist()
+    values = []
+    for fs_j, qs_j in zip(fs.reshape(len(jets), -1).tolist(), qs):
+        total = 0.0
+        for w, fv, qv in zip(weights, fs_j, qs_j):
+            total += w * fv * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
+        values.append(half * total)
+    return values
+
+
+def radon_F(cfg: RadonConfig, jet: Dict[str, float], order: Optional[int] = None) -> float:
+    """The transform at one jet: `radon_F_batch` over a batch of one."""
+    return radon_F_batch(cfg, [jet], order)[0]
 
 
 class _Fwd2:
@@ -613,19 +639,34 @@ def radon_derivatives(cfg: RadonConfig, jet: Dict[str, float]) -> Tuple[float, n
     return float(value), grad, hess
 
 
-def _fd_gradient(Ffun: Callable[[Dict[str, float]], float], X: Dict[str, float], h: float) -> np.ndarray:
-    """Central differences with one Richardson level."""
-    g = np.zeros(5)
-    for i, c in enumerate(COORDS):
-        def at(delta):
+def _fd_stencil(X: Dict[str, float], h: float) -> List[Dict[str, float]]:
+    """The 20 jets of `_fd_combine`: X shifted by +h, -h, +h/2 and -h/2 in
+    each coordinate in turn."""
+    jets = []
+    for c in COORDS:
+        for delta in (h, -h, h / 2, -h / 2):
             Xp = dict(X)
             Xp[c] += delta
-            return Ffun(Xp)
+            jets.append(Xp)
+    return jets
 
-        d1 = (at(h) - at(-h)) / (2 * h)
-        d2 = (at(h / 2) - at(-h / 2)) / h
-        g[i] = (4 * d2 - d1) / 3
-    return g
+
+def _fd_combine(values: Sequence, h: float) -> np.ndarray:
+    """Central differences with one Richardson level, from the values over
+    `_fd_stencil(X, h)`: floats give the gradient (5,), gradients (5,) give
+    the Jacobian of the gradient, one row per shifted coordinate."""
+    rows = []
+    for i in range(5):
+        plus, minus, plus_half, minus_half = values[4 * i:4 * i + 4]
+        d1 = (plus - minus) / (2 * h)
+        d2 = (plus_half - minus_half) / h
+        rows.append((4 * d2 - d1) / 3)
+    return np.array(rows)
+
+
+def _fd_gradient(Ffun: Callable[[Dict[str, float]], float], X: Dict[str, float], h: float) -> np.ndarray:
+    """Central differences with one Richardson level of a scalar F."""
+    return _fd_combine([Ffun(Xp) for Xp in _fd_stencil(X, h)], h)
 
 
 @dataclass
@@ -834,11 +875,12 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
         "reparametrisation_invariance", abs(F1 - F3) / (1.0 + abs(F1)), 1e-9, 2, seed,
         notes="transform depends on the conic, not on the jet representative"))
 
-    def Ffun(X):
-        return radon_F(cfg, X)
+    def fd_gradient(X, step):
+        # the 20 jets of one stencil in one batched quadrature
+        return _fd_combine(radon_F_batch(cfg, _fd_stencil(X, step)), step)
 
-    g1 = _fd_gradient(Ffun, jet, cfg.h)
-    g2 = _fd_gradient(Ffun, jet, cfg.h / 2)
+    g1 = fd_gradient(jet, cfg.h)
+    g2 = fd_gradient(jet, cfg.h / 2)
     checks.append(CheckRecord.from_residual(
         "fd_gradient_step_doubling",
         float(np.linalg.norm(g1 - g2)) / (float(np.linalg.norm(g1)) + 1e-300),
@@ -847,17 +889,7 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
     # Hessian asymmetry when built as differences of gradients (Richardson on
     # the outer difference too, so truncation does not masquerade as asymmetry)
     h = cfg.h
-    H = np.zeros((5, 5))
-
-    def grad_shift(cj, delta):
-        Xs = dict(jet)
-        Xs[cj] += delta
-        return _fd_gradient(Ffun, Xs, h)
-
-    for j, cj in enumerate(COORDS):
-        d1 = (grad_shift(cj, h) - grad_shift(cj, -h)) / (2 * h)
-        d2 = (grad_shift(cj, h / 2) - grad_shift(cj, -h / 2)) / h
-        H[:, j] = (4 * d2 - d1) / 3
+    H = _fd_combine([fd_gradient(Xs, h) for Xs in _fd_stencil(jet, h)], h).T
     asym = float(np.max(np.abs(H - H.T))) / (float(np.max(np.abs(H))) + 1e-300)
     checks.append(CheckRecord.from_residual(
         "fd_hessian_symmetry", asym, 1e-6, 1, seed))

@@ -3,11 +3,14 @@
 The tensor is built once and exactly: moduli-space frame indices are
 symmetric 4-index spinors over a 2-dimensional space, and the structure
 tensor is the six-epsilon contraction of three such blocks, evaluated in
-exact rational arithmetic by brute-force symmetrisation.  Its frame
-components are rational constants; coordinate components follow by coframe
-substitution.  Everything the tensor is supposed to satisfy (trace-freeness,
-the quartic normalisation, parallelism, the curvature contractions, and the
-printed coordinate expansion of the associated second-order operator) is
+exact rational arithmetic over the nonzero spinor components, then
+symmetrised.  Its frame components are rational constants; coordinate
+components follow by coframe substitution on first use
+(`GTensor.coord_lower`), since only the symbolic checks read them: the
+operator pair evaluates the frame components against the numeric coframe.
+Everything the tensor is supposed to satisfy (trace-freeness, the quartic
+normalisation, parallelism, the curvature contractions, and the printed
+coordinate expansion of the associated second-order operator) is
 checked numerically at sample points against the curvature machinery.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -83,9 +87,9 @@ def _frac_inv(mat: List[List[Fraction]]) -> List[List[Fraction]]:
     return [row[n:] for row in a]
 
 
-def _spinor_frame_data():
-    """Frame vectors as symmetric 4-spinors, the induced constant metric, and
-    the structure-tensor frame components.  Computed once, exactly."""
+def _spinor_frame() -> List[dict]:
+    """The five frame vectors as symmetric 4-spinors: sparse maps from index
+    tuples to Fractions, dual to the symmetrised basis under the pairing."""
     o_lo = (Fraction(1), Fraction(0))
     i_lo = (Fraction(0), Fraction(1))
 
@@ -115,6 +119,13 @@ def _spinor_frame_data():
             for idx, v in f_hi[k].items():
                 vec[idx] = vec.get(idx, Fraction(0)) + c * v
         frame.append(vec)
+    return frame
+
+
+def _spinor_frame_data():
+    """Frame vectors as symmetric 4-spinors, the induced constant metric, and
+    the structure-tensor frame components.  Computed once, exactly."""
+    frame = _spinor_frame()
 
     # induced metric on frame indices: four eps pairings
     sign_patterns2 = list(itertools.product(((0, 1, Fraction(1)), (1, 0, Fraction(-1))), repeat=4))
@@ -140,25 +151,24 @@ def _spinor_frame_data():
             khat[i][j] = total
 
     # structure tensor: eps pairings (A,E)(B,F) between slots 1-2,
-    # (G,P)(H,Q) between 2-3, (C,R)(D,S) between 1-3
-    sign_patterns6 = list(itertools.product(((0, 1, Fraction(1)), (1, 0, Fraction(-1))), repeat=6))
+    # (G,P)(H,Q) between 2-3, (C,R)(D,S) between 1-3.  eps(X, 1-X) is +1 for
+    # X = 0 and -1 for X = 1, and every other pairing vanishes, so only the
+    # nonzero entries of frame i and frame j are visited: they fix E, F and
+    # every index of the third slot.
     ghat = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
     for i in range(5):
         for j in range(5):
             for k in range(5):
                 total = Fraction(0)
-                for pat in sign_patterns6:
-                    (A, E, s1), (B, F, s2), (G, P, s3), (H, Q, s4), (C, R, s5), (D, S, s6) = pat
-                    vi = frame[i].get((A, B, C, D), Fraction(0))
-                    if vi == 0:
-                        continue
-                    vj = frame[j].get((E, F, G, H), Fraction(0))
-                    if vj == 0:
-                        continue
-                    vk = frame[k].get((P, Q, R, S), Fraction(0))
-                    if vk == 0:
-                        continue
-                    total += s1 * s2 * s3 * s4 * s5 * s6 * vi * vj * vk
+                for (A, B, C, D), vi in frame[i].items():
+                    for (E, F, G, H), vj in frame[j].items():
+                        if E != 1 - A or F != 1 - B:
+                            continue
+                        vk = frame[k].get((1 - G, 1 - H, 1 - C, 1 - D))
+                        if vk is None:
+                            continue
+                        term = vi * vj * vk
+                        total += -term if (A + B + G + H + C + D) % 2 else term
                 ghat[i][j][k] = total
 
     # full symmetrisation over the three moduli slots
@@ -196,11 +206,32 @@ class GTensor:
     ghat: tuple                  # 5x5x5 Fractions, totally symmetric
     ghat_raw_symmetric: bool     # was the unsymmetrised contraction already symmetric
     khat_matches_pairing: bool   # induced constant metric equals the frame pairing
-    coord_lower: tuple           # 5x5x5 Exprs: G_abc over the moduli coordinates
 
     def __post_init__(self):
         self._coframe_ev: Optional[Evaluator] = None
         self._ghat_np: Optional[np.ndarray] = None
+
+    @cached_property
+    def coord_lower(self) -> tuple:
+        """5x5x5 Exprs: G_abc over the moduli coordinates, by coframe
+        substitution.  Built on first use: only the symbolic so3 checks read
+        it, the operator pair takes the numeric `lower_at`."""
+        C = self.m.pd.coframe_rows
+        n = 5
+        coord = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    terms = []
+                    for i in range(n):
+                        for j in range(n):
+                            for k in range(n):
+                                v = self.ghat[i][j][k]
+                                if v == 0:
+                                    continue
+                                terms.append(mul(Const(v), C[i][a], C[j][b], C[k][c]))
+                    coord[a][b][c] = add(*terms) if terms else ZERO
+        return tuple(tuple(tuple(row) for row in blk) for blk in coord)
 
     def ghat_np(self) -> np.ndarray:
         if self._ghat_np is None:
@@ -237,28 +268,11 @@ def build_G(pd: PentadData, m: MetricField) -> GTensor:
         for (p, q, r) in itertools.permutations((i, j, k))
     )
 
-    C = pd.coframe_rows
-    n = 5
-    coord = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                terms = []
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            v = ghat[i][j][k]
-                            if v == 0:
-                                continue
-                            terms.append(mul(Const(v), C[i][a], C[j][b], C[k][c]))
-                coord[a][b][c] = add(*terms) if terms else ZERO
-
     return GTensor(
         m=m,
         ghat=tuple(tuple(tuple(row) for row in blk) for blk in ghat),
         ghat_raw_symmetric=raw_sym,
         khat_matches_pairing=khat_ok,
-        coord_lower=tuple(tuple(tuple(row) for row in blk) for blk in coord),
     )
 
 

@@ -109,11 +109,17 @@ def test_tol_and_samples_validated_at_parse_time(capsys, flag, value):
     assert "ansatz" not in err and "equiv" not in err
 
 
-@pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "1")])
+@pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "1"), ("-inf", "1")])
 def test_radon_interval_must_be_finite(capsys, bounds):
     code, text = run(["radon", "--ode", "conics5", "--interval", *bounds])
     assert (code, text) == (2, "")
     assert "argument --interval: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", [("-1e-3", "0.5"), ("-5e-1", "5e-1")])
+def test_radon_interval_takes_negative_bounds_with_exponent(bounds):
+    code, text = run(["radon", "--ode", "conics5", "--interval", *bounds])
+    assert code == 0, text
 
 
 def test_bad_seed_overrides_are_recorded():

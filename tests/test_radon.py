@@ -12,7 +12,9 @@ from odegeom.radon import (
     RadonConfig,
     RadonError,
     _aux_points,
+    _fd_combine,
     _fd_gradient,
+    _fd_stencil,
     _gauss,
     conic_checks,
     conic_from_jet,
@@ -24,6 +26,7 @@ from odegeom.radon import (
     numerics_checks,
     radon_derivatives,
     radon_F,
+    radon_F_batch,
     system_checks,
     verify_system,
 )
@@ -257,6 +260,41 @@ def test_radon_F_scalar_fallback_matches_per_node_quadrature():
     for text in ("1", "x*y"):
         cfg = RadonConfig(f=parse(text), x_a=-1.0, x_b=1.0)
         assert radon_F(cfg, jet) == _per_node_radon_F(cfg, jet)
+
+
+# a jet from the box the benchmark draws its radon --point jets from
+_BOX_JET = {"y": 1.139205, "p": 0.021584, "q": 2.090531, "r": -0.104452, "s": 0.275081}
+
+
+@pytest.mark.parametrize("text", ["1", "x", "y", "x*y"])
+def test_radon_F_batch_matches_radon_F_over_fd_stencils(text):
+    # numerics_checks takes its finite differences from these batches
+    cfg = RadonConfig(f=parse(text))
+    for h in (cfg.h, cfg.h / 2):
+        stencil = _fd_stencil(_BOX_JET, h)
+        got = radon_F_batch(cfg, stencil)
+        assert got == [radon_F(cfg, jet) for jet in stencil]
+        assert np.array_equal(_fd_combine(got, h),
+                              _fd_gradient(lambda X: radon_F(cfg, X), _BOX_JET, h))
+
+
+def test_radon_F_batch_mixes_vectorised_and_per_node_jets():
+    # the parabola (c = 0) takes the per-node path; the other jets do not
+    cfg = RadonConfig(f=parse("x*y"), x_a=-1.0, x_b=1.0)
+    jets = [default_test_jets()[0], {"y": 0.0, "p": 0.0, "q": 2.0, "r": 0.0, "s": 0.0},
+            default_test_jets()[1]]
+    assert radon_F_batch(cfg, jets) == [radon_F(cfg, jet) for jet in jets]
+
+
+def test_radon_F_batch_names_the_irregular_jet_as_radon_F_does():
+    cfg = RadonConfig(f=parse("1"), x_a=-5.0, x_b=5.0)
+    good, bad = default_test_jets()[0], _ORACLE_JETS[3]
+    with pytest.raises(RadonError) as alone:
+        radon_F(cfg, bad)
+    with pytest.raises(RadonError) as batched:
+        radon_F_batch(cfg, [good, bad, good])
+    assert str(batched.value) == str(alone.value)
+    assert str(alone.value).startswith("branch leaves the reals at x=")
 
 
 def _central_hessian(Ffun, X, h):

@@ -1,11 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from odegeom import cli
+from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED
 from odegeom.geom import sample_points
+from odegeom.jet import builtin
 from odegeom.so3 import (
     So3Error,
+    _spinor_frame,
     build_G,
     expansion_check,
     frame_constant_checks,
@@ -43,6 +48,41 @@ def test_structure_tensor_is_sparse_and_rational():
     assert all(i + j + k == 6 for (i, j, k) in nonzero)
     assert all(isinstance(v, Fraction) for v in nonzero.values())
     assert ghat[0][2][4] == 1 and ghat[2][2][2] == -6
+
+
+def _dense_six_epsilon_contraction(frame):
+    """The structure tensor before symmetrisation, summed over all 64 sign
+    patterns of the six eps pairings (A,E)(B,F)(G,P)(H,Q)(C,R)(D,S)."""
+    patterns = list(itertools.product(((0, 1, Fraction(1)), (1, 0, Fraction(-1))), repeat=6))
+    ghat = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
+    for i, j, k in itertools.product(range(5), repeat=3):
+        total = Fraction(0)
+        for pat in patterns:
+            (A, E, s1), (B, F, s2), (G, P, s3), (H, Q, s4), (C, R, s5), (D, S, s6) = pat
+            vi = frame[i].get((A, B, C, D), Fraction(0))
+            vj = frame[j].get((E, F, G, H), Fraction(0))
+            vk = frame[k].get((P, Q, R, S), Fraction(0))
+            total += s1 * s2 * s3 * s4 * s5 * s6 * vi * vj * vk
+        ghat[i][j][k] = total
+    return ghat
+
+
+def test_sparse_contraction_matches_dense_oracle():
+    _, ghat_raw, _ = spinor_frame_data()
+    dense = _dense_six_epsilon_contraction(_spinor_frame())
+    assert ghat_raw == dense
+    assert all(isinstance(v, Fraction) for blk in ghat_raw for row in blk for v in row)
+
+
+def test_coordinate_components_are_built_on_first_use():
+    session = cli.Session(builtin("conics5"), DEFAULT_SAMPLES, DEFAULT_REL_TOL, DEFAULT_SEED)
+    report = cli.radon_suite(session)
+    assert report.passed()
+    G = session.G
+    # the radon suite reads only ghat_np and lower_at
+    assert "coord_lower" not in G.__dict__
+    table = G.coord_lower
+    assert G.__dict__["coord_lower"] is table
 
 
 def test_requires_conics5(pd_gn5, metric_gn5):
