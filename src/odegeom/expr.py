@@ -4,11 +4,13 @@ Expressions are immutable trees over a fixed variable alphabet with exact
 rational constants and exact rational exponents.  There is deliberately no
 canonical simplification: identities between expressions are certified by
 randomized point sampling over a box on which all fractional-power bases are
-positive.  `equiv_all` is the one identity test: it compiles every pair of a
-check into one `Evaluator` and evaluates them in one vectorised pass over a
-shared sample set, each pair still a separate test with its own residual;
-`equiv` is its one-pair case.  Constructors only do cheap local folding
-(constants, neutral elements, nested sums/products) to keep trees small.
+positive.  `equiv_each` is the one identity test: it compiles every pair it
+is given into one `Evaluator`, evaluates them in one vectorised pass over a
+shared sample set and returns one result per pair, each pair still a
+separate test with its own residual; `equiv_all` (all pairs of one check)
+and `equiv` (one pair) reduce its results.  Constructors only do cheap local
+folding (constants, neutral elements, nested sums/products) to keep trees
+small.
 
 Nodes are hash-consed: every constructor looks its (type, children, exact
 value or exponent) key up in a weak-value intern table and returns the live
@@ -16,10 +18,36 @@ node with that key if there is one, so structurally equal expressions are one
 object and `is` is structural equality.  Operands keep the order they were
 built in (no canonical sorting), so each node is evaluated with the same
 float operations as its tree form, only once.  Evaluation and differentiation
-treat an expression as a DAG and are iterative.  `diff` keeps a persistent
-memo per variable, keyed weakly on the interned node: a derivative taken once
-(by a total derivative, a frame row or a metric table) is reused by every
-later call, which walks only the nodes not differentiated before.
+treat an expression as a DAG and are iterative.
+
+Every node carries its support: `mask`, a bitmask of the variables it
+contains (bit i for VARIABLES[i]), computed once when the node is first
+built, from its children's masks.  `free_variables` reads it, and `diff`
+uses it to skip work whose result is known: the derivative of a node free of
+the variable is 0.  `diff` keeps a persistent memo per variable, keyed weakly
+on the interned node: a derivative taken once (by a total derivative, a
+frame row or a metric table) is reused by every later call, which walks only
+the nodes that contain the variable and were not differentiated before.
+Nodes free of the variable are neither walked nor memoized.
+
+`add`, `mul` and `neg` are the only builders of sums, products and
+negations, and they keep three invariants that let `add` and `mul` flatten
+their operands one level only:
+
+  * a `Sum`'s terms hold no `Sum`, and at most one `Const`, the last term,
+    which is not 0;
+  * a `Prod`'s factors hold no `Prod` and no `Neg`, and at most one `Const`,
+    the first factor, which is neither 0 nor 1;
+  * a `Neg` never wraps a `Neg` or a `Const`.
+
+A lone constant operand is reused as it is; only two or more constants (or
+a sign) are folded with `Fraction` arithmetic.
+
+Nested powers (u^a)^b are combined into u^(ab) only when b is an integer or
+a is not.  An integer power under a fractional one, such as (p^2)^(1/2), is
+kept as it is: p^2 is never negative, while p can be.  When a is fractional,
+u^a already requires u > 0 wherever it is evaluated, and there u^(ab) is
+exact.
 """
 
 from __future__ import annotations
@@ -74,7 +102,7 @@ class Expr:
     `is` is structural equality.  Hashing and `==` stay those of `object`:
     on interned nodes identity is the structural comparison, in O(1)."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "mask")
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -128,10 +156,14 @@ class Expr:
 _INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
-def _interned(cls, key: tuple, **fields) -> Expr:
+def _interned(cls, key: tuple, children: tuple, **fields) -> Expr:
     node = _INTERN.get(key)
     if node is None:
         node = object.__new__(cls)
+        mask = 0
+        for child in children:
+            mask |= child.mask
+        object.__setattr__(node, "mask", mask)
         for name, value in fields.items():
             object.__setattr__(node, name, value)
         _INTERN[key] = node
@@ -142,12 +174,16 @@ class Const(Expr):
     __slots__ = ("value", "fvalue")
 
     def __new__(cls, value: Rational):
+        # an int or Fraction key finds the node of the equal Fraction
+        node = _INTERN.get((cls, value))
+        if node is not None:
+            return node
         value = Fraction(value)
         try:
             fvalue = float(value)
         except OverflowError:
             raise ExprError("constant too large for a float") from None
-        return _interned(cls, (cls, value), value=value, fvalue=fvalue)
+        return _interned(cls, (cls, value), (), value=value, fvalue=fvalue)
 
 
 class Var(Expr):
@@ -164,7 +200,7 @@ class Sum(Expr):
 
     def __new__(cls, terms: tuple):
         terms = tuple(terms)
-        return _interned(cls, (cls, terms), terms=terms)
+        return _interned(cls, (cls, terms), terms, terms=terms)
 
     def children(self):
         return self.terms
@@ -175,7 +211,7 @@ class Prod(Expr):
 
     def __new__(cls, factors: tuple):
         factors = tuple(factors)
-        return _interned(cls, (cls, factors), factors=factors)
+        return _interned(cls, (cls, factors), factors, factors=factors)
 
     def children(self):
         return self.factors
@@ -188,7 +224,7 @@ class Pow(Expr):
 
     def __new__(cls, base: Expr, exponent: Fraction):
         exponent = Fraction(exponent)
-        return _interned(cls, (cls, base, exponent), base=base, exponent=exponent)
+        return _interned(cls, (cls, base, exponent), (base,), base=base, exponent=exponent)
 
     def children(self):
         return (self.base,)
@@ -198,7 +234,7 @@ class Neg(Expr):
     __slots__ = ("child",)
 
     def __new__(cls, child: Expr):
-        return _interned(cls, (cls, child), child=child)
+        return _interned(cls, (cls, child), (child,), child=child)
 
     def children(self):
         return (self.child,)
@@ -208,8 +244,13 @@ ZERO = Const(0)
 ONE = Const(1)
 
 
+# variable name -> its bit in a node's mask
+_VAR_BIT = {name: 1 << i for i, name in enumerate(VARIABLES)}
+
+
 def _make_var(name: str) -> Var:
     node = object.__new__(Var)
+    object.__setattr__(node, "mask", _VAR_BIT[name])
     object.__setattr__(node, "name", name)
     return node
 
@@ -233,20 +274,30 @@ def as_expr(value) -> Expr:
 
 
 def add(*terms) -> Expr:
-    """Sum with flattening, constant folding and zero elimination."""
+    """Sum with flattening, constant folding and zero elimination.
+
+    Operand sums are flattened one level: their terms are flat already."""
     flat = []
-    acc = 0
-    stack = [as_expr(t) for t in reversed(terms)]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Sum):
-            stack.extend(reversed(t.terms))
-        elif isinstance(t, Const):
-            acc += t.value
+    consts = []
+    for t in terms:
+        t = as_expr(t)
+        kind = type(t)
+        if kind is Sum:
+            last = t.terms[-1]
+            if type(last) is Const:
+                flat.extend(t.terms[:-1])
+                consts.append(last)
+            else:
+                flat.extend(t.terms)
+        elif kind is Const:
+            if t is not ZERO:
+                consts.append(t)
         else:
             flat.append(t)
-    if acc != 0:
-        flat.append(Const(acc))
+    if len(consts) > 1:
+        consts = [Const(sum(c.value for c in consts))]
+    if consts and consts[0] is not ZERO:
+        flat.append(consts[0])
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -255,27 +306,46 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    """Product with flattening, constant folding, and 0/1 elimination."""
+    """Product with flattening, constant folding, and 0/1 elimination.
+
+    A negation's sign joins the constant; operand products (under a
+    negation or not) are flattened one level: their factors are flat
+    already."""
     flat = []
-    acc = 1
-    stack = [as_expr(f) for f in reversed(factors)]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Prod):
-            stack.extend(reversed(f.factors))
-        elif isinstance(f, Const):
-            acc *= f.value
-        elif isinstance(f, Neg):
-            acc = -acc
-            stack.append(f.child)
+    consts = []
+    negative = False
+    for f in factors:
+        f = as_expr(f)
+        kind = type(f)
+        if kind is Neg:
+            negative = not negative
+            f = f.child
+            kind = type(f)
+        if kind is Prod:
+            first = f.factors[0]
+            if type(first) is Const:
+                flat.extend(f.factors[1:])
+                consts.append(first)
+            else:
+                flat.extend(f.factors)
+        elif kind is Const:
+            if f is not ONE:
+                consts.append(f)
         else:
             flat.append(f)
-    if acc == 0:
+    if negative or len(consts) > 1:
+        acc = consts[0].value if consts else 1
+        for c in consts[1:]:
+            acc *= c.value
+        const = Const(-acc if negative else acc)
+    else:
+        const = consts[0] if consts else ONE
+    if const is ZERO:
         return ZERO
     if not flat:
-        return Const(acc)
-    if acc != 1:
-        flat.insert(0, Const(acc))
+        return const
+    if const is not ONE:
+        flat.insert(0, const)
     if len(flat) == 1:
         return flat[0]
     return Prod(tuple(flat))
@@ -311,8 +381,10 @@ def _rational_root(value: Fraction, exponent: Fraction) -> Optional[Fraction]:
 def pow_(base, exponent) -> Expr:
     """base**exponent with exact rational exponent.
 
-    Nested powers are combined ((u^a)^b -> u^(ab)); this is sound because all
-    sampling domains keep fractional-power bases strictly positive.
+    Nested powers are combined ((u^a)^b -> u^(ab)) when b is an integer or a
+    is not: an integer a under a fractional b, as in (p^2)^(1/2), is kept,
+    since u^a may be positive where u is not.  A fractional a keeps u
+    strictly positive on every sampling domain, so there the fold is exact.
     """
     base = as_expr(base)
     if isinstance(exponent, Expr):
@@ -333,7 +405,7 @@ def pow_(base, exponent) -> Expr:
                 f"negative constant base {base.value} under fractional exponent {exponent}"
             )
         return Pow(base, exponent)
-    if isinstance(base, Pow):
+    if isinstance(base, Pow) and (exponent.denominator == 1 or base.exponent.denominator != 1):
         return pow_(base.base, base.exponent * exponent)
     return Pow(base, exponent)
 
@@ -365,27 +437,27 @@ def topo_order(roots: Sequence[Expr], stop=()) -> list:
 
     Nodes in `stop` are neither listed nor descended into."""
     order: list = []
-    seen = set()
+    seen = set()  # nodes hash by identity, and the roots keep them alive
     stack = [(r, False) for r in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         if node in stop:
             continue
         stack.append((node, True))
         for child in reversed(node.children()):
-            if id(child) not in seen:
+            if child not in seen:
                 stack.append((child, False))
     return order
 
 
 def free_variables(e: Expr) -> set:
-    return {n.name for n in topo_order([e]) if isinstance(n, Var)}
+    return {name for name, bit in _VAR_BIT.items() if e.mask & bit}
 
 
 def _fmt_fraction(v: Fraction) -> str:
@@ -609,31 +681,49 @@ def parse(text: str) -> Expr:
 # variable name -> {node: d(node)/d(variable)}, kept across calls.  Keys are
 # held weakly, so an entry lives as long as its node.  A derivative is built
 # from the node's operands and their derivatives, never from the node itself,
-# so no entry keeps its own key alive.
+# so no entry keeps its own key alive.  Only nodes containing the variable
+# get an entry: every other node's derivative is 0.
 _DIFF_MEMO = {name: weakref.WeakKeyDictionary() for name in VARIABLES}
+
+
+class _Known:
+    """The nodes whose derivative in one variable needs no work: those free
+    of it and those already in its memo."""
+
+    __slots__ = ("bit", "memo")
+
+    def __init__(self, bit: int, memo):
+        self.bit = bit
+        self.memo = memo
+
+    def __contains__(self, node) -> bool:
+        return not node.mask & self.bit or node in self.memo
 
 
 def diff(e: Expr, v: Union[str, Var]) -> Expr:
     """Exact partial derivative; iterative over the DAG.  Memoized per
-    interned node and variable across calls, so only nodes never
-    differentiated before are visited."""
+    interned node and variable across calls, so only nodes that contain the
+    variable and were never differentiated before are visited."""
     name = v.name if isinstance(v, Var) else v
-    if name not in VARIABLES:
+    bit = _VAR_BIT.get(name)
+    if bit is None:
         raise ExprError(f"unknown variable {name!r}")
+    if not e.mask & bit:
+        return ZERO
     memo = _DIFF_MEMO[name]
-    for node in topo_order([e], stop=memo):
-        if isinstance(node, Const):
-            d = ZERO
-        elif isinstance(node, Var):
-            d = ONE if node.name == name else ZERO
+    for node in topo_order([e], stop=_Known(bit, memo)):
+        if isinstance(node, Var):
+            d = ONE  # the only variable with this bit
         elif isinstance(node, Neg):
             d = neg(memo[node.child])
         elif isinstance(node, Sum):
-            d = add(*[memo[t] for t in node.terms])
+            d = add(*[memo[t] for t in node.terms if t.mask & bit])
         elif isinstance(node, Prod):
             terms = []
             factors = node.factors
             for i, f in enumerate(factors):
+                if not f.mask & bit:
+                    continue
                 df = memo[f]
                 if df is ZERO:
                     continue
@@ -675,26 +765,26 @@ class Evaluator:
         slot = {}
         prog = []
         for i, node in enumerate(order):
-            slot[id(node)] = i
+            slot[node] = i
             if isinstance(node, Const):
                 prog.append((_OP_CONST, node.fvalue, None))
             elif isinstance(node, Var):
                 prog.append((_OP_VAR, node.name, None))
             elif isinstance(node, Neg):
-                prog.append((_OP_NEG, slot[id(node.child)], None))
+                prog.append((_OP_NEG, slot[node.child], None))
             elif isinstance(node, Sum):
-                prog.append((_OP_SUM, tuple(slot[id(t)] for t in node.terms), None))
+                prog.append((_OP_SUM, tuple(slot[t] for t in node.terms), None))
             elif isinstance(node, Prod):
-                prog.append((_OP_PROD, tuple(slot[id(f)] for f in node.factors), None))
+                prog.append((_OP_PROD, tuple(slot[f] for f in node.factors), None))
             elif isinstance(node, Pow):
                 if node.exponent.denominator == 1:
-                    prog.append((_OP_IPOW, slot[id(node.base)], node.exponent.numerator))
+                    prog.append((_OP_IPOW, slot[node.base], node.exponent.numerator))
                 else:
-                    prog.append((_OP_FPOW, slot[id(node.base)], float(node.exponent)))
+                    prog.append((_OP_FPOW, slot[node.base], float(node.exponent)))
             else:
                 raise TypeError(f"unknown node {type(node).__name__}")
         self._prog = prog
-        self._outs = [slot[id(e)] for e in self.exprs]
+        self._outs = [slot[e] for e in self.exprs]
 
     def __call__(self, assignment: Mapping[str, float]) -> list:
         vals: list = [0.0] * len(self._prog)
@@ -839,19 +929,21 @@ class EquivResult:
         return self.passed
 
 
-def equiv_all(
+def equiv_each(
     pairs: Iterable[Tuple[Expr, Expr]],
     dom: SampleDomain,
     n: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_REL_TOL,
     seed: int = DEFAULT_SEED,
-) -> EquivResult:
-    """Randomized identity test: e1 == e2 on dom, for every pair (e1, e2).
+) -> list:
+    """Randomized identity tests e1 == e2 on dom, one `EquivResult` per pair
+    (e1, e2), in the order given.
 
     A pair passes iff |e1 - e2| <= tol * (1 + max(|e1|, |e2|)) at all n
-    uniformly sampled points; the result passes iff every pair does, with the
-    largest residual and its point.  The pairs share one sample set and one
-    vectorised pass, each still its own test.  Deterministic for a fixed seed.
+    uniformly sampled points; its result holds its largest residual and the
+    first point where it occurs.  All pairs share one sample set and are
+    compiled into one `Evaluator` for one vectorised pass; an `EvalError`
+    anywhere in it is raised.  Deterministic for a fixed seed.
     """
     if n < 1:
         raise ExprError("equiv needs n >= 1 samples")
@@ -863,9 +955,30 @@ def equiv_all(
     vals = Evaluator(exprs).eval_points(points)
     v1, v2 = vals[0::2], vals[1::2]
     residuals = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
-    k, i = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-    worst = float(residuals[k, i])
-    return EquivResult(worst <= tol, worst, n, tol, seed, points[i])
+    results = []
+    for row in residuals:
+        i = int(np.argmax(row))
+        worst = float(row[i])
+        results.append(EquivResult(worst <= tol, worst, n, tol, seed, points[i]))
+    return results
+
+
+def equiv_all(
+    pairs: Iterable[Tuple[Expr, Expr]],
+    dom: SampleDomain,
+    n: int = DEFAULT_SAMPLES,
+    tol: float = DEFAULT_REL_TOL,
+    seed: int = DEFAULT_SEED,
+) -> EquivResult:
+    """Randomized identity test of one check: e1 == e2 on dom, for every
+    pair (e1, e2).
+
+    The per-pair results of `equiv_each` reduced to one: it passes iff every
+    pair does, and it is the result of the pair with the largest residual
+    (the first such pair on a tie), so it carries that residual and its
+    point.
+    """
+    return max(equiv_each(pairs, dom, n=n, tol=tol, seed=seed), key=lambda r: r.max_residual)
 
 
 def equiv(

@@ -38,6 +38,7 @@ from .expr import (
     diff,
     div,
     equiv,
+    equiv_each,
     mul,
     neg,
     pow_,
@@ -230,7 +231,7 @@ def solve_pentad(ode: JetOde, samples: int = 50, tol: float = 1e-9, seed: int = 
     names += ["q_equation", "p_equation"]
     identities = tuple(zip(names, equations[: n - 2] + [equations[n - 2], equations[n - 1]]))
     checks = tuple(
-        equiv(e, ZERO, ode.domain, n=samples, tol=tol, seed=seed) for _, e in identities
+        equiv_each([(e, ZERO) for _, e in identities], ode.domain, n=samples, tol=tol, seed=seed)
     )
 
     coframe_rows = _invert_lower(rows)

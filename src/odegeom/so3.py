@@ -17,6 +17,7 @@ checked numerically at sample points against the curvature machinery.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,23 +52,19 @@ class So3Error(Exception):
 _EPS = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
 
 
-def _sym4(vectors: Sequence[Sequence[Fraction]]) -> dict:
-    """Symmetrised product of four 2-component spinors, as a dense map from
-    index tuples to Fractions (weight-one symmetrisation, factor 1/4!)."""
-    out: dict = {}
-    norm = Fraction(1, 24)
-    for idx in itertools.product((0, 1), repeat=4):
-        total = Fraction(0)
-        for perm in itertools.permutations(range(4)):
-            term = Fraction(1)
-            for slot, which in enumerate(perm):
-                term *= vectors[which][idx[slot]]
-                if term == 0:
-                    break
-            total += term
-        if total:
-            out[idx] = total * norm
-    return out
+def _sym_power(a: Sequence[Fraction], b: Sequence[Fraction], m: int) -> dict:
+    """Symmetrised product of m copies of the spinor a and 4 - m copies of
+    b (weight-one symmetrisation, factor 1/4!), as a sparse map from index
+    tuples to Fractions, for a and b with one nonzero component each, at
+    different indices ia and ib.
+
+    A permutation's term is nonzero only at a tuple holding ia in m slots
+    and ib in the others, and only if it sends the m copies of a to the ia
+    slots: m!(4-m)! of the 4! permutations, each a[ia]^m b[ib]^(4-m)."""
+    ia = 0 if a[0] else 1
+    ib = 0 if b[0] else 1
+    value = a[ia] ** m * b[ib] ** (4 - m) * Fraction(math.factorial(m) * math.factorial(4 - m), 24)
+    return {idx: value for idx in itertools.product((0, 1), repeat=4) if idx.count(ia) == m}
 
 
 def _frac_inv(mat: List[List[Fraction]]) -> List[List[Fraction]]:
@@ -87,21 +84,28 @@ def _frac_inv(mat: List[List[Fraction]]) -> List[List[Fraction]]:
     return [row[n:] for row in a]
 
 
+# the basis dyad with lower indices
+_O_LO = (Fraction(1), Fraction(0))
+_I_LO = (Fraction(0), Fraction(1))
+
+
+def _raise_idx(v: Sequence[Fraction]) -> tuple:
+    return tuple(sum(_EPS[a][b] * v[b] for b in range(2)) for a in range(2))
+
+
+def _basis_spinors() -> Tuple[List[dict], List[dict]]:
+    """(e_lo, f_hi): the symmetrised products of m o's and 4 - m i's,
+    m = 0..4, with lower and with raised indices."""
+    o_hi, i_hi = _raise_idx(_O_LO), _raise_idx(_I_LO)
+    e_lo = [_sym_power(_O_LO, _I_LO, m) for m in range(5)]
+    f_hi = [_sym_power(o_hi, i_hi, m) for m in range(5)]
+    return e_lo, f_hi
+
+
 def _spinor_frame() -> List[dict]:
     """The five frame vectors as symmetric 4-spinors: sparse maps from index
     tuples to Fractions, dual to the symmetrised basis under the pairing."""
-    o_lo = (Fraction(1), Fraction(0))
-    i_lo = (Fraction(0), Fraction(1))
-
-    def raise_idx(v):
-        return tuple(
-            sum(_EPS[a][b] * v[b] for b in range(2)) for a in range(2)
-        )
-
-    o_hi, i_hi = raise_idx(o_lo), raise_idx(i_lo)
-
-    e_lo = [_sym4([o_lo] * m + [i_lo] * (4 - m)) for m in range(5)]
-    f_hi = [_sym4([o_hi] * m + [i_hi] * (4 - m)) for m in range(5)]
+    e_lo, f_hi = _basis_spinors()
 
     pairing = [
         [sum((e_lo[i].get(idx, Fraction(0)) * v for idx, v in f_hi[j].items()), Fraction(0))

@@ -3,22 +3,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odegeom import expr
 from odegeom.expr import (
+    VARIABLES,
+    ZERO,
     Const,
     EvalError,
     Evaluator,
     ExprError,
+    Neg,
     ParseError,
     Pow,
+    Prod,
     SampleDomain,
+    Sum,
     Var,
     add,
     diff,
     equiv,
     equiv_all,
+    equiv_each,
     evaluate,
+    free_variables,
     mul,
     neg,
     parse,
@@ -177,6 +185,37 @@ def test_equiv_all_mixed_pairs_report_the_failing_pair():
     assert equiv_all([good, good], DOM).passed
 
 
+def test_equiv_each_is_one_result_per_pair_and_equiv_all_their_worst():
+    good = (parse("q*q^(-1/2)"), parse("q^(1/2)"))
+    bad = (parse("q"), parse("r"))
+    worse = (parse("q"), parse("3*r"))
+    each = equiv_each([good, bad, worse, bad], DOM, seed=3)
+    assert [r.passed for r in each] == [True, False, False, False]
+    rng = random.Random(3)
+    points = [DOM.sample(rng) for _ in range(expr.DEFAULT_SAMPLES)]
+    gaps = [abs(pt["q"] - pt["r"]) / (1.0 + max(abs(pt["q"]), abs(pt["r"]))) for pt in points]
+    assert each[1].max_residual == max(gaps)
+    assert each[1].worst_point == points[gaps.index(max(gaps))]
+    assert each[1] == equiv(*bad, DOM, seed=3) == each[3]
+    assert each[2] == equiv(*worse, DOM, seed=3)
+    assert equiv_all([good, bad, worse, bad], DOM, seed=3) == max(each, key=lambda r: r.max_residual)
+    assert equiv_all([bad, bad], DOM, seed=3) == each[1]
+    with pytest.raises(ExprError):
+        equiv_each([], DOM)
+
+
+def test_integer_power_under_a_fractional_power_is_kept():
+    e = parse("(p^2)^(1/2)")
+    assert e is not var("p") and isinstance(e, Pow) and isinstance(e.base, Pow)
+    assert evaluate(e, {"p": -0.5}) == 0.5
+    assert parse(to_string(e)) is e
+    assert to_string(e) == "(p^2)^(1/2)"
+    assert parse("(q^(1/2))^3") is pow_(var("q"), Fraction(3, 2))
+    assert parse("(q^2)^3") is pow_(var("q"), 6)
+    assert parse("(q^(1/2))^(1/3)") is pow_(var("q"), Fraction(1, 6))
+    assert diff(e, "p") is parse("(1/2)*(p^2)^(-1/2)*2*p")
+
+
 def _random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         choice = rng.random()
@@ -308,3 +347,161 @@ def _frame_roots(pd):
 def test_solved_frames_have_one_node_per_key(pd_conics5, tmp_path):
     _assert_hash_consed(_frame_roots(pd_conics5))
     _assert_hash_consed(_frame_roots(solve_pentad(_user_ode(tmp_path))))
+
+
+# -- one-level constructors and the support mask, against the old core ------
+#
+# The oracles are the constructors and the derivative as they were before
+# nodes carried a support mask: add and mul flatten every nested operand
+# through a stack and fold every constant through Fraction arithmetic, and
+# diff walks every node under the root into a fresh memo.  The new ones
+# must build the very same interned node.
+
+
+def _add_by_stack(*terms):
+    flat = []
+    acc = 0
+    stack = [expr.as_expr(t) for t in reversed(terms)]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack.extend(reversed(t.terms))
+        elif isinstance(t, Const):
+            acc += t.value
+        else:
+            flat.append(t)
+    if acc != 0:
+        flat.append(Const(acc))
+    if not flat:
+        return ZERO
+    if len(flat) == 1:
+        return flat[0]
+    return Sum(tuple(flat))
+
+
+def _mul_by_stack(*factors):
+    flat = []
+    acc = 1
+    stack = [expr.as_expr(f) for f in reversed(factors)]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Prod):
+            stack.extend(reversed(f.factors))
+        elif isinstance(f, Const):
+            acc *= f.value
+        elif isinstance(f, Neg):
+            acc = -acc
+            stack.append(f.child)
+        else:
+            flat.append(f)
+    if acc == 0:
+        return ZERO
+    if not flat:
+        return Const(acc)
+    if acc != 1:
+        flat.insert(0, Const(acc))
+    if len(flat) == 1:
+        return flat[0]
+    return Prod(tuple(flat))
+
+
+def _diff_walking_everything(roots, name):
+    """{node: d(node)/d(name)} for every node under roots, by the old
+    constructors."""
+    memo = {}
+    for node in topo_order(roots):
+        if isinstance(node, Const):
+            d = ZERO
+        elif isinstance(node, Var):
+            d = expr.ONE if node.name == name else ZERO
+        elif isinstance(node, Neg):
+            d = neg(memo[node.child])
+        elif isinstance(node, Sum):
+            d = _add_by_stack(*[memo[t] for t in node.terms])
+        elif isinstance(node, Prod):
+            terms = []
+            factors = node.factors
+            for i, f in enumerate(factors):
+                df = memo[f]
+                if df is ZERO:
+                    continue
+                terms.append(_mul_by_stack(df, *(factors[:i] + factors[i + 1:])))
+            d = _add_by_stack(*terms) if terms else ZERO
+        else:
+            db = memo[node.base]
+            d = ZERO if db is ZERO else _mul_by_stack(
+                Const(node.exponent), pow_(node.base, node.exponent - 1), db)
+        memo[node] = d
+    return memo
+
+
+def _walked_free_variables(roots) -> dict:
+    """{node: its set of variable names}, by walking the DAG."""
+    free = {}
+    for node in topo_order(roots):
+        if isinstance(node, Var):
+            free[node] = {node.name}
+        else:
+            free[node] = set().union(*[free[c] for c in node.children()])
+    return free
+
+
+def _assert_matches_the_old_core(nodes):
+    free = _walked_free_variables(nodes)
+    for node, names in free.items():
+        assert node.mask == sum(1 << VARIABLES.index(n) for n in names)
+        assert free_variables(node) == names
+    order = list(free)
+    for a, b in zip(order, order[1:] + order[:1]):
+        for args in ((a, neg(b), a), (neg(a), Const(-2), b, Const(Fraction(1, 2)))):
+            assert add(*args) is _add_by_stack(*args)
+            assert mul(*args) is _mul_by_stack(*args)
+    for name in VARIABLES:
+        expected = _diff_walking_everything(order, name)
+        for node in order:
+            assert diff(node, name) is expected[node], (to_string(node), name)
+
+
+_leaves = st.one_of(
+    st.sampled_from(VARIABLES).map(var),
+    st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+def _extend(children):
+    lists = st.lists(children, min_size=1, max_size=4)
+    bases = children.filter(lambda e: not isinstance(e, Const))
+    return st.one_of(
+        lists.map(lambda xs: add(*xs)),
+        lists.map(lambda xs: mul(*xs)),
+        children.map(neg),
+        # a constant base may be negative or 0, which pow_ refuses
+        st.builds(lambda e, k: pow_(e, Fraction(k, 2)), bases, st.integers(-3, 3)),
+        st.builds(lambda e, k: pow_(e, k), bases, st.integers(-2, 3)),
+    )
+
+
+_exprs = st.recursive(_leaves, _extend, max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4))
+def test_constructors_and_diff_match_the_old_core_on_random_expressions(operands):
+    _assert_matches_the_old_core(operands)
+
+
+def test_constructors_and_diff_match_the_old_core_on_the_frames(
+        pd_conics5, pd_gn5, pd_conics4, tmp_path):
+    for pd in (pd_conics5, pd_gn5, pd_conics4, solve_pentad(_user_ode(tmp_path))):
+        _assert_matches_the_old_core([e for row in pd.lower + pd.coframe_rows for e in row])
+
+
+def test_diff_outside_the_support_adds_no_memo_entry():
+    e = parse("x*q + r^2 + q^(1/2)*s")
+    r2 = parse("r^2")
+    sizes = {v: len(m) for v, m in expr._DIFF_MEMO.items()}
+    assert diff(e, "p") is ZERO and diff(r2, "q") is ZERO
+    assert {v: len(m) for v, m in expr._DIFF_MEMO.items()} == sizes
+    assert diff(e, "q") is parse("x + (1/2)*q^(-1/2)*s")
+    assert e in expr._DIFF_MEMO["q"] and r2 not in expr._DIFF_MEMO["q"]
+    assert parse("x") not in expr._DIFF_MEMO["q"]

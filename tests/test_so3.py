@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odegeom import cli
+from odegeom import cli, so3
 from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED
 from odegeom.geom import sample_points
 from odegeom.jet import builtin
@@ -72,6 +72,37 @@ def test_sparse_contraction_matches_dense_oracle():
     dense = _dense_six_epsilon_contraction(_spinor_frame())
     assert ghat_raw == dense
     assert all(isinstance(v, Fraction) for blk in ghat_raw for row in blk for v in row)
+
+
+def _sym4(vectors):
+    """Symmetrised product of four 2-component spinors by the definition:
+    the sum over all 24 permutations, times 1/4!, as a map from index tuples
+    to the nonzero Fractions."""
+    out = {}
+    for idx in itertools.product((0, 1), repeat=4):
+        total = Fraction(0)
+        for perm in itertools.permutations(range(4)):
+            term = Fraction(1)
+            for slot, which in enumerate(perm):
+                term *= vectors[which][idx[slot]]
+            total += term
+        if total:
+            out[idx] = total / 24
+    return out
+
+
+def _basis_spinors_by_definition():
+    o_hi, i_hi = so3._raise_idx(so3._O_LO), so3._raise_idx(so3._I_LO)
+    e_lo = [_sym4([so3._O_LO] * m + [so3._I_LO] * (4 - m)) for m in range(5)]
+    f_hi = [_sym4([o_hi] * m + [i_hi] * (4 - m)) for m in range(5)]
+    return e_lo, f_hi
+
+
+def test_closed_form_basis_spinors_match_the_definition(monkeypatch):
+    assert so3._basis_spinors() == _basis_spinors_by_definition()
+    data = spinor_frame_data()
+    monkeypatch.setattr(so3, "_basis_spinors", _basis_spinors_by_definition)
+    assert so3._spinor_frame_data() == data
 
 
 def test_coordinate_components_are_built_on_first_use():
