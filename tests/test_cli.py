@@ -277,3 +277,23 @@ def test_cli_and_radon_report_do_not_import_scipy():
         capture_output=True, text=True, timeout=300, check=True,
     ).stdout
     assert out == "0 []\n"
+
+
+_LAPACK_FREE_REPORT = """
+import sys
+from odegeom import cli
+code, _ = cli.run(["radon", "--ode", "conics5", "--json"])
+print(code, sorted(m for m in sys.modules
+                   if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")))
+"""
+
+
+def test_radon_report_imports_neither_numpy_polynomial_nor_scipy():
+    # the Gauss-Legendre rule is computed without numpy's leggauss
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _LAPACK_FREE_REPORT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    assert out == "0 []\n"

@@ -1,17 +1,20 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from odegeom import radon
-from odegeom.expr import Evaluator, parse
+from odegeom import cli, radon
+from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, Evaluator, parse
 from odegeom.jet import builtin
 from odegeom.radon import (
     COORDS,
     RadonConfig,
     RadonError,
     _aux_points,
+    _conics_from_jets,
     _fd_combine,
     _fd_gradient,
     _fd_stencil,
@@ -295,6 +298,111 @@ def test_radon_F_batch_names_the_irregular_jet_as_radon_F_does():
         radon_F_batch(cfg, [good, bad, good])
     assert str(batched.value) == str(alone.value)
     assert str(alone.value).startswith("branch leaves the reals at x=")
+
+
+def test_stacked_conic_solve_matches_conic_from_jet_bitwise():
+    for h in (1e-4, 5e-5):
+        stencil = _fd_stencil(_BOX_JET, h)
+        assert repr(_conics_from_jets(stencil, 0.0)) == repr([conic_from_jet(j, 0.0) for j in stencil])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"y": 0.0, "p": 0.0, "q": 0.0, "r": 0.0, "s": 0.0}, "degenerate jet: conic conditions have rank"),
+    (dict(_BOX_JET, q=math.nan), "jet conditions are not finite"),
+])
+def test_stacked_conic_solve_names_the_bad_jet_as_conic_from_jet_does(bad, message):
+    with pytest.raises(RadonError) as alone:
+        conic_from_jet(bad, 0.0)
+    with pytest.raises(RadonError) as stacked:
+        _conics_from_jets([_BOX_JET, bad, _BOX_JET], 0.0)
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value).startswith(message)
+
+
+def test_stacked_conic_solve_falls_back_per_jet_when_the_stack_fails(monkeypatch):
+    svd = np.linalg.svd
+
+    def no_stacked_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    stencil = _fd_stencil(_BOX_JET, 1e-4)
+    expected = repr([conic_from_jet(j, 0.0) for j in stencil])
+    monkeypatch.setattr(radon.np.linalg, "svd", no_stacked_svd)
+    assert repr(_conics_from_jets(stencil, 0.0)) == expected
+
+
+_RULE_ORDERS = (1, 2, 3, 5, 20, 60, 61, 120)
+
+
+def _gauss_reference(n):
+    """Roots of P_n ascending and their weights 2 / ((1 - x^2) P_n'(x)^2) to
+    40 digits: Newton's method on the recurrence in decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+
+        def legendre(x):
+            p0, p1 = Decimal(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            return p1, n * (x * p1 - p0) / (x * x - 1)
+
+        nodes, weights = [], []
+        for k in range(n, 0, -1):
+            x = Decimal(math.cos(math.pi * (k - 0.25) / (n + 0.5)))
+            step = Decimal(1)
+            while abs(step) > Decimal("1e-45"):
+                p, dp = legendre(x)
+                step = p / dp
+                x -= step
+            _, dp = legendre(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))  # n distinct roots
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", _RULE_ORDERS)
+def test_gauss_rule_matches_a_40_digit_reference(n):
+    nodes, weights = _gauss(n)
+    ref_nodes, ref_weights = _gauss_reference(n)
+    assert len(nodes) == len(weights) == n
+    for x, w, rx, rw in zip(nodes.tolist(), weights.tolist(), ref_nodes, ref_weights):
+        assert abs(Decimal(x) - rx) <= Decimal("1e-16")
+        assert abs((Decimal(w) - rw) / rw) <= Decimal("1e-12")
+
+
+@pytest.mark.parametrize("n", _RULE_ORDERS + (121,))  # Newton alone misses 0 at n = 121
+def test_gauss_rule_is_exactly_symmetric(n):
+    nodes, weights = _gauss(n)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert (np.diff(nodes) > 0).all()
+    if n % 2:
+        assert nodes[n // 2] == 0.0
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("n", _RULE_ORDERS)
+def test_gauss_rule_agrees_with_leggauss(n):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = _gauss(n)
+    ref_nodes, ref_weights = leggauss(n)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 2e-16
+    assert np.max(np.abs(weights / ref_weights - 1)) <= 3e-11
+
+
+def test_radon_suite_makes_no_eigenvalue_solve(monkeypatch, conics5):
+    def no_eigen_solve(*args, **kwargs):
+        raise AssertionError("the radon suite must not call eigvalsh")
+
+    _gauss.cache_clear()  # rebuild the rules under the patch
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen_solve)
+    session = cli.Session(conics5, DEFAULT_SAMPLES, DEFAULT_REL_TOL, DEFAULT_SEED)
+    report = cli.radon_suite(session)
+    assert report.checks and report.passed()
 
 
 def _central_hessian(Ffun, X, h):
