@@ -20,6 +20,11 @@ built in (no canonical sorting), so each node is evaluated with the same
 float operations as its tree form, only once.  Evaluation and differentiation
 treat an expression as a DAG and are iterative.
 
+`Evaluator` compiles expressions into a flat slot program, and
+`eval_points` is the one loop that runs it: on Python floats at a lone point
+(cheaper, and rounded as Python's `**` rounds), on numpy arrays for a larger
+batch.  Every error names the first point that fails.
+
 Every node carries its support: `mask`, a bitmask of the variables it
 contains (bit i for VARIABLES[i]), computed once when the node is first
 built, from its children's masks.  `free_variables` reads it, and `diff`
@@ -52,6 +57,7 @@ exact.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import weakref
@@ -749,143 +755,134 @@ def diff(e: Expr, v: Union[str, Var]) -> Expr:
 # opcodes for the compiled evaluation program
 _OP_CONST, _OP_VAR, _OP_NEG, _OP_SUM, _OP_PROD, _OP_IPOW, _OP_FPOW = range(7)
 
+# the slots after the program hold the identities 0.0 and 1.0, with which a
+# sum or product of fewer than two operands is padded
+_ZERO_SLOT, _ONE_SLOT = -2, -1
+
 
 class Evaluator:
     """Compiled evaluator for a batch of expressions sharing one DAG.
 
-    The topological order is fixed once into a flat slot program; evaluation
-    runs either per point (floats) or vectorised over many points (numpy),
-    which is what makes 50-point identity sampling on large expressions
-    cheap.
+    The topological order is fixed once into a flat slot program, and
+    `eval_points` is the one method that runs it, on any number of points.
     """
 
     def __init__(self, exprs: Sequence[Expr]):
         self.exprs = list(exprs)
-        order = topo_order(self.exprs)
         slot = {}
         prog = []
-        for i, node in enumerate(order):
+        for i, node in enumerate(topo_order(self.exprs)):
             slot[node] = i
             if isinstance(node, Const):
-                prog.append((_OP_CONST, node.fvalue, None))
+                prog.append((_OP_CONST, node.fvalue, None, None))
             elif isinstance(node, Var):
-                prog.append((_OP_VAR, node.name, None))
+                prog.append((_OP_VAR, node.name, None, None))
             elif isinstance(node, Neg):
-                prog.append((_OP_NEG, slot[node.child], None))
-            elif isinstance(node, Sum):
-                prog.append((_OP_SUM, tuple(slot[t] for t in node.terms), None))
-            elif isinstance(node, Prod):
-                prog.append((_OP_PROD, tuple(slot[f] for f in node.factors), None))
+                prog.append((_OP_NEG, slot[node.child], None, None))
+            elif isinstance(node, (Sum, Prod)):
+                # (first, second, rest); only a node built directly, never
+                # one from add or mul, has fewer than two operands
+                is_sum = isinstance(node, Sum)
+                ops = [slot[c] for c in node.children()] + [_ZERO_SLOT if is_sum else _ONE_SLOT] * 2
+                prog.append((_OP_SUM if is_sum else _OP_PROD, ops[0], ops[1], tuple(ops[2:-2])))
             elif isinstance(node, Pow):
                 if node.exponent.denominator == 1:
-                    prog.append((_OP_IPOW, slot[node.base], node.exponent.numerator))
+                    prog.append((_OP_IPOW, slot[node.base], node.exponent.numerator, None))
                 else:
-                    prog.append((_OP_FPOW, slot[node.base], float(node.exponent)))
+                    prog.append((_OP_FPOW, slot[node.base], float(node.exponent), None))
             else:
                 raise TypeError(f"unknown node {type(node).__name__}")
         self._prog = prog
         self._outs = [slot[e] for e in self.exprs]
 
-    def __call__(self, assignment: Mapping[str, float]) -> list:
-        vals: list = [0.0] * len(self._prog)
-        for i, (op, a, b) in enumerate(self._prog):
-            if op == _OP_CONST:
-                v = a
-            elif op == _OP_VAR:
-                try:
-                    v = float(assignment[a])
-                except KeyError:
-                    raise EvalError(f"missing variable {a!r}", assignment) from None
-            elif op == _OP_NEG:
-                v = -vals[a]
-            elif op == _OP_SUM:
-                v = 0.0
-                for t in a:
-                    v += vals[t]
-            elif op == _OP_PROD:
-                v = 1.0
-                for f in a:
-                    v *= vals[f]
-            elif op == _OP_IPOW:
-                base = vals[a]
-                if base == 0.0 and b < 0:
-                    raise EvalError("division by zero in integer power", assignment)
-                try:
-                    v = base ** b
-                except OverflowError:
-                    v = math.inf  # rejected below like any other overflow
-            else:
-                base = vals[a]
-                if base < 0.0:
-                    raise EvalError(
-                        f"negative base {base!r} under fractional exponent {b}", assignment
-                    )
-                if base == 0.0 and b < 0:
-                    raise EvalError("zero base with negative exponent", assignment)
-                try:
-                    v = base ** b
-                except OverflowError:
-                    v = math.inf
-            if not math.isfinite(v):
-                raise EvalError("non-finite value during evaluation", assignment)
-            vals[i] = v
-        return [vals[o] for o in self._outs]
+    def eval_points(self, points: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """Values of the expressions at the points: an array of shape
+        (n_exprs, n_points).
 
-    def eval_points(self, points: Sequence[Mapping[str, float]]):
-        """Vectorised evaluation: returns an array of shape (n_exprs, n_points).
-        Raises `EvalError` wherever the scalar path does."""
-        n = len(points)
-        arrays: dict = {}
-        vals: list = [None] * len(self._prog)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i, (op, a, b) in enumerate(self._prog):
-                if op == _OP_CONST:
-                    v = np.full(n, a)
-                elif op == _OP_VAR:
-                    if a not in arrays:
+        One loop serves every batch.  At a lone point the values are Python
+        floats, at more points numpy arrays (a constant stays a float), and
+        the same operations run either way.  Floats keep a lone point cheap:
+        on the 1,728-slot first-order metric table, arrays over two points
+        take about nine times as long as floats at one.  They also keep its
+        values those of Python's `**`: numpy's `power` is not correctly
+        rounded on every platform (with AVX-512, `x**-2` differs from
+        Python's in the last bit for about one input in twenty).  A sum is
+        `t0 + t1 + ...` and a product `f0 * f1 * ...`, in place on the fresh
+        array of a batch.
+
+        Raises `EvalError` naming the first point that fails: a negative
+        base under a fractional exponent, a zero or non-finite base under a
+        negative exponent, a missing variable or a non-finite value.  A
+        batch in which a point fails runs again point by point, so its error
+        is that of the first point that fails alone.
+        """
+        lone = len(points) == 1
+        vals: list = [None] * len(self._prog) + [0.0, 1.0]
+        try:
+            with contextlib.nullcontext() if lone else np.errstate(all="ignore"):
+                for i, (op, a, b, c) in enumerate(self._prog):
+                    # the most frequent operations first
+                    if op == _OP_PROD:
+                        v = vals[a] * vals[b]
+                        for f in c:
+                            v *= vals[f]
+                    elif op == _OP_SUM:
+                        v = vals[a] + vals[b]
+                        for t in c:
+                            v += vals[t]
+                    elif op == _OP_CONST:
+                        v = a
+                    elif op == _OP_NEG:
+                        v = -vals[a]
+                    elif op == _OP_VAR:
                         try:
-                            arrays[a] = np.array([float(pt[a]) for pt in points])
+                            v = float(points[0][a]) if lone else np.array([float(pt[a]) for pt in points])
                         except KeyError:
                             raise EvalError(f"missing variable {a!r}", points[0]) from None
-                    v = arrays[a]
-                elif op == _OP_NEG:
-                    v = -vals[a]
-                elif op == _OP_SUM:
-                    v = vals[a[0]].copy()
-                    for t in a[1:]:
-                        v += vals[t]
-                elif op == _OP_PROD:
-                    v = vals[a[0]].copy()
-                    for f in a[1:]:
-                        v *= vals[f]
-                else:
-                    base = vals[a]
-                    if op == _OP_FPOW and np.any(base < 0.0):
-                        bad = int(np.argmax(base < 0.0))
-                        raise EvalError(
-                            f"negative base under fractional exponent {b}", points[bad]
-                        )
-                    # the one place a zero or non-finite intermediate can turn
-                    # finite again (1/inf == 0), so the only one tested
-                    # before the outputs
-                    if b < 0 and not (base.all() and np.isfinite(base).all()):
-                        bad = int(np.argmax((base == 0.0) | ~np.isfinite(base)))
-                        raise EvalError(
-                            "zero or non-finite base under a negative exponent", points[bad]
-                        )
-                    v = base ** b
-                vals[i] = v
-        out = np.vstack([vals[o] for o in self._outs]) if self._outs else np.zeros((0, n))
-        finite = np.isfinite(out)
-        if not finite.all():
-            bad = int(np.argmax(~finite.all(axis=0)))
-            raise EvalError("non-finite value during evaluation", points[bad])
-        return out
+                    else:
+                        base = vals[a]
+                        # a negative exponent is the one place a zero or
+                        # non-finite intermediate can turn finite again
+                        # (1/inf == 0), so the only one tested before the
+                        # outputs
+                        if lone:
+                            if op == _OP_FPOW and base < 0.0:
+                                raise EvalError(
+                                    f"negative base {base!r} under fractional exponent {b}", points[0])
+                            if b < 0 and (base == 0.0 or not math.isfinite(base)):
+                                raise EvalError(
+                                    "zero or non-finite base under a negative exponent", points[0])
+                        elif (op == _OP_FPOW and np.any(base < 0.0)
+                              or b < 0 and not np.all(np.isfinite(base) & (base != 0.0))):
+                            raise EvalError("a point of the batch fails")
+                        try:
+                            v = base ** b
+                        except OverflowError:
+                            v = math.inf  # a float overflowed; rejected with the outputs
+                    vals[i] = v
+            outs = [vals[o] for o in self._outs]
+            if lone:
+                if not all(map(math.isfinite, outs)):
+                    raise EvalError("non-finite value during evaluation", points[0])
+                return np.array(outs).reshape(len(outs), 1)
+            out = np.empty((len(outs), len(points)))
+            for row, v in zip(out, outs):
+                row[...] = v
+            if not np.isfinite(out).all():
+                raise EvalError("a point of the batch fails")
+            return out
+        except EvalError:
+            if lone:
+                raise
+            # point by point, the first point that fails raises its own
+            # error; should none fail alone (numpy's `power` rounding past a
+            # limit that `**` stays within), their values are the result
+            return np.hstack([self.eval_points([pt]) for pt in points])
 
 
 def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
     """IEEE double evaluation of e under a full assignment."""
-    return Evaluator([e])(assignment)[0]
+    return float(Evaluator([e]).eval_points([assignment])[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -128,8 +129,6 @@ class MetricField:
                 upper[b][a] = entry
         self.g_upper = tuple(tuple(r) for r in upper)
 
-        self._dg: Optional[list] = None
-        self._first_evaluator: Optional[Evaluator] = None
         self._deriv_cache: Optional[tuple] = None
         self._evaluator: Optional[Evaluator] = None
 
@@ -150,24 +149,19 @@ class MetricField:
 
     # -- numeric evaluation ----------------------------------------------------
 
+    @cached_property
     def _dg_exprs(self) -> list:
         """dg[c][a][b] = d_c g_ab as expressions; built once and shared by
         both table levels."""
-        if self._dg is None:
-            n = 5
-            g = self.g_lower
-            self._dg = [[[diff(g[a][b], c) for b in range(n)] for a in range(n)]
-                        for c in self.coords]
-        return self._dg
+        g = self.g_lower
+        return [[[diff(g[a][b], c) for b in range(5)] for a in range(5)] for c in self.coords]
 
+    @cached_property
     def _first_order_evaluator(self) -> Evaluator:
         """Compiled first-order table: g then dg, flattened."""
-        if self._first_evaluator is None:
-            dg = self._dg_exprs()
-            flat = [ex for row in self.g_lower for ex in row]
-            flat += [ex for blk in dg for row in blk for ex in row]
-            self._first_evaluator = Evaluator(flat)
-        return self._first_evaluator
+        flat = [ex for row in self.g_lower for ex in row]
+        flat += [ex for blk in self._dg_exprs for row in blk for ex in row]
+        return Evaluator(flat)
 
     def _derivative_exprs(self):
         """(g, dg, ddg) expression tables, the second-order level; built once,
@@ -177,7 +171,7 @@ class MetricField:
         n = 5
         coords = self.coords
         g = self.g_lower
-        dg = self._dg_exprs()
+        dg = self._dg_exprs
         ddg = [
             [[[diff(dg[c][a][b], coords[e]) for b in range(n)] for a in range(n)] for c in range(n)]
             for e in range(n)
@@ -195,7 +189,7 @@ class MetricField:
         curvature needs ddg; everything else reads `christoffel_at`."""
         self._derivative_exprs()
         n = 5
-        vals = self._evaluator(point)
+        vals = self._evaluator.eval_points([point])[:, 0]
         g = np.array(vals[: n * n]).reshape(n, n)
         dg = np.array(vals[n * n: n * n + n ** 3]).reshape(n, n, n)
         ddg = np.array(vals[n * n + n ** 3:]).reshape(n, n, n, n)
@@ -206,7 +200,7 @@ class MetricField:
         """Numeric (g, dg, g_inv, gamma) at a point from the first-order table
         alone; never builds ddg.  gamma[d, a, b] = Gamma^d_ab."""
         n = 5
-        vals = self._first_order_evaluator()(point)
+        vals = self._first_order_evaluator.eval_points([point])[:, 0]
         g = np.array(vals[: n * n]).reshape(n, n)
         dg = np.array(vals[n * n:]).reshape(n, n, n)
         g_inv = np.linalg.inv(g)
@@ -552,7 +546,7 @@ def connection_checks(
     worst = 0.0
     law_tol = 1e-8
     for pt in points:
-        vals = ev(pt)
+        vals = ev.eval_points([pt])[:, 0]
         Cv = np.array(vals[: n * n]).reshape(n, n)
         dCv = np.array(vals[n * n: n * n + n ** 3]).reshape(n, n, n)
         off = n * n + n ** 3

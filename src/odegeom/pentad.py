@@ -154,9 +154,9 @@ def _fit_exponents(
     points = [ode.domain.sample(rng) for _ in range(12)]
 
     ev = Evaluator([target] + [ld for _, ld in log_derivs])
-    rowvals = [ev(pt) for pt in points]
-    t = np.array([rv[0] for rv in rowvals])
-    M = np.array([rv[1:] for rv in rowvals])
+    vals = ev.eval_points(points)
+    t = vals[0]
+    M = vals[1:].T.copy()
 
     def certified(exponents: dict) -> bool:
         named = dict(basis)

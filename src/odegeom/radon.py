@@ -354,7 +354,7 @@ def integrate_ode(
     def rhs(x, u):
         point = dict(zip(coords, u))
         point["x"] = x
-        lam = ev(point)[0]
+        lam = ev.eval_points([point])[0, 0]
         return np.asarray(list(u[1:]) + [lam], dtype=float)
 
     y0 = np.asarray([jet0[c] for c in coords], dtype=float)
@@ -650,7 +650,7 @@ def _conic_fwd(jet: Dict[str, float], x0: float) -> List[_Fwd2]:
     point = {c: float(jet[c]) for c in COORDS}
     point["x"] = x0
     try:
-        vals = np.array(_conic_minors()(point)).reshape(6, 21)
+        vals = _conic_minors().eval_points([point]).reshape(6, 21)
     except EvalError:
         raise RadonError("conic minors are not finite at the jet") from None
     hess = np.zeros((6, 5, 5))

@@ -211,10 +211,6 @@ class GTensor:
     ghat_raw_symmetric: bool     # was the unsymmetrised contraction already symmetric
     khat_matches_pairing: bool   # induced constant metric equals the frame pairing
 
-    def __post_init__(self):
-        self._coframe_ev: Optional[Evaluator] = None
-        self._ghat_np: Optional[np.ndarray] = None
-
     @cached_property
     def coord_lower(self) -> tuple:
         """5x5x5 Exprs: G_abc over the moduli coordinates, by coframe
@@ -237,20 +233,18 @@ class GTensor:
                     coord[a][b][c] = add(*terms) if terms else ZERO
         return tuple(tuple(tuple(row) for row in blk) for blk in coord)
 
+    @cached_property
     def ghat_np(self) -> np.ndarray:
-        if self._ghat_np is None:
-            self._ghat_np = np.array(
-                [[[float(v) for v in row] for row in blk] for blk in self.ghat]
-            )
-        return self._ghat_np
+        return np.array([[[float(v) for v in row] for row in blk] for blk in self.ghat])
+
+    @cached_property
+    def _coframe_ev(self) -> Evaluator:
+        C = self.m.pd.coframe_rows
+        return Evaluator([C[i][a] for i in range(5) for a in range(5)])
 
     def lower_at(self, point: Dict[str, float]) -> np.ndarray:
-        n = 5
-        if self._coframe_ev is None:
-            C = self.m.pd.coframe_rows
-            self._coframe_ev = Evaluator([C[i][a] for i in range(n) for a in range(n)])
-        Cv = np.array(self._coframe_ev(point)).reshape(n, n)
-        return np.einsum("ijk,ia,jb,kc->abc", self.ghat_np(), Cv, Cv, Cv)
+        Cv = self._coframe_ev.eval_points([point]).reshape(5, 5)
+        return np.einsum("ijk,ia,jb,kc->abc", self.ghat_np, Cv, Cv, Cv)
 
 
 _K_PAIRING = {(0, 4): Fraction(1), (1, 3): Fraction(-4), (2, 2): Fraction(6),
@@ -428,7 +422,7 @@ def g_identities(
         ) / 3.0
         worst["quartic"] = max(worst["quartic"], float(np.max(np.abs(_sym_last3(chi) - target))) / chi_scale)
 
-        dGv = np.array(ev_dG(pt)).reshape(n, n, n, n)
+        dGv = ev_dG.eval_points([pt]).reshape(n, n, n, n)
         nabla = (
             dGv
             - np.einsum("eda,ebc->dabc", cv.gamma, Gl)
@@ -578,7 +572,7 @@ def expansion_check(
     ev = Evaluator(exprs)
 
     for pt in points:
-        vals = ev(pt)
+        vals = ev.eval_points([pt])[:, 0].tolist()
         lam_val = vals[0]
         coeff_val = dict(zip(keys, vals[1:]))
         for key, factor in lam_marks.items():

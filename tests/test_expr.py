@@ -1,5 +1,7 @@
 import gc
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -35,8 +37,10 @@ from odegeom.expr import (
     topo_order,
     var,
 )
+from odegeom.geom import sample_points
 from odegeom.jet import load_ode_file
 from odegeom.pentad import solve_pentad
+from odegeom.radon import _conic_minors
 
 DOM = SampleDomain.box(q=(0.5, 2.0), r=(0.5, 2.0), s=(-1.0, 1.0))
 
@@ -163,7 +167,7 @@ def test_eval_points_rejects_what_the_scalar_path_rejects():
     # 1/(x - x) is inf, and 1/(1 + inf) turns it back into a finite 0
     e = parse("x + 1/(1 + 1/(x - x))")
     with pytest.raises(EvalError):
-        Evaluator([e])({"x": 0.5})
+        Evaluator([e]).eval_points([{"x": 0.5}])
     with pytest.raises(EvalError) as exc:
         Evaluator([e]).eval_points([{"x": 0.25}, {"x": 0.5}])
     assert exc.value.point == {"x": 0.25}
@@ -505,3 +509,163 @@ def test_diff_outside_the_support_adds_no_memo_entry():
     assert diff(e, "q") is parse("x + (1/2)*q^(-1/2)*s")
     assert e in expr._DIFF_MEMO["q"] and r2 not in expr._DIFF_MEMO["q"]
     assert parse("x") not in expr._DIFF_MEMO["q"]
+
+
+# -- one evaluation loop, against the scalar interpreter it replaced ---------
+#
+# The oracle is the scalar loop the evaluator ran per point before
+# `eval_points` became its only evaluation method, with the program it was
+# compiled to: each sum starts at 0.0 and each product at 1.0, every
+# intermediate is tested for a finite value, and all arithmetic is in Python
+# floats.  A lone point must give its values; a batch must fail exactly
+# where it fails at one of the points, and name the first such point.
+
+_CONST, _VAR, _NEG, _SUM, _PROD, _IPOW, _FPOW = range(7)
+
+
+def _old_program(exprs):
+    slot = {}
+    prog = []
+    for i, node in enumerate(topo_order(exprs)):
+        slot[node] = i
+        if isinstance(node, Const):
+            prog.append((_CONST, node.fvalue, None))
+        elif isinstance(node, Var):
+            prog.append((_VAR, node.name, None))
+        elif isinstance(node, Neg):
+            prog.append((_NEG, slot[node.child], None))
+        elif isinstance(node, Sum):
+            prog.append((_SUM, tuple(slot[t] for t in node.terms), None))
+        elif isinstance(node, Prod):
+            prog.append((_PROD, tuple(slot[f] for f in node.factors), None))
+        elif node.exponent.denominator == 1:
+            prog.append((_IPOW, slot[node.base], node.exponent.numerator))
+        else:
+            prog.append((_FPOW, slot[node.base], float(node.exponent)))
+    return prog, [slot[e] for e in exprs]
+
+
+def _scalar_oracle(ev, assignment):
+    prog, outs = _old_program(ev.exprs)
+    vals = [0.0] * len(prog)
+    for i, (op, a, b) in enumerate(prog):
+        if op == _CONST:
+            v = a
+        elif op == _VAR:
+            try:
+                v = float(assignment[a])
+            except KeyError:
+                raise EvalError(f"missing variable {a!r}", assignment) from None
+        elif op == _NEG:
+            v = -vals[a]
+        elif op == _SUM:
+            v = 0.0
+            for t in a:
+                v += vals[t]
+        elif op == _PROD:
+            v = 1.0
+            for f in a:
+                v *= vals[f]
+        elif op == _IPOW:
+            base = vals[a]
+            if base == 0.0 and b < 0:
+                raise EvalError("division by zero in integer power", assignment)
+            try:
+                v = base ** b
+            except OverflowError:
+                v = math.inf  # rejected below like any other overflow
+        else:
+            base = vals[a]
+            if base < 0.0:
+                raise EvalError(
+                    f"negative base {base!r} under fractional exponent {b}", assignment
+                )
+            if base == 0.0 and b < 0:
+                raise EvalError("zero base with negative exponent", assignment)
+            try:
+                v = base ** b
+            except OverflowError:
+                v = math.inf
+        if not math.isfinite(v):
+            raise EvalError("non-finite value during evaluation", assignment)
+        vals[i] = v
+    return [vals[o] for o in outs]
+
+
+def _oracle_fails(ev, point) -> bool:
+    try:
+        _scalar_oracle(ev, point)
+    except EvalError:
+        return True
+    return False
+
+
+def _assert_lone_points_match_the_oracle(ev, points):
+    for pt in points:
+        if _oracle_fails(ev, pt):
+            with pytest.raises(EvalError) as exc:
+                ev.eval_points([pt])
+            assert exc.value.point == pt
+        else:
+            assert ev.eval_points([pt])[:, 0].tolist() == _scalar_oracle(ev, pt)
+
+
+_points = st.fixed_dictionaries({name: st.floats(-2.0, 2.0) for name in VARIABLES})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4), _points)
+def test_a_lone_point_matches_the_scalar_oracle_on_random_expressions(exprs, point):
+    _assert_lone_points_match_the_oracle(Evaluator(exprs), [point])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4), st.lists(_points, min_size=2, max_size=5))
+def test_a_batch_fails_where_the_scalar_oracle_fails_first(exprs, points):
+    ev = Evaluator(exprs)
+    failing = [pt for pt in points if _oracle_fails(ev, pt)]
+    if not failing:
+        assert ev.eval_points(points).shape == (len(exprs), len(points))
+        return
+    with pytest.raises(EvalError) as exc:
+        ev.eval_points(points)
+    assert exc.value.point == failing[0]
+
+
+def test_a_lone_point_matches_the_scalar_oracle_on_the_built_in_tables(
+        pd_conics5, pd_gn5, pd_conics4, metric_conics5, metric_gn5):
+    for pd in (pd_conics5, pd_gn5, pd_conics4):
+        points = sample_points(pd.ode, 3, seed=17)
+        _assert_lone_points_match_the_oracle(Evaluator([pd.ode.rhs]), points)
+        for rows in (pd.lower, pd.coframe_rows):
+            _assert_lone_points_match_the_oracle(Evaluator([e for row in rows for e in row]), points)
+    for m in (metric_conics5, metric_gn5):
+        points = sample_points(m.ode, 3, seed=17)
+        m._derivative_exprs()
+        _assert_lone_points_match_the_oracle(m._first_order_evaluator, points)
+        _assert_lone_points_match_the_oracle(m._evaluator, points)
+    jet_points = [dict(pt, x=0.0) for pt in sample_points(pd_conics5.ode, 3, seed=17)]
+    _assert_lone_points_match_the_oracle(_conic_minors(), jet_points)
+
+
+def test_a_batch_names_the_first_point_missing_a_variable():
+    with pytest.raises(EvalError) as exc:
+        Evaluator([parse("q + r")]).eval_points([{"q": 1.0, "r": 2.0}, {"q": 1.0}])
+    assert exc.value.point == {"q": 1.0}
+    assert "missing variable 'r'" in str(exc.value)
+
+
+def test_an_overflowing_batch_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError) as exc:
+            Evaluator([parse("q^1000")]).eval_points([{"q": 2.0}, {"q": 1e300}])
+    assert exc.value.point == {"q": 1e300}
+
+
+def test_a_directly_built_sum_or_product_of_one_operand_evaluates():
+    q = var("q")
+    ev = Evaluator([Sum((q,)), Prod((q,)), Sum((Neg(q),)), Prod((Sum((q,)),))])
+    points = [{"q": 1.5}, {"q": -0.25}]
+    _assert_lone_points_match_the_oracle(ev, points)
+    assert ev.eval_points(points).tolist() == [[1.5, -0.25], [1.5, -0.25], [-1.5, 0.25], [1.5, -0.25]]

@@ -39,7 +39,7 @@ def test_metric_upper_entries_conics5(metric_conics5, conics5):
 def test_metric_upper_antidiagonal_at_unit_point(metric_conics5):
     point = {"q": 1.0, "r": 0.0, "s": 0.0, "y": 0.3, "p": 0.7, "x": 0.0}
     flat = [metric_conics5.g_upper[a][b] for a in range(5) for b in range(5)]
-    vals = np.array(Evaluator(flat)(point)).reshape(5, 5)
+    vals = Evaluator(flat).eval_points([point]).reshape(5, 5)
     expected = np.zeros((5, 5))
     for i, v in enumerate([24.0, -24.0, 24.0, -24.0, 24.0]):
         expected[i, 4 - i] = v

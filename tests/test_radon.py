@@ -145,7 +145,7 @@ def test_integrate_ode_matches_solve_ivp_bitwise(name, jet0, x1, tol):
     def rhs(x, u):
         point = dict(zip(ode.coords, u))
         point["x"] = x
-        return list(u[1:]) + [ev(point)[0]]
+        return list(u[1:]) + [ev.eval_points([point])[0, 0]]
 
     sol = integrate.solve_ivp(
         rhs, (0.0, x1), [jet0[c] for c in ode.coords],
@@ -242,7 +242,7 @@ def _per_node_radon_F(cfg, jet, order=None):
             q_sign = sgn
         elif sgn != q_sign:
             raise RadonError("q changes sign inside the contour")
-        total += w * ev({"x": x, "y": yv})[0] * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
+        total += w * ev.eval_points([{"x": x, "y": yv}])[0, 0] * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
     return half * total
 
 
