@@ -23,7 +23,12 @@ treat an expression as a DAG and are iterative.
 `Evaluator` compiles expressions into a flat slot program, and
 `eval_points` is the one loop that runs it: on Python floats at a lone point
 (cheaper, and rounded as Python's `**` rounds), on numpy arrays for a larger
-batch.  Every error names the first point that fails.
+batch.  Every error names the first point that fails.  The loop is written
+with the arithmetic operators only, so the number type is pluggable: given a
+tangent per variable, it runs on `Jet1` numbers (first-order forward mode,
+Griewank & Walther, *Evaluating Derivatives*, ch. 3), whose value parts are
+computed by the very operations of a plain pass and whose derivative parts
+are the directional derivatives of the outputs along the tangent.
 
 Every node carries its support: `mask`, a bitmask of the variables it
 contains (bit i for VARIABLES[i]), computed once when the node is first
@@ -760,6 +765,50 @@ _OP_CONST, _OP_VAR, _OP_NEG, _OP_SUM, _OP_PROD, _OP_IPOW, _OP_FPOW = range(7)
 _ZERO_SLOT, _ONE_SLOT = -2, -1
 
 
+class Jet1:
+    """First-order forward-mode number: a value and its derivative along one
+    direction, each a float (at a lone point) or an array over a batch.
+
+    Each operation computes the value part by the operation a plain pass
+    applies, with the operands in the same order, so value parts are bitwise
+    those of the plain pass.  A plain operand (a float constant) has
+    derivative 0.  The evaluation loop needs only +, *, unary - and ** with
+    a constant exponent."""
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val, der):
+        self.val = val
+        self.der = der
+
+    def __add__(self, other):
+        if type(other) is Jet1:
+            return Jet1(self.val + other.val, self.der + other.der)
+        return Jet1(self.val + other, self.der)
+
+    def __radd__(self, other):
+        return Jet1(other + self.val, self.der)
+
+    def __mul__(self, other):
+        if type(other) is Jet1:
+            return Jet1(self.val * other.val, self.der * other.val + self.val * other.der)
+        return Jet1(self.val * other, self.der * other)
+
+    def __rmul__(self, other):
+        return Jet1(other * self.val, other * self.der)
+
+    def __neg__(self):
+        return Jet1(-self.val, -self.der)
+
+    def __pow__(self, b):
+        val = self.val ** b
+        try:
+            slope = self.val ** (b - 1)
+        except (OverflowError, ZeroDivisionError):
+            slope = math.inf  # a non-finite derivative, rejected with the outputs
+        return Jet1(val, b * slope * self.der)
+
+
 class Evaluator:
     """Compiled evaluator for a batch of expressions sharing one DAG.
 
@@ -795,7 +844,8 @@ class Evaluator:
         self._prog = prog
         self._outs = [slot[e] for e in self.exprs]
 
-    def eval_points(self, points: Sequence[Mapping[str, float]]) -> np.ndarray:
+    def eval_points(self, points: Sequence[Mapping[str, float]],
+                    tangents: Optional[Sequence[Mapping[str, float]]] = None):
         """Values of the expressions at the points: an array of shape
         (n_exprs, n_points).
 
@@ -810,11 +860,18 @@ class Evaluator:
         `t0 + t1 + ...` and a product `f0 * f1 * ...`, in place on the fresh
         array of a batch.
 
+        With `tangents`, one mapping per point from a variable to its
+        tangent component (a variable left out has tangent 0), the loop runs
+        on `Jet1` numbers and returns a `Jet1` of two such arrays: the
+        values, bitwise those of the plain pass, and the derivatives of the
+        expressions along the tangents.
+
         Raises `EvalError` naming the first point that fails: a negative
         base under a fractional exponent, a zero or non-finite base under a
-        negative exponent, a missing variable or a non-finite value.  A
-        batch in which a point fails runs again point by point, so its error
-        is that of the first point that fails alone.
+        negative exponent (both tested on the value part), a missing
+        variable or a non-finite value or derivative.  A batch in which a
+        point fails runs again point by point, each point with its own
+        tangent, so its error is that of the first point that fails alone.
         """
         lone = len(points) == 1
         vals: list = [None] * len(self._prog) + [0.0, 1.0]
@@ -839,21 +896,25 @@ class Evaluator:
                             v = float(points[0][a]) if lone else np.array([float(pt[a]) for pt in points])
                         except KeyError:
                             raise EvalError(f"missing variable {a!r}", points[0]) from None
+                        if tangents is not None:
+                            v = Jet1(v, float(tangents[0].get(a, 0.0)) if lone
+                                     else np.array([float(t.get(a, 0.0)) for t in tangents]))
                     else:
                         base = vals[a]
+                        x = base.val if type(base) is Jet1 else base
                         # a negative exponent is the one place a zero or
                         # non-finite intermediate can turn finite again
                         # (1/inf == 0), so the only one tested before the
                         # outputs
                         if lone:
-                            if op == _OP_FPOW and base < 0.0:
+                            if op == _OP_FPOW and x < 0.0:
                                 raise EvalError(
-                                    f"negative base {base!r} under fractional exponent {b}", points[0])
-                            if b < 0 and (base == 0.0 or not math.isfinite(base)):
+                                    f"negative base {x!r} under fractional exponent {b}", points[0])
+                            if b < 0 and (x == 0.0 or not math.isfinite(x)):
                                 raise EvalError(
                                     "zero or non-finite base under a negative exponent", points[0])
-                        elif (op == _OP_FPOW and np.any(base < 0.0)
-                              or b < 0 and not np.all(np.isfinite(base) & (base != 0.0))):
+                        elif (op == _OP_FPOW and np.any(x < 0.0)
+                              or b < 0 and not np.all(np.isfinite(x) & (x != 0.0))):
                             raise EvalError("a point of the batch fails")
                         try:
                             v = base ** b
@@ -861,23 +922,34 @@ class Evaluator:
                             v = math.inf  # a float overflowed; rejected with the outputs
                     vals[i] = v
             outs = [vals[o] for o in self._outs]
+            if tangents is None:
+                parts = [outs]
+            else:
+                parts = [[v.val if type(v) is Jet1 else v for v in outs],
+                         [v.der if type(v) is Jet1 else 0.0 for v in outs]]
             if lone:
-                if not all(map(math.isfinite, outs)):
+                if not all(math.isfinite(v) for part in parts for v in part):
                     raise EvalError("non-finite value during evaluation", points[0])
-                return np.array(outs).reshape(len(outs), 1)
-            out = np.empty((len(outs), len(points)))
-            for row, v in zip(out, outs):
-                row[...] = v
-            if not np.isfinite(out).all():
-                raise EvalError("a point of the batch fails")
-            return out
+                arrays = [np.array(part).reshape(len(outs), 1) for part in parts]
+            else:
+                arrays = [np.empty((len(outs), len(points))) for _ in parts]
+                for out, part in zip(arrays, parts):
+                    for row, v in zip(out, part):
+                        row[...] = v
+                if not all(np.isfinite(out).all() for out in arrays):
+                    raise EvalError("a point of the batch fails")
         except EvalError:
             if lone:
                 raise
             # point by point, the first point that fails raises its own
             # error; should none fail alone (numpy's `power` rounding past a
             # limit that `**` stays within), their values are the result
-            return np.hstack([self.eval_points([pt]) for pt in points])
+            singles = [self.eval_points([pt], None if tangents is None else [tangents[k]])
+                       for k, pt in enumerate(points)]
+            if tangents is None:
+                return np.hstack(singles)
+            return Jet1(np.hstack([s.val for s in singles]), np.hstack([s.der for s in singles]))
+        return arrays[0] if tangents is None else Jet1(*arrays)
 
 
 def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
@@ -911,6 +983,11 @@ class SampleDomain:
         if self.resolve is not None:
             point = self.resolve(point)
         return point
+
+    def draw(self, n: int, seed: int) -> list:
+        """The n points `equiv_each` samples for a seed."""
+        rng = random.Random(seed)
+        return [self.sample(rng) for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -947,16 +1024,22 @@ def equiv_each(
     exprs = [as_expr(e) for pair in pairs for e in pair]
     if not exprs:
         raise ExprError("equiv_all needs at least one pair")
-    rng = random.Random(seed)
-    points = [dom.sample(rng) for _ in range(n)]
+    points = dom.draw(n, seed)
     vals = Evaluator(exprs).eval_points(points)
-    v1, v2 = vals[0::2], vals[1::2]
+    return compare_values(vals[0::2], vals[1::2], points, tol, seed)
+
+
+def compare_values(v1, v2, points: Sequence[dict], tol: float, seed: int) -> list:
+    """One `EquivResult` per row of v1 against the same row of v2 (arrays of
+    shape (rows, len(points)), or anything that broadcasts to it), under the
+    relative residual of `equiv_each`; each result carries its largest
+    residual and the first point where it occurs."""
     residuals = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
     results = []
     for row in residuals:
         i = int(np.argmax(row))
         worst = float(row[i])
-        results.append(EquivResult(worst <= tol, worst, n, tol, seed, points[i]))
+        results.append(EquivResult(worst <= tol, worst, len(points), tol, seed, points[i]))
     return results
 
 

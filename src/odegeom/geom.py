@@ -23,7 +23,6 @@ checks; the `radon` suite never reads more.  The second-order table
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -256,8 +255,7 @@ def curvature(m: MetricField, point: Dict[str, float]) -> CurvatureAtPoint:
 
 
 def sample_points(ode: JetOde, count: int, seed: int = DEFAULT_SEED) -> List[Dict[str, float]]:
-    rng = random.Random(seed)
-    return [ode.domain.sample(rng) for _ in range(count)]
+    return ode.domain.draw(count, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Sequence, Union
 
 from .expr import (
     EvalError,
+    Evaluator,
     Expr,
     Pow,
     SampleDomain,
@@ -117,6 +118,16 @@ def total_derivative(e: Expr, ode: JetOde) -> Expr:
 def prolongation(ode: JetOde) -> ProlongationField:
     comps = tuple(var(c) for c in ode.jet_vars[2:]) + (ode.rhs,)
     return ProlongationField(ode, comps)
+
+
+def total_derivative_direction(ode: JetOde, points: Sequence[dict]) -> list:
+    """The direction of D at each point, as `Evaluator.eval_points` takes
+    tangents: x -> 1, y -> p, p -> q, ..., the last coordinate -> rhs.  It is
+    the prolongation field evaluated in one plain pass, so a forward-mode
+    pass seeded with it gives D(e) at the points for every expression e."""
+    vals = Evaluator(prolongation(ode).components).eval_points(points)
+    coords = ode.coords
+    return [{"x": 1.0, **dict(zip(coords, col.tolist()))} for col in vals.T]
 
 
 _BUILTINS = {

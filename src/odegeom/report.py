@@ -22,6 +22,9 @@ class CheckRecord:
     samples: int
     seed: int
     notes: str = ""
+    # the sample point of the largest residual, for a run to explain a
+    # failing check; never rendered, so the report text does not change
+    worst_point: dict = field(default_factory=dict, compare=False)
 
     @staticmethod
     def from_equiv(name: str, res: EquivResult, notes: str = "") -> "CheckRecord":
@@ -33,6 +36,7 @@ class CheckRecord:
             samples=res.samples,
             seed=res.seed,
             notes=notes,
+            worst_point=res.worst_point,
         )
 
     @staticmethod

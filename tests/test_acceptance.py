@@ -82,7 +82,7 @@ def test_criterion_02_residual_identity_gate(pd_conics5, pd_gn5, pd_conics4, con
     ok = True
     detail = []
     for pd in (pd_conics5, pd_gn5, pd_conics4):
-        for (name, _), chk in zip(pd.residual_identities, pd.residual_checks):
+        for name, chk in zip(pd.residual_names, pd.residual_checks):
             if name.startswith("residual_identity"):
                 ok = ok and chk.passed and chk.max_residual < 1e-9
         detail.append(f"{pd.ode.name} ok")
@@ -90,7 +90,7 @@ def test_criterion_02_residual_identity_gate(pd_conics5, pd_gn5, pd_conics4, con
     pd_bad = solve_pentad(bad)
     broken = any(
         not chk.passed
-        for (name, _), chk in zip(pd_bad.residual_identities, pd_bad.residual_checks)
+        for name, chk in zip(pd_bad.residual_names, pd_bad.residual_checks)
         if name.startswith("residual_identity")
     )
     ok = ok and broken

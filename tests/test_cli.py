@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from odegeom import geom, pentad, so3
-from odegeom.cli import run
+from odegeom.cli import Session, pentad_suite, run
+from odegeom.jet import load_ode_file
+from odegeom.report import CheckReport
 
 JSON_KEYS = {"name", "status", "max_residual", "tolerance", "samples", "seed", "notes"}
 
@@ -185,6 +188,60 @@ def test_ode_file_fractional_powers_sample_positive_bases(tmp_path):
         assert "error:" not in text
         failed = {row["name"] for row in json.loads(text) if row["status"] == "fail"}
         assert failed == {"residual_identity_1", "residual_identity_2", "residual_identity_3"}
+
+
+_FIRST_FIT_POINT = ("{'p': -0.35233447033367526, 'q': 0.7262737608867529, "
+                    "'r': 1.4764017095597806, 's': -0.8551274266649145, "
+                    "'x': 0.0179410021533446, 'y': -0.2686221661748289}")
+
+
+@pytest.mark.parametrize("rhs, base, exponent", [
+    ("s^2/r + (p - y)^(1/2)", "-0.08371230415884634", "0.5"),
+    ("(5/3)*s^2/r + (p^3)^(1/3)", "-0.04373865280923517", "0.3333333333333333"),
+], ids=["sqrt-of-p-minus-y", "cube-root-of-p-cubed"])
+def test_fractional_power_of_a_compound_base_exit_2(tmp_path, rhs, base, exponent):
+    # no single variable is made positive for such a base, so the exponent
+    # fit meets a negative one; the text is the error, never a traceback
+    path = tmp_path / "compound.ode"
+    path.write_text(f"name = compound\norder = 5\nrhs = {rhs}\n")
+    assert run(["pentad", "--ode", str(path)]) == (
+        2, f"error: negative base {base} under fractional exponent {exponent} "
+           f"at point {_FIRST_FIT_POINT}")
+
+
+def test_pentad_at_one_sample_exit_0():
+    # one sample point runs every evaluation on Python floats
+    code, text = run(["pentad", "--ode", "conics5", "--samples", "1", "--json"])
+    assert code == 0, text
+    rows = json.loads(text)
+    assert rows and all(r["samples"] == 1 and r["status"] == "pass" for r in rows)
+
+
+def _user_pentad_report(tmp_path):
+    path = tmp_path / "user.ode"
+    path.write_text("name = user\norder = 5\nrhs = -(7/3)*r^3/q^2 + 5*r*s/q + (2/3)*s^2/r\n")
+    ode = load_ode_file(path)
+    return ode, pentad_suite(Session(ode, 50, 1e-9, 0x5EED))
+
+
+def test_failing_residual_records_carry_their_worst_point(tmp_path):
+    ode, report = _user_pentad_report(tmp_path)
+    failing = [c for c in report.checks if c.status == "fail"]
+    assert {c.name for c in failing} == {"residual_identity_1", "residual_identity_2",
+                                         "residual_identity_3"}
+    for c in failing:
+        assert set(c.worst_point) == set(ode.jet_vars)
+        for name, lo, hi in ode.domain.intervals:
+            assert lo <= c.worst_point[name] <= hi, (c.name, name)
+
+
+def test_worst_points_are_never_rendered(tmp_path):
+    _, report = _user_pentad_report(tmp_path)
+    assert all(c.worst_point for c in report.checks)
+    bare = CheckReport([dataclasses.replace(c, worst_point={}) for c in report.checks])
+    assert bare.checks == report.checks
+    assert report.to_json() == bare.to_json()
+    assert report.render_table() == bare.render_table()
 
 
 def test_oversized_constant_exit_2(tmp_path):

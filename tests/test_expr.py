@@ -4,6 +4,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from odegeom.expr import (
     EvalError,
     Evaluator,
     ExprError,
+    Jet1,
     Neg,
     ParseError,
     Pow,
@@ -38,8 +40,8 @@ from odegeom.expr import (
     var,
 )
 from odegeom.geom import sample_points
-from odegeom.jet import load_ode_file
-from odegeom.pentad import solve_pentad
+from odegeom.jet import JetOde, load_ode_file, total_derivative, total_derivative_direction
+from odegeom.pentad import _build_rows, solve_pentad
 from odegeom.radon import _conic_minors
 
 DOM = SampleDomain.box(q=(0.5, 2.0), r=(0.5, 2.0), s=(-1.0, 1.0))
@@ -343,9 +345,11 @@ def _assert_hash_consed(roots):
 
 
 def _frame_roots(pd):
+    # the frame keeps no equation expressions; they are built here, as the
+    # symbolic oracle of the numeric equations builds them
     return ([e for row in pd.lower for e in row]
             + [e for row in pd.coframe_rows for e in row]
-            + [e for _, e in pd.residual_identities])
+            + _build_rows(pd.ode, pd.P, pd.Q)[2])
 
 
 def test_solved_frames_have_one_node_per_key(pd_conics5, tmp_path):
@@ -669,3 +673,55 @@ def test_a_directly_built_sum_or_product_of_one_operand_evaluates():
     points = [{"q": 1.5}, {"q": -0.25}]
     _assert_lone_points_match_the_oracle(ev, points)
     assert ev.eval_points(points).tolist() == [[1.5, -0.25], [1.5, -0.25], [-1.5, 0.25], [1.5, -0.25]]
+
+
+# -- forward mode: Jet1 numbers in the same loop ----------------------------
+#
+# Seeded with the direction of the total derivative D, the derivative parts
+# are D of each expression, whose oracle is the symbolic `total_derivative`
+# evaluated at the same points; the value parts must be the plain pass, bit
+# for bit.  The equation's rhs is a polynomial, so the direction is defined
+# at every point.
+
+_POLY_ODE = JetOde("poly", 5, parse("x*s^2 - 3*r*q + y"), DOM)
+_positive_points = st.fixed_dictionaries({name: st.floats(0.25, 2.0) for name in VARIABLES})
+
+
+def _assert_forward_mode_matches(ev, points):
+    try:
+        plain = ev.eval_points(points)
+        want = Evaluator([total_derivative(e, _POLY_ODE) for e in ev.exprs]).eval_points(points)
+    except EvalError:
+        return  # undefined at a point: the error texts are tested below
+    jets = ev.eval_points(points, total_derivative_direction(_POLY_ODE, points))
+    assert isinstance(jets, Jet1)
+    assert jets.val.tobytes() == plain.tobytes()
+    assert np.all(np.abs(jets.der - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4),
+       st.lists(_positive_points | _points, min_size=2, max_size=4))
+def test_forward_mode_is_the_plain_pass_and_the_total_derivative(exprs, points):
+    ev = Evaluator(exprs)
+    _assert_forward_mode_matches(ev, points)
+    for pt in points:
+        _assert_forward_mode_matches(ev, [pt])
+
+
+@pytest.mark.parametrize("text, bad, message", [
+    ("(q - 1)^(1/2) + r", 0.5, "negative base -0.5 under fractional exponent 0.5"),
+    ("1/(q - 1) + r", 1.0, "zero or non-finite base under a negative exponent"),
+], ids=["negative-base", "zero-base"])
+def test_forward_mode_errors_name_the_same_point_with_the_same_text(text, bad, message):
+    ev = Evaluator([parse(text)])
+    points = [{"q": 1.5, "r": 1.0}, {"q": bad, "r": 1.0}, {"q": 0.25, "r": 2.0}]
+    tangents = [{"q": 1.0, "r": -0.5}, {"q": 2.0}, {"r": 1.0}]
+    for pts, tgs in ((points, tangents), (points[1:2], tangents[1:2])):
+        with pytest.raises(EvalError) as plain:
+            ev.eval_points(pts)
+        with pytest.raises(EvalError) as jet:
+            ev.eval_points(pts, tgs)
+        assert str(jet.value) == str(plain.value)
+        assert message in str(jet.value)
+        assert jet.value.point == plain.value.point == points[1]

@@ -1,10 +1,27 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from odegeom import catalog
-from odegeom.expr import ZERO, add, equiv, mul, parse
-from odegeom.jet import JetOde
+from odegeom import catalog, pentad
+from odegeom.expr import (
+    DEFAULT_SEED,
+    ZERO,
+    Const,
+    Evaluator,
+    add,
+    compare_values,
+    diff,
+    equiv,
+    equiv_each,
+    mul,
+    parse,
+)
+from odegeom.jet import JetOde, builtin, load_ode_file
 from odegeom.pentad import (
     PentadError,
+    _build_rows,
+    equation_values,
     solve_pentad,
     symplectic,
     symplectic_closure_components,
@@ -47,7 +64,7 @@ def test_coefficients_match_catalog(ode_name, request):
 def test_residual_identities_pass(ode_name, request):
     pd = request.getfixturevalue(f"pd_{ode_name}")
     assert pd.residuals_pass()
-    names = [name for name, _ in pd.residual_identities]
+    names = pd.residual_names
     expected_count = 3 if pd.n == 5 else 2
     assert sum(name.startswith("residual_identity") for name in names) == expected_count
 
@@ -57,7 +74,7 @@ def test_negative_control_perturbed_equation(conics5):
     pd = solve_pentad(bad)
     failing = [
         name
-        for (name, _), chk in zip(pd.residual_identities, pd.residual_checks)
+        for name, chk in zip(pd.residual_names, pd.residual_checks)
         if name.startswith("residual_identity") and not chk.passed
     ]
     assert failing, "a perturbed equation must break at least one identity"
@@ -173,3 +190,56 @@ def test_symplectic_base_point_independence(omega, conics4):
 def test_antisymmetry_exact(omega):
     for a in range(4):
         assert omega.matrix[a][a] is ZERO
+
+
+# -- the coefficient equations in numbers, against the symbolic last shift --
+
+
+def _seeded_user_ode(tmp_path, seed=11):
+    """An order-5 equation with no catalogue entry and P = q^(1/2) r^(b/5)."""
+    rng = random.Random(seed)
+    a = Fraction(rng.randint(1, 80), rng.randint(1, 18))
+    den = rng.randint(2, 48)
+    b = 5 * Fraction(rng.choice([n for n in range(-den + 1, den) if n]), den)
+    path = tmp_path / "user.ode"
+    path.write_text(f"name = user\norder = 5\nrhs = -({a})*r^3/q^2 + 5*r*s/q + ({b})*s^2/r\n")
+    return load_ode_file(path)
+
+
+@pytest.fixture(params=["conics5", "gn5", "conics4", "user", "control"])
+def any_pd(request, tmp_path, conics5):
+    if request.param == "user":
+        return solve_pentad(_seeded_user_ode(tmp_path))
+    if request.param == "control":
+        return solve_pentad(JetOde("bad", 5, parse("-(41/9)*r^3/q^2 + 5*r*s/q"), conics5.domain))
+    return request.getfixturevalue(f"pd_{request.param}")
+
+
+def test_numeric_equations_match_the_symbolic_last_shift(any_pd):
+    ode = any_pd.ode
+    points = ode.domain.draw(50, DEFAULT_SEED)
+    equations = _build_rows(ode, any_pd.P, any_pd.Q)[2]
+    lam = [diff(ode.rhs, c) for c in ode.coords]
+    got = equation_values(ode, any_pd.lower, any_pd.P, any_pd.Q, lam, points)
+    want = Evaluator(equations).eval_points(points)
+    assert all(res.passed for res in compare_values(got, want, points, 1e-9, DEFAULT_SEED))
+    symbolic = equiv_each([(e, ZERO) for e in equations], ode.domain)
+    assert [c.passed for c in any_pd.residual_checks] == [c.passed for c in symbolic]
+    if ode.name == "bad":
+        assert not all(c.passed for c in any_pd.residual_checks)
+
+
+def test_order5_solve_builds_no_symbolic_last_shift(monkeypatch, tmp_path):
+    shifts = []
+    real = pentad._dyad_shift
+
+    def counted(row, P, Q, ode):
+        if not isinstance(Q, Const):
+            shifts.append(ode.name)
+        return real(row, P, Q, ode)
+
+    monkeypatch.setattr(pentad, "_dyad_shift", counted)
+    for ode in (builtin("conics5"), _seeded_user_ode(tmp_path)):
+        shifts.clear()
+        solve_pentad(ode)
+        assert len(shifts) == ode.order - 1, ode.name
