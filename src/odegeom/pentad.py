@@ -29,7 +29,6 @@ slots are the letters E..H.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -103,16 +102,18 @@ def _dyad_shift(row: Sequence[Expr], P: Expr, Q: Expr, ode: JetOde) -> list:
     new coefficients are D(c_j) + c_(j+1) * j * Q + c_(j-1) * (n-j+1) * P
     (1-based j).
     """
+    return [_shift_slot(row, P, Q, ode, j) for j in range(1, ode.order + 1)]
+
+
+def _shift_slot(row: Sequence[Expr], P: Expr, Q: Expr, ode: JetOde, j: int) -> Expr:
+    """Slot j (1-based) of `_dyad_shift`, built alone."""
     n = ode.order
-    out = []
-    for j in range(1, n + 1):
-        terms = [total_derivative(row[j - 1], ode)]
-        if j < n:
-            terms.append(mul(Const(j), Q, row[j]))
-        if j > 1:
-            terms.append(mul(Const(n - j + 1), P, row[j - 2]))
-        out.append(add(*terms))
-    return out
+    terms = [total_derivative(row[j - 1], ode)]
+    if j < n:
+        terms.append(mul(Const(j), Q, row[j]))
+    if j > 1:
+        terms.append(mul(Const(n - j + 1), P, row[j - 2]))
+    return add(*terms)
 
 
 def _frame_rows(ode: JetOde, P: Expr, Q: Expr) -> list:
@@ -124,20 +125,23 @@ def _frame_rows(ode: JetOde, P: Expr, Q: Expr) -> list:
     return rows
 
 
+def _equation(ode: JetOde, rows: Sequence[Sequence[Expr]], P: Expr, Q: Expr,
+              lam_partials: Sequence[Expr], j: int) -> Expr:
+    """Coefficient equation j (0-based) of the final differentiation,
+    lhs_j - sum_k Lambda_k rows[k][j], as an expression; only slot j of the
+    last dyad shift is built."""
+    rhs = add(*[mul(lam, row[j]) for lam, row in zip(lam_partials, rows)])
+    return add(_shift_slot(rows[-1], P, Q, ode, j + 1), neg(rhs))
+
+
 def _build_rows(ode: JetOde, P: Expr, Q: Expr, lam_partials: Optional[list] = None):
-    """Rows of the lower-triangular change of basis, plus the coefficient
-    equations from the final differentiation (lhs_j - rhs_j, j = 1..n), all
-    as expressions."""
-    n = ode.order
+    """Rows of the lower-triangular change of basis, plus the n coefficient
+    equations of the final differentiation, all as expressions: the symbolic
+    oracle of `equation_values`."""
     rows = _frame_rows(ode, P, Q)
-    lhs = _dyad_shift(rows[-1], P, Q, ode)
     if lam_partials is None:
         lam_partials = [diff(ode.rhs, c) for c in ode.coords]
-    equations = []
-    for j in range(n):
-        rhs = add(*[mul(lam_partials[k], rows[k][j]) for k in range(n)])
-        equations.append(add(lhs[j], neg(rhs)))
-    return rows, lhs, equations
+    return rows, [_equation(ode, rows, P, Q, lam_partials, j) for j in range(ode.order)]
 
 
 def equation_values(ode: JetOde, rows: Sequence[Sequence[Expr]], P: Expr, Q: Expr,
@@ -191,8 +195,7 @@ def _fit_exponents(
     """
     basis = _ansatz_basis(ode)
     log_derivs = [(name, div(total_derivative(u, ode), u)) for name, u in basis]
-    rng = random.Random(7)
-    points = [ode.domain.sample(rng) for _ in range(12)]
+    points = ode.domain.draw(12, 7)
 
     ev = Evaluator([target] + [ld for _, ld in log_derivs])
     vals = ev.eval_points(points)
@@ -249,15 +252,16 @@ def solve_pentad(ode: JetOde, samples: int = 50, tol: float = 1e-9, seed: int = 
     P = mul(*[pow_(basis[name], fr) for name, fr in exponents.items()]) if exponents else ONE
 
     # Q from the next-to-top slot: that equation is affine in Q with no D(Q),
-    # so two constant substitutions expose the pivot and the offset.
+    # so two constant substitutions expose the pivot and the offset.  Only
+    # that slot of the last shift is built.
     lam_partials = [diff(ode.rhs, c) for c in ode.coords]
-    _, _, eqs0 = _build_rows(ode, P, ZERO, lam_partials)
-    _, _, eqs1 = _build_rows(ode, P, ONE, lam_partials)
     q_slot = n - 2  # 0-based index of e^(n-1)
-    pivot = add(eqs1[q_slot], neg(eqs0[q_slot]))
+    eq0, eq1 = (_equation(ode, _frame_rows(ode, P, q), P, q, lam_partials, q_slot)
+                for q in (ZERO, ONE))
+    pivot = add(eq1, neg(eq0))
     if equiv(pivot, ZERO, ode.domain, n=samples, tol=tol, seed=seed).passed:
         raise PentadError(f"zero pivot in the Q equation for {ode.name}")
-    Q = div(neg(eqs0[q_slot]), pivot)
+    Q = div(neg(eq0), pivot)
 
     rows = _frame_rows(ode, P, Q)
 

@@ -349,7 +349,7 @@ def _frame_roots(pd):
     # symbolic oracle of the numeric equations builds them
     return ([e for row in pd.lower for e in row]
             + [e for row in pd.coframe_rows for e in row]
-            + _build_rows(pd.ode, pd.P, pd.Q)[2])
+            + _build_rows(pd.ode, pd.P, pd.Q)[1])
 
 
 def test_solved_frames_have_one_node_per_key(pd_conics5, tmp_path):

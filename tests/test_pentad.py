@@ -218,7 +218,7 @@ def any_pd(request, tmp_path, conics5):
 def test_numeric_equations_match_the_symbolic_last_shift(any_pd):
     ode = any_pd.ode
     points = ode.domain.draw(50, DEFAULT_SEED)
-    equations = _build_rows(ode, any_pd.P, any_pd.Q)[2]
+    equations = _build_rows(ode, any_pd.P, any_pd.Q)[1]
     lam = [diff(ode.rhs, c) for c in ode.coords]
     got = equation_values(ode, any_pd.lower, any_pd.P, any_pd.Q, lam, points)
     want = Evaluator(equations).eval_points(points)
@@ -234,12 +234,14 @@ def test_order5_solve_builds_no_symbolic_last_shift(monkeypatch, tmp_path):
     real = pentad._dyad_shift
 
     def counted(row, P, Q, ode):
-        if not isinstance(Q, Const):
-            shifts.append(ode.name)
+        shifts.append(isinstance(Q, Const))
         return real(row, P, Q, ode)
 
     monkeypatch.setattr(pentad, "_dyad_shift", counted)
     for ode in (builtin("conics5"), _seeded_user_ode(tmp_path)):
         shifts.clear()
         solve_pentad(ode)
-        assert len(shifts) == ode.order - 1, ode.name
+        # the rows at Q = 0, at Q = 1 and at the solved Q: n - 1 shifts each,
+        # and none of the three builds a whole last shift
+        assert shifts.count(False) == ode.order - 1, ode.name
+        assert shifts.count(True) == 2 * (ode.order - 1), ode.name
