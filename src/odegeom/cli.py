@@ -304,7 +304,7 @@ def run(argv: Sequence[str]) -> tuple:
         elif args.command == "geom":
             report = geom_suite(session)
             if point is not None:
-                cv = geom.curvature(session.metric, point)
+                [cv] = geom.curvature(session.metric, [point])
                 extra_lines.append(f"scalar curvature at point: {cv.scalar:.12g}")
                 extra_lines.append("metric at point:")
                 for row in cv.g:

@@ -7,18 +7,22 @@ lower-triangular rows directly with the inverse constant pairing; agreement
 of the two routes (and of both with the catalogued matrices) is part of the
 verification surface.
 
-Curvature is numeric-at-a-point but all metric derivatives entering it are
-symbolic; nothing is finite-differenced.  Conventions: Gamma^c_ab standard
+Curvature is numeric at points, and every metric derivative entering it is
+exact; nothing is finite-differenced.  Conventions: Gamma^c_ab standard
 Levi-Civita, R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma Gamma,
 Ricci_cb = R^a_cab, R = g^cb Ricci_cb.
 
-The metric derivatives come in two table levels, each compiled once per
-`MetricField` on first use.  The first-order table (g, dg) serves
-`christoffel_at`, and through it the signature and harmonic-coordinate
-checks, the frame compatibility law, and the `so3` operator and expansion
-checks; the `radon` suite never reads more.  The second-order table
-(g, dg, ddg) differentiates the same dg expressions and serves
-`derivatives_at`, which only `curvature` needs.
+First-order geometry is numeric.  `MetricField.frame_at` runs the 25-entry
+coframe program once over a batch of points on `expr.Jet1` numbers, each
+point once per coordinate with a unit tangent, and so gets the coframe C and
+its partials dC exactly (forward mode; Griewank & Walther, Evaluating
+Derivatives, 2008).  With K the frame pairing, g = C^T K C and
+d_c g = (d_c C)^T K C plus its transpose; the inverse and the Christoffel
+symbols follow in numpy.  The result of the last batch is kept, so
+`christoffel_at`, `derivatives_at` and `so3.GTensor.lower_at` on the same
+points share one pass; every caller passes its points as one batch.  Only
+curvature needs second derivatives: `derivatives_at` adds ddg from a table
+compiled on first use by differentiating the symbolic dg expressions.
 """
 
 from __future__ import annotations
@@ -91,7 +95,9 @@ def _sym_minor(g, rows: tuple, cols: tuple, memo: dict) -> Expr:
 
 
 class MetricField:
-    """Symbolic covariant/contravariant metric over the moduli coordinates."""
+    """Covariant/contravariant metric over the moduli coordinates: symbolic
+    tables built on first use, and the numeric first-order geometry at a
+    batch of points (`frame_at`)."""
 
     def __init__(self, pd: PentadData):
         if pd.n != 5:
@@ -99,22 +105,32 @@ class MetricField:
         self.pd = pd
         self.ode = pd.ode
         self.coords = pd.ode.coords
-        n = 5
-        C = pd.coframe_rows
-        L = pd.lower
+        self._deriv_cache: Optional[tuple] = None
+        self._evaluator: Optional[Evaluator] = None
+        self._frame: Optional[tuple] = None   # (points key, FrameAtPoints)
 
+    @cached_property
+    def g_lower(self) -> tuple:
+        """g_ab from the coframe rows and the frame pairing; built on first
+        use, since the numeric geometry reads the coframe program alone."""
+        n = 5
+        C = self.pd.coframe_rows
         lower = [[ZERO] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
                 entry = _pairing([C[i][a] for i in range(n)], [C[j][b] for j in range(n)], _K_LOWER)
                 lower[a][b] = entry
                 lower[b][a] = entry
-        self.g_lower = tuple(tuple(r) for r in lower)
+        return tuple(tuple(r) for r in lower)
 
+    @cached_property
+    def g_upper(self) -> tuple:
+        """g^ab as the adjugate of g_ab over its determinant; built on first
+        use."""
+        n = 5
         memo: dict = {}
         idx = tuple(range(n))
-        self.det = _sym_minor(self.g_lower, idx, idx, memo)
-        inv_det = pow_(self.det, Fraction(-1))
+        inv_det = pow_(_sym_minor(self.g_lower, idx, idx, memo), Fraction(-1))
         upper = [[ZERO] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
@@ -126,10 +142,7 @@ class MetricField:
                     entry = neg(entry)
                 upper[a][b] = entry
                 upper[b][a] = entry
-        self.g_upper = tuple(tuple(r) for r in upper)
-
-        self._deriv_cache: Optional[tuple] = None
-        self._evaluator: Optional[Evaluator] = None
+        return tuple(tuple(r) for r in upper)
 
     # -- second construction route ------------------------------------------
 
@@ -150,67 +163,98 @@ class MetricField:
 
     @cached_property
     def _dg_exprs(self) -> list:
-        """dg[c][a][b] = d_c g_ab as expressions; built once and shared by
-        both table levels."""
+        """dg[c][a][b] = d_c g_ab as expressions, differentiated again for
+        the second-order table."""
         g = self.g_lower
         return [[[diff(g[a][b], c) for b in range(5)] for a in range(5)] for c in self.coords]
 
     @cached_property
-    def _first_order_evaluator(self) -> Evaluator:
-        """Compiled first-order table: g then dg, flattened."""
-        flat = [ex for row in self.g_lower for ex in row]
-        flat += [ex for blk in self._dg_exprs for row in blk for ex in row]
-        return Evaluator(flat)
+    def _coframe_ev(self) -> Evaluator:
+        C = self.pd.coframe_rows
+        return Evaluator([C[i][a] for i in range(5) for a in range(5)])
+
+    def frame_at(self, points: Sequence[Dict[str, float]]) -> "FrameAtPoints":
+        """Coframe, metric and Christoffel symbols at a batch of points, from
+        one forward-mode pass over the coframe program (each point once per
+        coordinate, seeded with the unit tangent).  The last batch is kept,
+        so the callers that read the same points share the pass."""
+        key = tuple(tuple(sorted(pt.items())) for pt in points)
+        if self._frame is not None and self._frame[0] == key:
+            return self._frame[1]
+        n, count = 5, len(points)
+        tangents = [{c: 1.0} for c in self.coords]
+        jets = self._coframe_ev.eval_points([pt for pt in points for _ in range(n)],
+                                            tangents * count)
+        # rows are the entries C[i][a], columns the points, coordinate-minor
+        C = jets.val.reshape(n, n, count, n)[..., 0].transpose(2, 0, 1)
+        dC = jets.der.reshape(n, n, count, n).transpose(2, 3, 0, 1)
+        K = np.zeros((n, n))
+        for (i, j), c in _K_LOWER.items():
+            K[i, j] = float(c)
+        KC = K @ C
+        CtKC = np.swapaxes(C, 1, 2) @ KC
+        g = 0.5 * (CtKC + np.swapaxes(CtKC, 1, 2))
+        X = np.swapaxes(dC, 2, 3) @ KC[:, None]
+        dg = X + np.swapaxes(X, 2, 3)
+        g_inv = np.linalg.inv(g)
+        frame = FrameAtPoints(C, dC, g, dg, g_inv, _christoffel(g_inv, dg))
+        for arr in vars(frame).values():
+            arr.flags.writeable = False  # shared by every reader of the batch
+        self._frame = (key, frame)
+        return frame
 
     def _derivative_exprs(self):
-        """(g, dg, ddg) expression tables, the second-order level; built once,
-        ddg by differentiating the cached dg."""
+        """(g, dg, ddg) expression tables, ddg by differentiating the cached
+        dg; built once, with the evaluator of ddg."""
         if self._deriv_cache is not None:
             return self._deriv_cache
         n = 5
         coords = self.coords
-        g = self.g_lower
         dg = self._dg_exprs
         ddg = [
             [[[diff(dg[c][a][b], coords[e]) for b in range(n)] for a in range(n)] for c in range(n)]
             for e in range(n)
         ]
-        flat = [ex for row in g for ex in row]
-        flat += [ex for blk in dg for row in blk for ex in row]
-        flat += [ex for blk3 in ddg for blk in blk3 for row in blk for ex in row]
-        self._deriv_cache = (g, dg, ddg)
-        self._evaluator = Evaluator(flat)
+        self._deriv_cache = (self.g_lower, dg, ddg)
+        self._evaluator = Evaluator(
+            [ex for blk3 in ddg for blk in blk3 for row in blk for ex in row])
         return self._deriv_cache
 
-    def derivatives_at(self, point: Dict[str, float]):
-        """Numeric (g, dg, ddg, g_inv) at a point from the second-order table;
-        derivatives are exact symbolic expressions evaluated there.  Only
-        curvature needs ddg; everything else reads `christoffel_at`."""
+    def derivatives_at(self, points: Sequence[Dict[str, float]]):
+        """(g, dg, ddg, g_inv) at a batch of points, each with a leading
+        point axis: g and dg from `frame_at`, ddg from the second-order
+        table, which only curvature needs."""
         self._derivative_exprs()
-        n = 5
-        vals = self._evaluator.eval_points([point])[:, 0]
-        g = np.array(vals[: n * n]).reshape(n, n)
-        dg = np.array(vals[n * n: n * n + n ** 3]).reshape(n, n, n)
-        ddg = np.array(vals[n * n + n ** 3:]).reshape(n, n, n, n)
-        g_inv = np.linalg.inv(g)
-        return g, dg, ddg, g_inv
+        fr = self.frame_at(points)
+        ddg = self._evaluator.eval_points(points).T.reshape(len(points), 5, 5, 5, 5)
+        return fr.g, fr.dg, ddg, fr.g_inv
 
-    def christoffel_at(self, point: Dict[str, float]):
-        """Numeric (g, dg, g_inv, gamma) at a point from the first-order table
-        alone; never builds ddg.  gamma[d, a, b] = Gamma^d_ab."""
-        n = 5
-        vals = self._first_order_evaluator.eval_points([point])[:, 0]
-        g = np.array(vals[: n * n]).reshape(n, n)
-        dg = np.array(vals[n * n:]).reshape(n, n, n)
-        g_inv = np.linalg.inv(g)
-        return g, dg, g_inv, _christoffel(g_inv, dg)
+    def christoffel_at(self, points: Sequence[Dict[str, float]]):
+        """(g, dg, g_inv, gamma) at a batch of points from `frame_at`, each
+        with a leading point axis; gamma[k, d, a, b] = Gamma^d_ab."""
+        fr = self.frame_at(points)
+        return fr.g, fr.dg, fr.g_inv, fr.gamma
+
+
+@dataclass(frozen=True)
+class FrameAtPoints:
+    """First-order geometry at a batch of points, leading axis the point:
+    C[k, i, a] the coframe, dC[k, c, i, a] = d_c C_ia, the metric g, its
+    partials dg[k, c, a, b], g_inv and gamma[k, d, a, b] = Gamma^d_ab."""
+
+    C: np.ndarray
+    dC: np.ndarray
+    g: np.ndarray
+    dg: np.ndarray
+    g_inv: np.ndarray
+    gamma: np.ndarray
 
 
 def _christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    # Gamma^d_ab = 1/2 g^de (d_a g_eb + d_b g_ea - d_e g_ab)
+    # Gamma^d_ab = 1/2 g^de (d_a g_eb + d_b g_ea - d_e g_ab), per point
     return 0.5 * np.einsum(
-        "de,aeb->dab", g_inv, dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
-    )
+        "kde,kaeb->kdab", g_inv,
+        dg + np.transpose(dg, (0, 3, 2, 1)) - np.transpose(dg, (0, 2, 1, 3)))
 
 
 @dataclass(frozen=True)
@@ -228,30 +272,31 @@ def metric_from_frame(pd: PentadData) -> MetricField:
     return MetricField(pd)
 
 
-def curvature(m: MetricField, point: Dict[str, float]) -> CurvatureAtPoint:
-    """Riemann/Ricci/scalar at a point from symbolic metric derivatives (the
-    second-order table)."""
-    g, dg, ddg, g_inv = m.derivatives_at(point)
+def curvature(m: MetricField, points: Sequence[Dict[str, float]]) -> List[CurvatureAtPoint]:
+    """Riemann/Ricci/scalar at a batch of points from exact metric
+    derivatives (`derivatives_at`)."""
+    g, dg, ddg, g_inv = m.derivatives_at(points)
     gamma = _christoffel(g_inv, dg)
     # d_c Gamma^d_ab needs d g^{-1} = -g^{-1} (dg) g^{-1}
-    dg_inv = -np.einsum("dm,cmn,ne->cde", g_inv, dg, g_inv)
-    sym = dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
-    dsym = ddg + np.transpose(ddg, (0, 3, 2, 1)) - np.transpose(ddg, (0, 2, 1, 3))
+    dg_inv = -np.einsum("kdm,kcmn,kne->kcde", g_inv, dg, g_inv)
+    sym = dg + np.transpose(dg, (0, 3, 2, 1)) - np.transpose(dg, (0, 2, 1, 3))
+    dsym = ddg + np.transpose(ddg, (0, 1, 4, 3, 2)) - np.transpose(ddg, (0, 1, 3, 2, 4))
     dgamma = 0.5 * (
-        np.einsum("cde,aeb->cdab", dg_inv, sym) + np.einsum("de,caeb->cdab", g_inv, dsym)
+        np.einsum("kcde,kaeb->kcdab", dg_inv, sym) + np.einsum("kde,kcaeb->kcdab", g_inv, dsym)
     )
     # R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
     #                       + Gamma^rho_{mu lam} Gamma^lam_{nu sigma} - (mu <-> nu)
     riem_up = (
-        np.einsum("mrns->rsmn", dgamma)
-        - np.einsum("nrms->rsmn", dgamma)
-        + np.einsum("rml,lns->rsmn", gamma, gamma)
-        - np.einsum("rnl,lms->rsmn", gamma, gamma)
+        np.einsum("kmrns->krsmn", dgamma)
+        - np.einsum("knrms->krsmn", dgamma)
+        + np.einsum("krml,klns->krsmn", gamma, gamma)
+        - np.einsum("krnl,klms->krsmn", gamma, gamma)
     )
-    ricci = np.einsum("rsrn->sn", riem_up)
-    scalar = float(np.einsum("sn,sn->", g_inv, ricci))
-    riemann = np.einsum("dr,rsmn->dsmn", g, riem_up)
-    return CurvatureAtPoint(point, g, g_inv, gamma, riemann, ricci, scalar)
+    ricci = np.einsum("krsrn->ksn", riem_up)
+    scalar = np.einsum("ksn,ksn->k", g_inv, ricci)
+    riemann = np.einsum("kdr,krsmn->kdsmn", g, riem_up)
+    return [CurvatureAtPoint(pt, g[k], g_inv[k], gamma[k], riemann[k], ricci[k], float(scalar[k]))
+            for k, pt in enumerate(points)]
 
 
 def sample_points(ode: JetOde, count: int, seed: int = DEFAULT_SEED) -> List[Dict[str, float]]:
@@ -344,8 +389,7 @@ def curvature_checks(
     cat = catalog.for_ode(m.ode.name) or {}
     einstein_factor = cat.get("einstein_factor")
 
-    for pt in points:
-        cv = curvature(m, pt)
+    for cv in curvature(m, points):
         R = cv.riemann
         scale = np.max(np.abs(R)) + 1e-300
         worst_sym = max(
@@ -430,23 +474,19 @@ def structure_checks(
         "g_yy is constant along solutions"))
 
     cat = catalog.for_ode(ode.name) or {}
-    if cat.get("harmonic"):
-        pts = sample_points(ode, 10, seed)
-        worst = 0.0
-        for pt in pts:
-            _, _, g_inv, gamma = m.christoffel_at(pt)
-            div_c = np.einsum("ab,cab->c", g_inv, gamma)
-            worst = max(worst, float(np.max(np.abs(div_c))) / (np.max(np.abs(gamma)) + 1e-300))
-        checks.append(CheckRecord.from_residual(
-            "harmonic_coordinates", worst, 1e-8, len(pts), seed,
-            notes="g^ab Gamma^c_ab = 0"))
-
+    harmonic_pts = sample_points(ode, 10, seed) if cat.get("harmonic") else []
     pts = sample_points(ode, 5, seed + 1)
-    split_ok = True
-    for pt in pts:
-        g, _, _, _ = m.christoffel_at(pt)
-        eigs = np.linalg.eigvalsh(g)
-        split_ok = split_ok and (int(np.sum(eigs > 0)), int(np.sum(eigs < 0))) == (3, 2)
+    g, _, g_inv, gamma = m.christoffel_at(harmonic_pts + pts)
+    h = len(harmonic_pts)
+    if h:
+        div_c = np.einsum("kab,kcab->kc", g_inv[:h], gamma[:h])
+        worst = float(np.max(np.max(np.abs(div_c), axis=1)
+                             / (np.max(np.abs(gamma[:h]), axis=(1, 2, 3)) + 1e-300)))
+        checks.append(CheckRecord.from_residual(
+            "harmonic_coordinates", worst, 1e-8, h, seed, notes="g^ab Gamma^c_ab = 0"))
+
+    eigs = np.linalg.eigvalsh(g[h:])
+    split_ok = bool(np.all((eigs > 0).sum(axis=1) == 3) and np.all((eigs < 0).sum(axis=1) == 2))
     checks.append(CheckRecord(
         "signature_split_3_2", "pass" if split_ok else "fail",
         0.0, 0.0, len(pts), seed + 1,
@@ -533,36 +573,24 @@ def connection_checks(
     if points is None:
         points = sample_points(ode, count, seed)
     n = 5
-    coords = ode.coords
-    C = cf.pd.coframe_rows
-    dC = [[[diff(C[i][b], coords[a]) for b in range(n)] for i in range(n)] for a in range(n)]
-    flat = [e for row in C for e in row]
-    flat += [e for blk in dC for row in blk for e in row]
-    flat += list(cf.phi) + list(cf.psi) + list(cf.chi)
-    ev = Evaluator(flat)
-
+    fr = m.frame_at(points)
+    forms = Evaluator(list(cf.phi) + list(cf.psi) + list(cf.chi)).eval_points(points)
+    phi, psi, chi = forms.reshape(3, n, len(points)).transpose(0, 2, 1)
+    # nabla_a e^i_b = d_a C[i,b] - Gamma^c_ab C[i,c]
+    nabla = np.einsum("kaib->kiab", fr.dC) - np.einsum("kic,kcab->kiab", fr.C, fr.gamma)
     worst = 0.0
     law_tol = 1e-8
-    for pt in points:
-        vals = ev.eval_points([pt])[:, 0]
-        Cv = np.array(vals[: n * n]).reshape(n, n)
-        dCv = np.array(vals[n * n: n * n + n ** 3]).reshape(n, n, n)
-        off = n * n + n ** 3
-        phi_v = np.array(vals[off: off + n])
-        psi_v = np.array(vals[off + n: off + 2 * n])
-        chi_v = np.array(vals[off + 2 * n: off + 3 * n])
-        _, _, _, gamma_np = m.christoffel_at(pt)
-        # nabla_a e^i_b = d_a C[i,b] - Gamma^c_ab C[i,c]
-        nabla = np.einsum("aib->iab", dCv) - np.einsum("ic,cab->iab", Cv, gamma_np)
-        scale = np.max(np.abs(nabla)) + 1e-300
+    for k in range(len(points)):
+        Cv = fr.C[k]
+        scale = np.max(np.abs(nabla[k])) + 1e-300
         for i in range(n):
             mdeg = i
-            rhs = (2 * mdeg - 4) * np.einsum("a,b->ab", phi_v, Cv[i])
+            rhs = (2 * mdeg - 4) * np.einsum("a,b->ab", phi[k], Cv[i])
             if mdeg > 0:
-                rhs = rhs + mdeg * np.einsum("a,b->ab", psi_v, Cv[i - 1])
+                rhs = rhs + mdeg * np.einsum("a,b->ab", psi[k], Cv[i - 1])
             if mdeg < 4:
-                rhs = rhs + (4 - mdeg) * np.einsum("a,b->ab", chi_v, Cv[i + 1])
-            worst = max(worst, float(np.max(np.abs(nabla[i] - rhs))) / scale)
+                rhs = rhs + (4 - mdeg) * np.einsum("a,b->ab", chi[k], Cv[i + 1])
+            worst = max(worst, float(np.max(np.abs(nabla[k, i] - rhs))) / scale)
     checks.append(CheckRecord.from_residual(
         "connection_frame_compatibility", worst, law_tol, len(points), seed,
         notes="nabla e^i vs (2m-4) phi e^i + m psi e^(i-1) + (4-m) chi e^(i+1)"))

@@ -15,15 +15,17 @@ fixed real interval on which the branch stays smooth and q keeps one sign
 moduli coordinates X = (y, p, q, r, s) are exact: second-order forward-mode
 numbers (value, gradient, Hessian; Fike & Alonso, AIAA 2011-886; Griewank &
 Walther, Evaluating Derivatives, 2008) are carried through the conic, its
-branch and the test function at all Gauss nodes in one numpy pass per
-point.  The conic there is the vector of signed 5x5 minors of the
-jet-condition matrix, whose exact first and second derivatives come from
-`expr.diff`; the branch does not depend on the conic's scale, so it needs no
-normalisation.  The second-order operator pair is then applied and the
-eigenvalue content extracted: a per-point least-squares lambda, and (mu, c)
-regressed across points from laplacian(F) = mu * (F + c).  Central
-differences of F remain only as an independent cross-check of those
-derivatives (`numerics_checks`).
+branch and the test function at all Gauss nodes.  The conic there is the
+vector of signed 5x5 minors of the jet-condition matrix, from one Laplace
+expansion run on forward-mode numbers over all jets at once; the branch
+does not depend on the conic's scale, so it needs no normalisation.  The
+branch at every jet's nodes is one numpy pass, shared by all test functions
+of a contour, which add only f, f_y and f_yy at the nodes and the weighted
+sums.  The second-order operator pair is then applied with each point's
+geometry (one batch over the points) and the eigenvalue content extracted:
+a per-point least-squares lambda, and (mu, c) regressed across points from
+laplacian(F) = mu * (F + c).  Central differences of F remain only as an
+independent cross-check of those derivatives (`numerics_checks`).
 
 The quadrature itself takes a batch of jets (`radon_F_batch`; `radon_F` is
 the batch of one): the branch at every jet's nodes is one numpy pass and f
@@ -54,21 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import (
-    ONE,
-    ZERO,
-    EvalError,
-    Evaluator,
-    Expr,
-    add,
-    as_expr,
-    diff,
-    free_variables,
-    mul,
-    neg,
-    parse,
-    var,
-)
+from .expr import Evaluator, Expr, diff, free_variables, parse
 from .geom import MetricField
 from .jet import JetOde
 from .report import CheckRecord
@@ -105,7 +93,7 @@ def _condition_rows(x, y, p, q, r, s) -> list:
     """The five linear conditions on (a, b, c, d, e, f): the implicit
     equation and its first four total x-derivatives vanish at the jet.
     Generic in the number type: floats give the matrix `conic_from_jet`
-    solves, jet variables give the polynomial matrix of `_conic_minors`."""
+    solves, `_Fwd2` numbers the one whose minors `_conic_fwd` expands."""
     return [
         [x * x, 2 * x * y, y * y, 2 * x, 2 * y, 1],
         [2 * x, 2 * (y + x * p), 2 * y * p, 2, 2 * p, 0],
@@ -604,106 +592,139 @@ class _Fwd2:
                      np.where(mask[:, None, None], a.h, b.h))
 
 
-@lru_cache(maxsize=None)
-def _conic_minors() -> Evaluator:
-    """The six signed 5x5 minors of the jet-condition matrix, each followed
-    by its 5 first and 15 second partials over (y, p, q, r, s): 126
-    polynomials in x, y, p, q, r, s, compiled into one Evaluator.
+def _signed_minors(rows: list) -> list:
+    """The six signed 5x5 minors of a 5x6 matrix, in any number type that
+    `_condition_rows` takes (floats, `_Fwd2` numbers, expressions).
 
     The minor without column k, signed (-1)^k, is the k-th coefficient of a
     null vector of the matrix (expanding the 6x6 determinant with a repeated
-    row): the conic through the jet, up to scale.  Built on first use.
+    row): for the jet conditions, the conic through the jet, up to scale.
+    Laplace expansion along the rows computes each sub-determinant once and
+    skips the entries that are a plain zero.
     """
-    rows = [[as_expr(e) for e in row]
-            for row in _condition_rows(*(var(n) for n in ("x",) + COORDS))]
     memo: dict = {}
 
-    def det(i: int, cols: tuple) -> Expr:
-        # Laplace expansion along row i of rows i.. restricted to cols
+    def det(i: int, cols: tuple):
+        # rows i.. restricted to cols; None when every term is skipped
         if i == len(rows):
-            return ONE
+            return 1
         if (i, cols) not in memo:
-            terms = []
+            total = None
             for j, col in enumerate(cols):
-                if rows[i][col] is not ZERO:
-                    term = mul(rows[i][col], det(i + 1, cols[:j] + cols[j + 1:]))
-                    terms.append(neg(term) if j % 2 else term)
-            memo[(i, cols)] = add(*terms)
+                entry = rows[i][col]
+                if isinstance(entry, (int, float)) and entry == 0:
+                    continue
+                sub = det(i + 1, cols[:j] + cols[j + 1:])
+                if sub is None:
+                    continue
+                term = -(entry * sub) if j % 2 else entry * sub
+                total = term if total is None else total + term
+            memo[(i, cols)] = total
         return memo[(i, cols)]
 
-    exprs = []
-    for k in range(6):
-        minor = det(0, tuple(c for c in range(6) if c != k))
-        if k % 2:
-            minor = neg(minor)
-        first = [diff(minor, c) for c in COORDS]
-        exprs += [minor] + first + [diff(first[i], COORDS[j]) for i in range(5) for j in range(i, 5)]
-    return Evaluator(exprs)
+    minors = [det(0, tuple(c for c in range(6) if c != k)) for k in range(6)]
+    return [-minor if k % 2 else minor for k, minor in enumerate(minors)]
 
 
-_UPPER = np.triu_indices(5)
+def _conic_fwd(jets: Sequence[Dict[str, float]], x0: float) -> List[_Fwd2]:
+    """The conics' six coefficients (the signed minors, unnormalised) as
+    forward-mode numbers over the jets, one row per jet."""
+    count = len(jets)
+    unit = np.eye(5)
+    variables = [_Fwd2(np.array([float(jet[c]) for jet in jets]),
+                       np.repeat(unit[k:k + 1], count, axis=0), np.zeros((count, 5, 5)))
+                 for k, c in enumerate(COORDS)]
+    with np.errstate(all="ignore"):
+        return _signed_minors(_condition_rows(x0, *variables))
 
 
-def _conic_fwd(jet: Dict[str, float], x0: float) -> List[_Fwd2]:
-    """The conic's six coefficients (the signed minors, unnormalised) as
-    forward-mode numbers over the jet, from one evaluation at (x0, jet)."""
-    point = {c: float(jet[c]) for c in COORDS}
-    point["x"] = x0
-    try:
-        vals = _conic_minors().eval_points([point]).reshape(6, 21)
-    except EvalError:
-        raise RadonError("conic minors are not finite at the jet") from None
-    hess = np.zeros((6, 5, 5))
-    hess[:, _UPPER[0], _UPPER[1]] = vals[:, 6:]
-    hess[:, _UPPER[1], _UPPER[0]] = vals[:, 6:]
-    return [_Fwd2(vals[k, :1], vals[k, None, 1:6], hess[k, None]) for k in range(6)]
+@dataclass(frozen=True)
+class _Branch:
+    """The branch of each jet's conic at the Gauss nodes of one contour, as
+    forward-mode numbers over the jets' nodes, rows jet-major: y, the real
+    cube root of q, the (x, y) node points, and the scaled weights (N,)."""
+
+    y: _Fwd2
+    cbrt_q: _Fwd2
+    nodes: List[Dict[str, float]]
+    weights: np.ndarray
 
 
-def radon_derivatives(cfg: RadonConfig, jet: Dict[str, float]) -> Tuple[float, np.ndarray, np.ndarray]:
-    """F at the jet with its exact gradient (5,) and Hessian (5, 5) over
-    (y, p, q, r, s), in one forward-mode pass over the Gauss nodes.
+def _branch_fwd(cfg: RadonConfig, jets: Sequence[Dict[str, float]]) -> _Branch:
+    """The branch of each jet's conic at the nodes, by the chain rule.
 
     The conic is the vector of signed minors with its derivatives
     (`RadonError` if they are not finite); the jet is validated by
     `conic_from_jet` too, so it is accepted when `radon_F` accepts it.  At
     each node the root of the branch's orientation is chosen from the float
-    values, and y, p, q, the signed cube root of q and f (with f_y and f_yy
-    from one `eval_points` pass) follow by the chain rule.  Irregular nodes
-    raise `RadonError` naming the first one, as the quadrature does.
+    values, and y, p and q follow.  All jets run in one numpy pass; the
+    checks then run jet by jet, each naming the first irregular node as the
+    quadrature does, so the first bad jet raises the error it raises alone.
     """
-    a, b, c, d, e, f = _conic_fwd(jet, cfg.x0)
-    conic_from_jet(jet, cfg.x0)  # validation only: rank, tangent, jet reproduced
+    minors = _conic_fwd(jets, cfg.x0)
     xs, weights, half = _nodes(cfg)
-    fy0 = 2 * b.v[0] * cfg.x0 + 2 * c.v[0] * float(jet["y"]) + 2 * e.v[0]
-    branch = 1.0 if fy0 > 0 else -1.0
-    scale = math.sqrt(sum(k.v[0] ** 2 for k in (a, b, c, d, e, f)))
+    count, n = len(jets), len(xs)
+    ys = np.array([float(jet["y"]) for jet in jets])
+    rows = np.repeat(np.arange(count), n)
+    a, b, c, d, e, f = (_Fwd2(k.v[rows], k.g[rows], k.h[rows]) for k in minors)
+    xs = np.tile(xs, count)
     with np.errstate(all="ignore"):
+        b0, c0, e0 = (minors[k].v for k in (1, 2, 4))
+        branches = np.where(2 * b0 * cfg.x0 + 2 * c0 * ys + 2 * e0 > 0, 1.0, -1.0)
         B = 2 * xs * b + 2 * e
         C = (xs * xs) * a + (2 * xs) * d + f
         disc = B * B - 4 * c * C
         sign_B = np.copysign(1.0, B.v)
         qf = (B + sign_B * disc.sqrt()) * -0.5
         # qf/c has phi_y = -sign(B) sqrt(disc), C/qf has +sign(B) sqrt(disc)
-        y = _Fwd2.where(sign_B != branch, qf / c, C / qf)
+        y = _Fwd2.where(sign_B != branches[rows], qf / c, C / qf)
         fy = B + 2 * c * y
         p = -(2 * xs * a + 2 * b * y + 2 * d) / fy
         q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
-    x_list = xs.tolist()
-    for x, dv, fv, yv in zip(x_list, disc.v.tolist(), fy.v.tolist(), y.v.tolist()):
-        if not dv > 0.0:
-            raise RadonError(f"branch leaves the reals at x={x} "
-                             f"(discriminant {dv / scale ** 2:.2e})")
-        if not (fv * branch > 0 and abs(fv) >= 1e-13 * scale * (1.0 + abs(x) + abs(yv))):
-            raise RadonError(f"vertical tangent at x={x}")
-    _check_q_sign(x_list, q.v.tolist())
-    fvals = cfg.f_jet_evaluator.eval_points(
-        [{"x": x, "y": yv} for x, yv in zip(x_list, y.v.tolist())])
-    integrand = y._chain(*fvals) * q.cbrt()
-    w = half * weights
-    value, grad, hess = w @ integrand.v, w @ integrand.g, np.tensordot(w, integrand.h, axes=1)
-    if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
-        raise RadonError("the transform or its derivatives are not finite")
-    return float(value), grad, hess
+    finite = np.logical_and.reduce(
+        [np.isfinite(k.v) & np.isfinite(k.g).all(1) & np.isfinite(k.h).all((1, 2)) for k in minors])
+    x_list, y_list, q_list = xs.tolist(), y.v.tolist(), q.v.tolist()
+    disc_list, fy_list = disc.v.tolist(), fy.v.tolist()
+    for j, jet in enumerate(jets):
+        if not finite[j]:
+            raise RadonError("conic minors are not finite at the jet")
+        conic_from_jet(jet, cfg.x0)  # validation only: rank, tangent, jet reproduced
+        scale = math.sqrt(sum(k.v[j] ** 2 for k in minors))
+        at = slice(j * n, (j + 1) * n)
+        for x, dv, fv, yv in zip(x_list[at], disc_list[at], fy_list[at], y_list[at]):
+            if not dv > 0.0:
+                raise RadonError(f"branch leaves the reals at x={x} "
+                                 f"(discriminant {dv / scale ** 2:.2e})")
+            if not (fv * branches[j] > 0 and abs(fv) >= 1e-13 * scale * (1.0 + abs(x) + abs(yv))):
+                raise RadonError(f"vertical tangent at x={x}")
+        _check_q_sign(x_list[at], q_list[at])
+    nodes = [{"x": x, "y": yv} for x, yv in zip(x_list, y_list)]
+    return _Branch(y, q.cbrt(), nodes, half * weights)
+
+
+def _transform_derivatives(cfg: RadonConfig,
+                           br: _Branch) -> List[Tuple[float, np.ndarray, np.ndarray]]:
+    """F with its gradient (5,) and Hessian (5, 5) at each jet of the
+    branch: f, f_y and f_yy at every node from one `eval_points` pass, then
+    each jet's weighted sums."""
+    integrand = br.y._chain(*cfg.f_jet_evaluator.eval_points(br.nodes)) * br.cbrt_q
+    w, n = br.weights, len(br.weights)
+    out = []
+    for start in range(0, len(br.nodes), n):
+        at = slice(start, start + n)
+        value, grad = w @ integrand.v[at], w @ integrand.g[at]
+        hess = np.tensordot(w, integrand.h[at], axes=1)
+        if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+            raise RadonError("the transform or its derivatives are not finite")
+        out.append((float(value), grad, hess))
+    return out
+
+
+def radon_derivatives(cfg: RadonConfig, jet: Dict[str, float]) -> Tuple[float, np.ndarray, np.ndarray]:
+    """F at the jet with its exact gradient (5,) and Hessian (5, 5) over
+    (y, p, q, r, s), in one forward-mode pass over the Gauss nodes: the
+    batch of one of `_branch_fwd` and `_transform_derivatives`."""
+    return _transform_derivatives(cfg, _branch_fwd(cfg, [jet]))[0]
 
 
 def _fd_stencil(X: Dict[str, float], h: float) -> List[Dict[str, float]]:
@@ -782,56 +803,64 @@ def _aux_points(jet: Dict[str, float]) -> List[Dict[str, float]]:
 
 
 def verify_system(
-    cfg: RadonConfig,
+    cfgs: Sequence[RadonConfig],
     points: Union[Dict[str, float], Sequence[Dict[str, float]]],
     G: GTensor,
     m: MetricField,
     scalar_curvature: float = -60.0,
-) -> RadonVerification:
-    """Check that the transform solves the operator pair.
+) -> List[RadonVerification]:
+    """Check that the transform of each test function solves the operator
+    pair; one `RadonVerification` per configuration, in order.
 
-    Per point: F with its exact gradient and Hessian (`radon_derivatives`,
-    one forward-mode pass; no finite differences), then lambda-hat from
-    least squares on (covector = lambda * grad F) with its relative
-    residual.  Across points (at least two; a single input point gets
-    deterministic companions): mu-hat and the additive constant from
-    laplacian(F) = mu * (F + c), and the gap against the eigenvalue relation
-    mu = 6 lambda^2 + R/10.
+    The configurations share one contour.  Per point, once for all test
+    functions: the branch at the nodes (`_branch_fwd`) and the point's
+    geometry (`christoffel_at`, `lower_at`, one batch over the points).  Per
+    test function and point: F with its exact gradient and Hessian (no
+    finite differences), then lambda-hat from least squares on
+    (covector = lambda * grad F) with its relative residual.  Across points
+    (at least two; a single input point gets deterministic companions):
+    mu-hat and the additive constant from laplacian(F) = mu * (F + c), and
+    the gap against the eigenvalue relation mu = 6 lambda^2 + R/10.
     """
     if isinstance(points, dict):
         points = [points] + _aux_points(points)
     points = list(points)
     if len(points) < 2:
         points = points + _aux_points(points[0])
+    if len({(cfg.x_a, cfg.x_b, cfg.order, cfg.x0) for cfg in cfgs}) != 1:
+        raise ValueError("the test functions of one call must share one contour")
 
-    per_point: List[PointVerification] = []
-    for jet in points:
-        F0, grad, hess = radon_derivatives(cfg, jet)
+    branch = _branch_fwd(cfgs[0], points)
+    derivatives = [_transform_derivatives(cfg, branch) for cfg in cfgs]
+    _, _, g_inv, gamma = m.christoffel_at(points)
+    G_lower = G.lower_at(points)
+    results = []
+    for cfg, per_jet in zip(cfgs, derivatives):
+        per_point: List[PointVerification] = []
+        for j, (jet, (F0, grad, hess)) in enumerate(zip(points, per_jet)):
+            hv = hor_operator(grad, hess, g_inv[j], gamma[j], G_lower[j])
+            denom = float(grad @ grad)
+            if denom < 1e-24:
+                raise RadonError("gradient of F too small for a least-squares eigenvalue")
+            lam = float(hv.covector @ grad) / denom
+            vnorm = float(np.linalg.norm(hv.covector))
+            if vnorm == 0.0:
+                raise RadonError("operator value vanished; cannot form a relative residual")
+            residual = float(np.linalg.norm(hv.covector - lam * grad)) / vnorm
+            per_point.append(
+                PointVerification(jet, F0, grad, hv.covector, hv.laplacian, lam, residual)
+            )
 
-        def F_eval(_pt, F0=F0, grad=grad, hess=hess):
-            return F0, grad, hess
-
-        hv = hor_operator(G, m, F_eval, jet)
-        denom = float(grad @ grad)
-        if denom < 1e-24:
-            raise RadonError("gradient of F too small for a least-squares eigenvalue")
-        lam = float(hv.covector @ grad) / denom
-        vnorm = float(np.linalg.norm(hv.covector))
-        if vnorm == 0.0:
-            raise RadonError("operator value vanished; cannot form a relative residual")
-        residual = float(np.linalg.norm(hv.covector - lam * grad)) / vnorm
-        per_point.append(
-            PointVerification(jet, F0, grad, hv.covector, hv.laplacian, lam, residual)
-        )
-
-    lams = [p.lam for p in per_point]
-    lam = float(np.mean(lams))
-    spread = float(max(lams) - min(lams))
-    A = np.vstack([[p.value for p in per_point], np.ones(len(per_point))]).T
-    (mu, k), *_ = np.linalg.lstsq(A, np.array([p.laplacian for p in per_point]), rcond=None)
-    c_offset = float(k / mu) if mu != 0 else float("inf")
-    gap = abs(float(mu) - mu_lambda(lam, scalar_curvature))
-    return RadonVerification(str(cfg.f), per_point, lam, spread, float(mu), c_offset, gap)
+        lams = [p.lam for p in per_point]
+        lam = float(np.mean(lams))
+        spread = float(max(lams) - min(lams))
+        A = np.vstack([[p.value for p in per_point], np.ones(len(per_point))]).T
+        (mu, k), *_ = np.linalg.lstsq(A, np.array([p.laplacian for p in per_point]), rcond=None)
+        c_offset = float(k / mu) if mu != 0 else float("inf")
+        gap = abs(float(mu) - mu_lambda(lam, scalar_curvature))
+        results.append(
+            RadonVerification(str(cfg.f), per_point, lam, spread, float(mu), c_offset, gap))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -977,9 +1006,8 @@ def system_checks(
     checks: List[CheckRecord] = []
     all_lams: List[float] = []
     worst_gap = 0.0
-    for text in f_texts:
-        cfg = RadonConfig(f=parse(text), x_a=interval[0], x_b=interval[1])
-        ver = verify_system(cfg, points, G, m)
+    cfgs = [RadonConfig(f=parse(text), x_a=interval[0], x_b=interval[1]) for text in f_texts]
+    for text, ver in zip(f_texts, verify_system(cfgs, points, G, m)):
         all_lams.extend(p.lam for p in ver.points)
         worst_gap = max(worst_gap, ver.relation_gap)
         tag = text.replace("*", "")

@@ -7,7 +7,8 @@ exact rational arithmetic over the nonzero spinor components, then
 symmetrised.  Its frame components are rational constants; coordinate
 components follow by coframe substitution on first use
 (`GTensor.coord_lower`), since only the symbolic checks read them: the
-operator pair evaluates the frame components against the numeric coframe.
+numeric checks and the operator pair contract the frame components with
+the coframe of the metric's forward-mode pass (`GTensor.lower_at`).
 Everything the tensor is supposed to satisfy (trace-freeness, the quartic
 normalisation, parallelism, the curvature contractions, and the printed
 coordinate expansion of the associated second-order operator) is
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .expr import (
     Evaluator,
     ZERO,
     add,
-    diff,
     mul,
 )
 from .geom import MetricField, curvature, sample_points
@@ -237,14 +237,21 @@ class GTensor:
     def ghat_np(self) -> np.ndarray:
         return np.array([[[float(v) for v in row] for row in blk] for blk in self.ghat])
 
-    @cached_property
-    def _coframe_ev(self) -> Evaluator:
-        C = self.m.pd.coframe_rows
-        return Evaluator([C[i][a] for i in range(5) for a in range(5)])
+    def lower_at(self, points: Sequence[Dict[str, float]]) -> np.ndarray:
+        """G_abc at a batch of points (leading point axis), from the frame
+        components and the coframe of the metric's `frame_at` pass."""
+        C = self.m.frame_at(points).C
+        return np.einsum("ijk,pia,pjb,pkc->pabc", self.ghat_np, C, C, C)
 
-    def lower_at(self, point: Dict[str, float]) -> np.ndarray:
-        Cv = self._coframe_ev.eval_points([point]).reshape(5, 5)
-        return np.einsum("ijk,ia,jb,kc->abc", self.ghat_np, Cv, Cv, Cv)
+    def derivative_at(self, points: Sequence[Dict[str, float]]) -> np.ndarray:
+        """dG[k, d, a, b, c] = d_d G_abc at a batch of points, by the product
+        rule on the coframe's first-order jets from the metric's `frame_at`
+        pass.  Ghat is totally symmetric, so the terms with d_d C in the
+        second and third slot are the first one with its slots swapped."""
+        fr = self.m.frame_at(points)
+        CC = np.einsum("ijk,pjb,pkc->pibc", self.ghat_np, fr.C, fr.C)
+        X = np.einsum("pdia,pibc->pdabc", fr.dC, CC)
+        return X + np.transpose(X, (0, 1, 3, 2, 4)) + np.transpose(X, (0, 1, 4, 3, 2))
 
 
 _K_PAIRING = {(0, 4): Fraction(1), (1, 3): Fraction(-4), (2, 2): Fraction(6),
@@ -359,15 +366,6 @@ def trace_checks_symbolic(
                              m.ode.domain, samples, tol, seed)]
 
 
-def _tensors_at(G: GTensor, point: Dict[str, float]):
-    cv = curvature(G.m, point)
-    Gl = G.lower_at(point)
-    ginv = cv.g_inv
-    Gup = np.einsum("ax,by,cz,xyz->abc", ginv, ginv, ginv, Gl)
-    Gmix = np.einsum("ef,fab->eab", ginv, Gl)
-    return cv, Gl, Gup, Gmix
-
-
 def _sym_last3(T: np.ndarray) -> np.ndarray:
     return (
         T + np.transpose(T, (0, 1, 3, 2)) + np.transpose(T, (0, 2, 1, 3))
@@ -388,24 +386,14 @@ def g_identities(
     m = G.m
     if points is None:
         points = sample_points(m.ode, count, seed)
-    n = 5
-    coords = m.ode.coords
-
-    dG_exprs = [
-        [[[diff(G.coord_lower[a][b][c], coords[d]) for c in range(n)] for b in range(n)]
-         for a in range(n)]
-        for d in range(n)
-    ]
-    flat = [dG_exprs[d][a][b][c]
-            for d in range(n) for a in range(n) for b in range(n) for c in range(n)]
-    ev_dG = Evaluator(flat)
 
     worst = {"quartic": 0.0, "parallel": 0.0, "curv_sym": 0.0, "chi_decomp": 0.0,
              "chi_sym": 0.0, "riemann_eigen": 0.0, "norm": 0.0, "trace2": 0.0}
 
-    for pt in points:
-        cv, Gl, Gup, Gmix = _tensors_at(G, pt)
+    for cv, Gl, dGv in zip(curvature(m, points), G.lower_at(points), G.derivative_at(points)):
         g, ginv = cv.g, cv.g_inv
+        Gup = np.einsum("ax,by,cz,xyz->abc", ginv, ginv, ginv, Gl)
+        Gmix = np.einsum("ef,fab->eab", ginv, Gl)
         gscale = np.max(np.abs(g))
 
         norm = float(np.einsum("abc,abc->", Gl, Gup))
@@ -422,7 +410,6 @@ def g_identities(
         ) / 3.0
         worst["quartic"] = max(worst["quartic"], float(np.max(np.abs(_sym_last3(chi) - target))) / chi_scale)
 
-        dGv = ev_dG.eval_points([pt]).reshape(n, n, n, n)
         nabla = (
             dGv
             - np.einsum("eda,ebc->dabc", cv.gamma, Gl)
@@ -495,34 +482,33 @@ def g_identities(
 
 @dataclass(frozen=True)
 class HorOperatorValue:
-    point: Dict[str, float]
     covector: np.ndarray    # G_a^bc nabla_b nabla_c F
     laplacian: float
     gradient: np.ndarray
 
 
 def hor_operator(
-    G: GTensor,
-    m: MetricField,
-    F: Callable[[Dict[str, float]], Tuple[float, np.ndarray, np.ndarray]],
-    point: Dict[str, float],
+    grad: np.ndarray,
+    hess: np.ndarray,
+    g_inv: np.ndarray,
+    gamma: np.ndarray,
+    G_lower: np.ndarray,
 ) -> HorOperatorValue:
-    """Apply the operator pair to a scalar-field evaluator.
+    """Apply the operator pair to a scalar field given by its gradient and
+    Hessian at a point.
 
-    F(point) must return (value, gradient, hessian) over the coordinate order
-    (y, p, q, r, s); derivatives are coordinate partials, the covariant
-    corrections are added here.
+    grad (5,) and hess (5, 5) are coordinate partials over (y, p, q, r, s);
+    g_inv, gamma (gamma[d, a, b] = Gamma^d_ab) and G_lower are the point's
+    geometry (`MetricField.christoffel_at`, `GTensor.lower_at`), and the
+    covariant corrections are added here.
     """
-    _, grad, hess = F(point)
     grad = np.asarray(grad, dtype=float)
     hess = np.asarray(hess, dtype=float)
-    _, _, g_inv, gamma = m.christoffel_at(point)
-    Gl = G.lower_at(point)
-    Gmixed = np.einsum("abc,bx,cy->axy", Gl, g_inv, g_inv)
+    Gmixed = np.einsum("abc,bx,cy->axy", G_lower, g_inv, g_inv)
     cov_hess = hess - np.einsum("dbc,d->bc", gamma, grad)
     v = np.einsum("abc,bc->a", Gmixed, cov_hess)
     lap = float(np.einsum("bc,bc->", g_inv, cov_hess))
-    return HorOperatorValue(point, v, lap, grad)
+    return HorOperatorValue(v, lap, grad)
 
 
 def mu_lambda(lam: float, scalar_curvature: float) -> float:
@@ -571,16 +557,16 @@ def expansion_check(
                 exprs.append(catalog.expr(text))
     ev = Evaluator(exprs)
 
-    for pt in points:
-        vals = ev.eval_points([pt])[:, 0].tolist()
+    _, _, g_inv_at, gamma_at = m.christoffel_at(points)
+    Gl_at = G.lower_at(points)
+    for vals, g_inv, gamma, Gl in zip(ev.eval_points(points).T.tolist(), g_inv_at, gamma_at,
+                                       Gl_at):
         lam_val = vals[0]
         coeff_val = dict(zip(keys, vals[1:]))
         for key, factor in lam_marks.items():
             coeff_val[key] = factor * lam_val
 
         # per-point tensors, shared by all test fields
-        _, _, g_inv, gamma = m.christoffel_at(pt)
-        Gl = G.lower_at(pt)
         Gmixed = np.einsum("abc,bx,cy->axy", Gl, g_inv, g_inv)
 
         for _ in range(n_fields):

@@ -111,16 +111,14 @@ def test_criterion_04_curvature():
     m = metric_from_frame(solve_pentad(ode))
     pts = sample_points(ode, 20, seed=2024)
     worst_R = worst_E = 0.0
-    for pt in pts:
-        cv = curvature(m, pt)
+    for cv in curvature(m, pts):
         worst_R = max(worst_R, abs(cv.scalar + 60.0))
         worst_E = max(worst_E, float(np.max(np.abs(cv.ricci + 12.0 * cv.g))))
     gn = builtin("gn5")
     mg = metric_from_frame(solve_pentad(gn))
     worst_flat = 0.0
     ricci_ratio = float("inf")
-    for pt in sample_points(gn, 10, seed=2024):
-        cv = curvature(mg, pt)
+    for cv in curvature(mg, sample_points(gn, 10, seed=2024)):
         worst_flat = max(worst_flat, abs(cv.scalar))
         ricci_ratio = min(ricci_ratio, float(np.max(np.abs(cv.ricci)) / np.max(np.abs(cv.g))))
     elapsed = time.perf_counter() - t0

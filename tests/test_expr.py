@@ -42,7 +42,7 @@ from odegeom.expr import (
 from odegeom.geom import sample_points
 from odegeom.jet import JetOde, load_ode_file, total_derivative, total_derivative_direction
 from odegeom.pentad import _build_rows, solve_pentad
-from odegeom.radon import _conic_minors
+from odegeom.radon import COORDS, _condition_rows
 
 DOM = SampleDomain.box(q=(0.5, 2.0), r=(0.5, 2.0), s=(-1.0, 1.0))
 
@@ -646,10 +646,44 @@ def test_a_lone_point_matches_the_scalar_oracle_on_the_built_in_tables(
     for m in (metric_conics5, metric_gn5):
         points = sample_points(m.ode, 3, seed=17)
         m._derivative_exprs()
-        _assert_lone_points_match_the_oracle(m._first_order_evaluator, points)
+        first_order = [ex for row in m.g_lower for ex in row]
+        first_order += [ex for blk in m._dg_exprs for row in blk for ex in row]
+        _assert_lone_points_match_the_oracle(Evaluator(first_order), points)
         _assert_lone_points_match_the_oracle(m._evaluator, points)
     jet_points = [dict(pt, x=0.0) for pt in sample_points(pd_conics5.ode, 3, seed=17)]
-    _assert_lone_points_match_the_oracle(_conic_minors(), jet_points)
+    _assert_lone_points_match_the_oracle(Evaluator(_conic_minor_table()), jet_points)
+
+
+def _conic_minor_table():
+    """The six signed 5x5 minors of the jet-condition matrix, each followed
+    by its 5 first and 15 second partials over (y, p, q, r, s): 126
+    polynomials, a large corpus of sums, products and integer powers."""
+    rows = [[expr.as_expr(e) for e in row]
+            for row in _condition_rows(*(var(n) for n in ("x",) + COORDS))]
+    memo: dict = {}
+
+    def det(i, cols):
+        # Laplace expansion along row i of rows i.. restricted to cols
+        if i == len(rows):
+            return expr.ONE
+        if (i, cols) not in memo:
+            terms = []
+            for j, col in enumerate(cols):
+                if rows[i][col] is not ZERO:
+                    term = mul(rows[i][col], det(i + 1, cols[:j] + cols[j + 1:]))
+                    terms.append(neg(term) if j % 2 else term)
+            memo[(i, cols)] = add(*terms)
+        return memo[(i, cols)]
+
+    table = []
+    for k in range(6):
+        minor = det(0, tuple(c for c in range(6) if c != k))
+        if k % 2:
+            minor = neg(minor)
+        first = [diff(minor, c) for c in COORDS]
+        table += [minor] + first
+        table += [diff(first[i], COORDS[j]) for i in range(5) for j in range(i, 5)]
+    return table
 
 
 def test_a_batch_names_the_first_point_missing_a_variable():

@@ -70,8 +70,7 @@ def test_pairing_checks_gn5(metric_gn5):
 
 def test_curvature_einstein_conics5(metric_conics5, conics5):
     pts = sample_points(conics5, 20, seed=101)
-    for pt in pts[:5]:
-        cv = curvature(metric_conics5, pt)
+    for cv in curvature(metric_conics5, pts[:5]):
         assert cv.scalar == pytest.approx(-60.0, abs=1e-6)
         assert np.max(np.abs(cv.ricci + 12.0 * cv.g)) < 1e-6
     _all_pass(curvature_checks(metric_conics5, points=pts))
@@ -79,8 +78,7 @@ def test_curvature_einstein_conics5(metric_conics5, conics5):
 
 def test_curvature_gn5_scalar_flat_not_ricci_flat(metric_gn5, gn5):
     pts = sample_points(gn5, 10, seed=7)
-    for pt in pts[:3]:
-        cv = curvature(metric_gn5, pt)
+    for cv in curvature(metric_gn5, pts[:3]):
         assert abs(cv.scalar) < 1e-8
         assert np.max(np.abs(cv.ricci)) > 0.1 * np.max(np.abs(cv.g))
     _all_pass(curvature_checks(metric_gn5, points=pts))
@@ -88,7 +86,7 @@ def test_curvature_gn5_scalar_flat_not_ricci_flat(metric_gn5, gn5):
 
 def test_riemann_symmetries_at_point(metric_conics5, conics5):
     pt = sample_points(conics5, 1, seed=4)[0]
-    cv = curvature(metric_conics5, pt)
+    [cv] = curvature(metric_conics5, [pt])
     R = cv.riemann
     scale = np.max(np.abs(R))
     assert np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))) < 1e-9 * scale
@@ -149,16 +147,16 @@ def test_integrability(conn, metric_conics5):
 @pytest.mark.parametrize("metric", ["metric_conics5", "metric_gn5"])
 def test_christoffel_first_order_table_matches_full_table(metric, request):
     m = request.getfixturevalue(metric)
-    for pt in sample_points(m.ode, 4, seed=11):
-        g, dg, g_inv, gamma = m.christoffel_at(pt)
-        g2, dg2, _, g_inv2 = m.derivatives_at(pt)
-        gamma2 = 0.5 * np.einsum(
-            "de,aeb->dab", g_inv2,
-            dg2 + np.transpose(dg2, (2, 1, 0)) - np.transpose(dg2, (1, 0, 2)))
-        assert np.array_equal(g, g2)
-        assert np.array_equal(dg, dg2)
-        assert np.array_equal(g_inv, g_inv2)
-        assert np.array_equal(gamma, gamma2)
+    pts = sample_points(m.ode, 4, seed=11)
+    g, dg, g_inv, gamma = m.christoffel_at(pts)
+    g2, dg2, _, g_inv2 = m.derivatives_at(pts)
+    gamma2 = 0.5 * np.einsum(
+        "kde,kaeb->kdab", g_inv2,
+        dg2 + np.transpose(dg2, (0, 3, 2, 1)) - np.transpose(dg2, (0, 2, 1, 3)))
+    assert np.array_equal(g, g2)
+    assert np.array_equal(dg, dg2)
+    assert np.array_equal(g_inv, g_inv2)
+    assert np.array_equal(gamma, gamma2)
 
 
 def test_radon_suite_never_builds_second_order_table(monkeypatch, conics5):
@@ -171,3 +169,53 @@ def test_radon_suite_never_builds_second_order_table(monkeypatch, conics5):
     monkeypatch.setattr(MetricField, "_derivative_exprs", refuse)
     report = cli.radon_suite(cli.Session(conics5, 50, 1e-9, 0x5EED))
     assert report.checks
+
+
+@pytest.mark.parametrize("metric", ["metric_conics5", "metric_gn5"])
+def test_forward_mode_metric_matches_the_symbolic_derivatives(metric, request):
+    m = request.getfixturevalue(metric)
+    pts = sample_points(m.ode, 20, seed=23)
+    g, dg, _, _ = m.christoffel_at(pts)
+    flat = [e for row in m.g_lower for e in row]
+    flat += [e for blk in m._dg_exprs for row in blk for e in row]
+    want = Evaluator(flat).eval_points(pts).T
+    g_ref, dg_ref = want[:, :25].reshape(-1, 5, 5), want[:, 25:].reshape(-1, 5, 5, 5)
+    assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+    assert np.max(np.abs(dg - dg_ref)) <= 1e-12 * np.max(np.abs(dg_ref))
+
+
+def test_radon_suite_never_builds_the_symbolic_first_order_table(monkeypatch, conics5):
+    from odegeom import cli
+    from odegeom.geom import MetricField
+
+    def refuse(self):
+        raise AssertionError("symbolic metric derivatives built")
+
+    monkeypatch.setattr(MetricField, "_dg_exprs", property(refuse))
+    report = cli.radon_suite(cli.Session(conics5, 50, 1e-9, 0x5EED))
+    assert report.checks and report.passed()
+
+
+def test_radon_report_runs_the_coframe_program_once_per_batch(monkeypatch, conics5):
+    from odegeom import cli, radon
+
+    verify_calls = []
+    calls = []
+    eval_points = Evaluator.eval_points
+    verify_system = radon.verify_system
+
+    def counted_eval_points(self, points, tangents=None):
+        calls.append((self, tangents is not None))
+        return eval_points(self, points, tangents)
+
+    def counted_verify_system(*args, **kwargs):
+        verify_calls.append(args)
+        return verify_system(*args, **kwargs)
+
+    monkeypatch.setattr(Evaluator, "eval_points", counted_eval_points)
+    monkeypatch.setattr(radon, "verify_system", counted_verify_system)
+    session = cli.Session(conics5, 50, 1e-9, 0x5EED)
+    assert cli.radon_suite(session).passed()
+    coframe = session.metric._coframe_ev
+    assert len(verify_calls) == 1
+    assert [tangents for ev, tangents in calls if ev is coframe] == [True]

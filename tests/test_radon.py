@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 
 from odegeom import cli, radon
-from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, Evaluator, parse
+from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, Evaluator, diff, parse, var
 from odegeom.jet import builtin
 from odegeom.radon import (
     COORDS,
     RadonConfig,
     RadonError,
     _aux_points,
+    _condition_rows,
+    _conic_fwd,
     _conics_from_jets,
     _fd_combine,
     _fd_gradient,
     _fd_stencil,
     _gauss,
+    _signed_minors,
     conic_checks,
     conic_from_jet,
     conic_jet,
@@ -205,7 +208,7 @@ def test_numerics_suite():
 
 def test_verify_system_single_f(gtensor, metric_conics5):
     cfg = RadonConfig(f=parse("y"))
-    ver = verify_system(cfg, default_test_jets(), gtensor, metric_conics5)
+    [ver] = verify_system([cfg], default_test_jets(), gtensor, metric_conics5)
     assert ver.max_residual < 1e-4
     assert ver.lam == pytest.approx(1.0 / 3.0, abs=1e-4)
     assert ver.lam_spread < 1e-3
@@ -214,7 +217,7 @@ def test_verify_system_single_f(gtensor, metric_conics5):
 
 def test_verify_system_accepts_single_point(gtensor, metric_conics5):
     cfg = RadonConfig(f=parse("1"))
-    ver = verify_system(cfg, default_test_jets()[0], gtensor, metric_conics5)
+    [ver] = verify_system([cfg], default_test_jets()[0], gtensor, metric_conics5)
     assert len(ver.points) >= 2
     assert ver.max_residual < 1e-4
 
@@ -481,8 +484,7 @@ def test_verify_system_at_random_jets(gtensor, metric_conics5):
     cfgs = [RadonConfig(f=parse(text)) for text in ("1", "x", "y", "x*y")]
     for _ in range(10):
         jet = {name: rng.uniform(lo, hi) for name, lo, hi in box}
-        for cfg in cfgs:
-            ver = verify_system(cfg, jet, gtensor, metric_conics5)
+        for ver in verify_system(cfgs, jet, gtensor, metric_conics5):
             assert ver.max_residual < 1e-12
             assert ver.lam == pytest.approx(1.0 / 3.0, abs=1e-12)
             assert ver.relation_gap <= 1e-9
@@ -493,5 +495,51 @@ def test_verify_system_does_not_use_the_quadrature(gtensor, metric_conics5, monk
         raise AssertionError("verify_system must not call radon_F")
 
     monkeypatch.setattr(radon, "radon_F", no_quadrature)
-    ver = verify_system(RadonConfig(f=parse("x*y")), default_test_jets(), gtensor, metric_conics5)
+    [ver] = verify_system([RadonConfig(f=parse("x*y"))], default_test_jets(), gtensor,
+                          metric_conics5)
     assert ver.max_residual < 1e-12
+
+
+def test_forward_mode_minors_match_the_symbolic_minors():
+    # the same generic expansion on variables, differentiated symbolically
+    symbolic = _signed_minors(_condition_rows(*(var(n) for n in ("x",) + COORDS)))
+    first = [[diff(minor, c) for c in COORDS] for minor in symbolic]
+    table = Evaluator(symbolic + [e for row in first for e in row]
+                      + [diff(e, c) for row in first for e in row for c in COORDS])
+    fwd = _conic_fwd(_ORACLE_JETS, 0.0)
+    for j, jet in enumerate(_ORACLE_JETS):
+        vals = table.eval_points([dict(jet, x=0.0)])[:, 0]
+        want = (vals[:6], vals[6:36].reshape(6, 5), vals[36:].reshape(6, 5, 5))
+        got = (np.array([k.v[j] for k in fwd]), np.array([k.g[j] for k in fwd]),
+               np.array([k.h[j] for k in fwd]))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_joint_verify_system_matches_each_function_alone(gtensor, metric_conics5):
+    cfgs = [RadonConfig(f=parse(text)) for text in ("1", "x", "y", "x*y")]
+    joint = verify_system(cfgs, default_test_jets(), gtensor, metric_conics5)
+    for cfg, ver in zip(cfgs, joint):
+        [alone] = verify_system([cfg], default_test_jets(), gtensor, metric_conics5)
+        assert (ver.f_text, ver.lam, ver.lam_spread, ver.mu, ver.c_offset, ver.relation_gap) == (
+            alone.f_text, alone.lam, alone.lam_spread, alone.mu, alone.c_offset,
+            alone.relation_gap)
+        for p, q in zip(ver.points, alone.points):
+            assert (p.jet, p.value, p.laplacian, p.lam, p.residual) == (
+                q.jet, q.value, q.laplacian, q.lam, q.residual)
+            assert np.array_equal(p.gradient, q.gradient)
+            assert np.array_equal(p.covector, q.covector)
+
+
+@pytest.mark.parametrize("interval, bad", [
+    ((-0.8, 0.8), dict(_CONIC_JET, y=math.nan)),
+    ((-5.0, 5.0), default_test_jets()[1]),
+])
+def test_a_batch_names_its_bad_jet_as_that_jet_alone(gtensor, metric_conics5, interval, bad):
+    cfg = RadonConfig(f=parse("1"), x_a=interval[0], x_b=interval[1])
+    good = default_test_jets()[0]
+    with pytest.raises(RadonError) as alone:
+        radon_derivatives(cfg, bad)
+    with pytest.raises(RadonError) as batched:
+        verify_system([cfg], [good, bad, good], gtensor, metric_conics5)
+    assert str(batched.value) == str(alone.value)

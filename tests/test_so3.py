@@ -137,13 +137,14 @@ def test_expansion_rows(gtensor, metric_conics5):
     _all_pass(expansion_check(gtensor, metric_conics5))
 
 
+def _geometry_at(gtensor, metric, pt):
+    _, _, g_inv, gamma = metric.christoffel_at([pt])
+    return g_inv[0], gamma[0], gtensor.lower_at([pt])[0]
+
+
 def test_operator_on_constant(gtensor, metric_conics5, conics5):
     pt = sample_points(conics5, 1, seed=9)[0]
-
-    def const_field(_):
-        return 1.0, np.zeros(5), np.zeros((5, 5))
-
-    hv = hor_operator(gtensor, metric_conics5, const_field, pt)
+    hv = hor_operator(np.zeros(5), np.zeros((5, 5)), *_geometry_at(gtensor, metric_conics5, pt))
     assert np.max(np.abs(hv.covector)) == 0.0
     assert hv.laplacian == 0.0
 
@@ -153,11 +154,7 @@ def test_operator_on_coordinate_is_harmonic(gtensor, metric_conics5, conics5):
     pt = sample_points(conics5, 1, seed=10)[0]
     grad = np.zeros(5)
     grad[0] = 1.0
-
-    def coord_field(_):
-        return pt["y"], grad, np.zeros((5, 5))
-
-    hv = hor_operator(gtensor, metric_conics5, coord_field, pt)
+    hv = hor_operator(grad, np.zeros((5, 5)), *_geometry_at(gtensor, metric_conics5, pt))
     assert abs(hv.laplacian) < 1e-9
 
 
