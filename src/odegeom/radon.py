@@ -32,10 +32,12 @@ the batch of one): the branch at every jet's nodes is one numpy pass and f
 at all of them one `eval_points` pass, while each jet's node sum stays the
 scalar one, so a value does not depend on the batch it was computed in.
 The conics of a batch come from one stacked SVD of their 5x6 condition
-matrices, each then tested and normalised on its own as `conic_from_jet`
-does.  `numerics_checks` evaluates each 20-jet finite-difference stencil as
-one batch: 22 batches per call, one stencil at a time, which bounds the
-per-point dicts alive at once.
+matrices, built by one broadcast over the jets' coordinates; the rank test,
+normalisation, sign fix and jet round trip of `conic_from_jet` then run as
+array operations over the batch.  `numerics_checks` takes its finite
+differences from 22 stencils of 20 jets that share about half their jets: it
+evaluates each distinct jet once, in batches of at most 20 (about 11 per
+call), which bounds the per-point dicts alive at once.
 
 The Gauss-Legendre rule (`_gauss`) is computed by Newton's method on the
 three-term Legendre recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35
@@ -50,13 +52,15 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import Evaluator, Expr, diff, free_variables, parse
+from .expr import Evaluator, Expr, ExprError, diff, free_variables, parse
 from .geom import MetricField
 from .jet import JetOde
 from .report import CheckRecord
@@ -111,43 +115,13 @@ def conic_from_jet(jet: Dict[str, float], x0: float = 0.0) -> Tuple[ConicCoeffic
     Raises if a condition is not finite, the null space is not
     one-dimensional or the recovered conic does not reproduce the jet.
     """
-    rows = _condition_matrix(jet, x0)
+    rows = np.array(_condition_rows(x0, *(float(jet[c]) for c in COORDS)), dtype=float)
     if not np.isfinite(rows).all():
         raise RadonError("jet conditions are not finite (jet too large or not a number)")
     try:
         _, svals, vt = np.linalg.svd(rows)
     except np.linalg.LinAlgError as exc:
         raise RadonError(f"jet conditions could not be solved: {exc}") from None
-    return _conic_from_svd(jet, x0, svals, vt)
-
-
-def _conics_from_jets(jets: Sequence[Dict[str, float]],
-                      x0: float) -> List[Tuple[ConicCoefficients, int]]:
-    """`conic_from_jet` at each jet, with one stacked SVD of all the
-    condition matrices; each result is bitwise that of the jet alone.
-
-    When a matrix is not finite or the stacked SVD fails, the jets are
-    solved one by one, so the first bad jet raises its own error.
-    """
-    stack = np.array([_condition_matrix(jet, x0) for jet in jets])
-    if np.isfinite(stack).all():
-        try:
-            _, svals, vt = np.linalg.svd(stack)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return [_conic_from_svd(jet, x0, svals[j], vt[j]) for j, jet in enumerate(jets)]
-    return [conic_from_jet(jet, x0) for jet in jets]
-
-
-def _condition_matrix(jet: Dict[str, float], x0: float) -> np.ndarray:
-    return np.array(_condition_rows(x0, *(float(jet[c]) for c in COORDS)), dtype=float)
-
-
-def _conic_from_svd(jet: Dict[str, float], x0: float, svals: np.ndarray,
-                    vt: np.ndarray) -> Tuple[ConicCoefficients, int]:
-    """The rank test, normalisation, sign fix and jet round trip of
-    `conic_from_jet`, from the SVD of the jet's condition matrix."""
     y, p, q, r, s = (float(jet[c]) for c in COORDS)
     scale = svals[0] if svals[0] > 0 else 1.0
     rank = int(np.sum(svals > 1e-10 * scale))
@@ -169,6 +143,66 @@ def _conic_from_svd(jet: Dict[str, float], x0: float, svals: np.ndarray,
     if gap > 1e-10 * jet_scale:
         raise RadonError(f"recovered conic does not reproduce the jet (gap {gap:.2e})")
     return conic, branch
+
+
+def _conics_from_jets(jets: Sequence[Dict[str, float]],
+                      x0: float) -> List[Tuple[ConicCoefficients, int]]:
+    """`conic_from_jet` at each jet as array operations over the jets; each
+    result is bitwise that of the jet alone.
+
+    The condition matrices are one broadcast `_condition_rows` over the
+    coordinate columns (J, 5, 6), solved by one stacked SVD.  The rank test,
+    the normalisation (one `np.linalg.norm` per row), the sign fix, the
+    branch selector and the jet round trip (`_branch_at_nodes` at x0, then
+    the p, q, r, s formulas of `conic_jet`) run in `conic_from_jet`'s order
+    of operations.  When any jet fails any test, or a matrix is not finite,
+    or the stacked SVD fails, the jets are solved one by one by
+    `conic_from_jet`, so the first bad jet raises its own error.
+    """
+    coords = np.array([[float(jet[c]) for c in COORDS] for jet in jets]).reshape(-1, 5)
+    stack = np.empty((len(coords), 5, 6))
+    with np.errstate(all="ignore"):
+        for i, row in enumerate(_condition_rows(x0, *coords.T)):
+            for k, entry in enumerate(row):
+                stack[:, i, k] = entry
+    if np.isfinite(stack).all():
+        try:
+            _, svals, vt = np.linalg.svd(stack)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            conics = _conics_from_svd(coords, x0, svals, vt)
+            if conics is not None:
+                return conics
+    return [conic_from_jet(jet, x0) for jet in jets]
+
+
+def _conics_from_svd(coords: np.ndarray, x0: float, svals: np.ndarray,
+                     vt: np.ndarray) -> Optional[List[Tuple[ConicCoefficients, int]]]:
+    """The rank test, normalisation, sign fix and jet round trip of
+    `conic_from_jet` over the rows of a stacked SVD as array operations, or
+    None when any jet fails one of them."""
+    with np.errstate(all="ignore"):
+        scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
+        ok = (svals > 1e-10 * scale[:, None]).sum(axis=1) == 5
+        v = vt[:, -1]
+        v = v / np.array([np.linalg.norm(row) for row in v])[:, None]
+        v = np.where((v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0)[:, None], -v, v)
+        a, b, c, d, e, f = v.T
+        y = coords[:, 0]
+        phi_y = 2 * b * x0 + 2 * c * y + 2 * e
+        branches = np.where(phi_y > 0, 1, -1)
+        (yv, p, q, fy), regular = _branch_at_nodes(v, branches, np.array([x0]))
+        yv, p, q, fy = yv[:, 0], p[:, 0], q[:, 0], fy[:, 0]
+        G = 2 * b + 2 * c * p
+        r = -3 * q * G / fy
+        s = -3 * (r * G + 2 * c * q * q) / fy + 3 * q * G * G / (fy * fy)
+        gap = np.abs(np.stack([yv, p, q, r, s], axis=1) - coords).max(axis=1)
+        ok &= (phi_y != 0.0) & regular & (gap <= 1e-10 * (1.0 + np.abs(coords).max(axis=1)))
+    if not ok.all():
+        return None
+    return [(ConicCoefficients(tuple(row)), branch)
+            for row, branch in zip(v.tolist(), branches.tolist())]
 
 
 def _branch_y(conic: ConicCoefficients, branch: int, x: float) -> float:
@@ -420,13 +454,14 @@ def _gauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _branch_at_nodes(vectors: np.ndarray, branches: np.ndarray, x: np.ndarray):
-    """(y, q) of each conic's branch at every node x in one numpy pass.
+    """(y, p, q, phi_y) of each conic's branch at every node x in one numpy
+    pass, and the regular rows.
 
     vectors holds one conic per row (J, 6), branches their selectors (J,);
-    the coefficients broadcast as columns against the nodes (N,), so y and
-    q are (J, N).  The formulas and their order of operations are those of
-    `_branch_y` and `conic_jet`, so each value is bitwise the scalar one.
-    The third result marks the regular rows (J,): a row is not regular when
+    the coefficients broadcast as columns against the nodes (N,), so y, p,
+    q and phi_y are (J, N).  The formulas and their order of operations are
+    those of `_branch_y` and `conic_jet`, so each value is bitwise the
+    scalar one.  The mask of regular rows is (J,): a row is not regular when
     any of its nodes would take a special case on the scalar path (a
     near-linear equation, B = 0, qf = 0) or raise there (no real root, no
     root with the defining orientation, a vertical tangent), or when any
@@ -458,7 +493,7 @@ def _branch_at_nodes(vectors: np.ndarray, branches: np.ndarray, x: np.ndarray):
             & ~(np.abs(fy) < 1e-13 * (1.0 + np.abs(x) + np.abs(y)))
         )
         finite = np.isfinite(B) & np.isfinite(C) & np.isfinite(disc) & np.isfinite(q)
-    return y, q, (regular & finite).all(axis=1)
+    return (y, p, q, fy), (regular & finite).all(axis=1)
 
 
 def _nodes(cfg: RadonConfig, order: Optional[int] = None):
@@ -504,8 +539,8 @@ def radon_F_batch(cfg: RadonConfig, jets: Sequence[Dict[str, float]],
     """
     conics = _conics_from_jets(jets, cfg.x0)
     xs, weights, half = _nodes(cfg, order)
-    y, q, regular = _branch_at_nodes(np.array([conic.vector for conic, _ in conics]),
-                                     np.array([branch for _, branch in conics]), xs)
+    (y, _, q, _), regular = _branch_at_nodes(np.array([conic.vector for conic, _ in conics]),
+                                             np.array([branch for _, branch in conics]), xs)
     one_sign = regular & ((q > 0).all(axis=1) | (q < 0).all(axis=1))
     xs = xs.tolist()
     ys, qs = y.tolist(), q.tolist()
@@ -752,6 +787,33 @@ def _fd_combine(values: Sequence, h: float) -> np.ndarray:
     return np.array(rows)
 
 
+_FD_BATCH = 20   # jets per quadrature batch; bounds the per-node point dicts alive at once
+_JET_KEY = struct.Struct("5d")
+
+
+def _distinct_jets(stencils: Iterable[Sequence[Dict[str, float]]]
+                   ) -> Tuple[List[List[int]], List[Tuple[float, ...]]]:
+    """The distinct jets of the stencils, in order of first appearance, as
+    (y, p, q, r, s) tuples, and for each stencil the index of each of its
+    jets among them.  Jets are keyed on the bits of their coordinates, so
+    0.0 and -0.0 stay apart and a jet's value is looked up only for a jet
+    of the same float coordinates."""
+    coords = itemgetter(*COORDS)
+    index: Dict[bytes, int] = {}
+    distinct: List[Tuple[float, ...]] = []
+    at = []
+    for stencil in stencils:
+        idx = []
+        for Xp in stencil:
+            values = coords(Xp)
+            i = index.setdefault(_JET_KEY.pack(*values), len(distinct))
+            if i == len(distinct):
+                distinct.append(tuple(map(float, values)))
+            idx.append(i)
+        at.append(idx)
+    return at, distinct
+
+
 def _fd_gradient(Ffun: Callable[[Dict[str, float]], float], X: Dict[str, float], h: float) -> np.ndarray:
     """Central differences with one Richardson level of a scalar F."""
     return _fd_combine([Ffun(Xp) for Xp in _fd_stencil(X, h)], h)
@@ -948,10 +1010,40 @@ def integration_cross_checks(ode5: JetOde, gn5: JetOde, seed: int = 0x5EED) -> L
     return checks
 
 
+def _fd_derivatives(cfg: RadonConfig,
+                    jet: Dict[str, float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The finite-difference gradients of F at steps h and h/2 and the
+    Hessian as differences of gradients at step h (`_fd_combine` over
+    `_fd_stencil`), with each distinct jet of the 22 stencils evaluated once.
+
+    The distinct jets run in batches of `_FD_BATCH` in order of first
+    appearance; a jet's value does not depend on its batch, so the results
+    are bitwise those of one batch per stencil.  When a batch raises, the
+    stencils are evaluated one batch each, in order, so the error is the one
+    the first stencil holding a bad jet raises.
+    """
+    h = cfg.h
+    outer = [(jet, h), (jet, h / 2)] + [(Xs, h) for Xs in _fd_stencil(jet, h)]
+    at, distinct = _distinct_jets(_fd_stencil(X, step) for X, step in outer)
+    try:
+        values = []
+        for start in range(0, len(distinct), _FD_BATCH):
+            values.extend(radon_F_batch(
+                cfg, [dict(zip(COORDS, key)) for key in distinct[start:start + _FD_BATCH]]))
+    except (RadonError, ExprError):
+        for X, step in outer:
+            radon_F_batch(cfg, _fd_stencil(X, step))
+        raise
+    g1, g2, *inner = (_fd_combine([values[i] for i in idx], step)
+                      for idx, (_, step) in zip(at, outer))
+    return g1, g2, _fd_combine(inner, h).T
+
+
 def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
                     seed: int = 0x5EED) -> List[CheckRecord]:
     """Quadrature stability, reparametrisation invariance, finite-difference
-    hygiene."""
+    hygiene.  The finite differences take each distinct jet of their 22
+    stencils once (`_fd_derivatives`)."""
     if jet is None:
         jet = default_test_jets()[0]
     checks: List[CheckRecord] = []
@@ -971,12 +1063,7 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
         "reparametrisation_invariance", abs(F1 - F3) / (1.0 + abs(F1)), 1e-9, 2, seed,
         notes="transform depends on the conic, not on the jet representative"))
 
-    def fd_gradient(X, step):
-        # the 20 jets of one stencil in one batched quadrature
-        return _fd_combine(radon_F_batch(cfg, _fd_stencil(X, step)), step)
-
-    g1 = fd_gradient(jet, cfg.h)
-    g2 = fd_gradient(jet, cfg.h / 2)
+    g1, g2, H = _fd_derivatives(cfg, jet)
     checks.append(CheckRecord.from_residual(
         "fd_gradient_step_doubling",
         float(np.linalg.norm(g1 - g2)) / (float(np.linalg.norm(g1)) + 1e-300),
@@ -984,8 +1071,6 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
 
     # Hessian asymmetry when built as differences of gradients (Richardson on
     # the outer difference too, so truncation does not masquerade as asymmetry)
-    h = cfg.h
-    H = _fd_combine([fd_gradient(Xs, h) for Xs in _fd_stencil(jet, h)], h).T
     asym = float(np.max(np.abs(H - H.T))) / (float(np.max(np.abs(H))) + 1e-300)
     checks.append(CheckRecord.from_residual(
         "fd_hessian_symmetry", asym, 1e-6, 1, seed))

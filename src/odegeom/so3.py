@@ -281,6 +281,24 @@ def build_G(pd: PentadData, m: MetricField) -> GTensor:
     )
 
 
+def _frame_contractions(gh: Sequence, kinv: List[List[Fraction]]
+                        ) -> Tuple[List[Fraction], List[List[Fraction]], Fraction]:
+    """The trace k^ij G_ijk (5,), the quadratic trace G_efa G^ef_b (5 x 5)
+    and the norm G_abc G^abc of the frame components, exactly.
+
+    The sums run over the nonzero entries of the inverse pairing kinv only:
+    it is anti-diagonal, so each index has one partner.
+    """
+    pairs = [(i, j, w) for i, row in enumerate(kinv) for j, w in enumerate(row) if w != 0]
+    trace = [sum((w * gh[i][j][c] for i, j, w in pairs), Fraction(0)) for c in range(5)]
+    quadratic = [[sum((gh[e][f][a] * gh[e2][f2][b] * we * wf
+                       for e, e2, we in pairs for f, f2, wf in pairs), Fraction(0))
+                  for b in range(5)] for a in range(5)]
+    full = sum((gh[a][b][c] * gh[a2][b2][c2] * wa * wb * wc
+                for a, a2, wa in pairs for b, b2, wb in pairs for c, c2, wc in pairs), Fraction(0))
+    return trace, quadratic, full
+
+
 def frame_constant_checks(G: GTensor) -> List[CheckRecord]:
     """Exact rational checks on the frame components."""
     checks = []
@@ -296,13 +314,7 @@ def frame_constant_checks(G: GTensor) -> List[CheckRecord]:
         "six-epsilon contraction is already totally symmetric"))
 
     k = [[_K_PAIRING.get((i, j), Fraction(0)) for j in range(5)] for i in range(5)]
-    kinv = _frac_inv(k)
-    gh = G.ghat
-
-    trace = [
-        sum(kinv[i][j] * gh[i][j][kk] for i in range(5) for j in range(5))
-        for kk in range(5)
-    ]
+    trace, quadratic, full = _frame_contractions(G.ghat, _frac_inv(k))
     checks.append(CheckRecord(
         "gtensor_trace_free_exact",
         "pass" if all(t == 0 for t in trace) else "fail",
@@ -313,34 +325,15 @@ def frame_constant_checks(G: GTensor) -> List[CheckRecord]:
     worst = Fraction(0)
     for a in range(5):
         for b in range(5):
-            tot = Fraction(0)
-            for e in range(5):
-                for f in range(5):
-                    for e2 in range(5):
-                        for f2 in range(5):
-                            if kinv[e][e2] == 0 or kinv[f][f2] == 0:
-                                continue
-                            tot += gh[e][f][a] * gh[e2][f2][b] * kinv[e][e2] * kinv[f][f2]
             want = Fraction(7, 12) * k[a][b]
-            if tot != want:
+            if quadratic[a][b] != want:
                 ok = False
-                worst = max(worst, abs(tot - want))
+                worst = max(worst, abs(quadratic[a][b] - want))
     checks.append(CheckRecord(
         "gtensor_quadratic_trace_7_12",
         "pass" if ok else "fail", float(worst), 1e-10, 1, DEFAULT_SEED,
         "G_efa G^ef_b = (7/12) g_ab exactly on the frame"))
 
-    full = Fraction(0)
-    for a in range(5):
-        for b in range(5):
-            for c in range(5):
-                for a2 in range(5):
-                    for b2 in range(5):
-                        for c2 in range(5):
-                            w = kinv[a][a2] * kinv[b][b2] * kinv[c][c2]
-                            if w == 0:
-                                continue
-                            full += gh[a][b][c] * gh[a2][b2][c2] * w
     checks.append(CheckRecord(
         "gtensor_norm_35_12",
         "pass" if full == Fraction(35, 12) else "fail",

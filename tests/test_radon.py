@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -17,7 +18,9 @@ from odegeom.radon import (
     _condition_rows,
     _conic_fwd,
     _conics_from_jets,
+    _distinct_jets,
     _fd_combine,
+    _fd_derivatives,
     _fd_gradient,
     _fd_stencil,
     _gauss,
@@ -334,6 +337,145 @@ def test_stacked_conic_solve_falls_back_per_jet_when_the_stack_fails(monkeypatch
     expected = repr([conic_from_jet(j, 0.0) for j in stencil])
     monkeypatch.setattr(radon.np.linalg, "svd", no_stacked_svd)
     assert repr(_conics_from_jets(stencil, 0.0)) == expected
+
+
+def _per_stencil_fd(cfg, jet):
+    """g1, g2 and H of `numerics_checks` with one quadrature batch per
+    20-jet stencil: the oracle of the distinct-jet evaluation."""
+    def fd_gradient(X, step):
+        return _fd_combine(radon.radon_F_batch(cfg, _fd_stencil(X, step)), step)
+
+    h = cfg.h
+    return (fd_gradient(jet, h), fd_gradient(jet, h / 2),
+            _fd_combine([fd_gradient(Xs, h) for Xs in _fd_stencil(jet, h)], h).T)
+
+
+def _fd_stencils(jet, h):
+    """The 22 stencils of `numerics_checks`: the gradient at steps h and
+    h/2, and the gradient at step h around each jet of the first."""
+    return [_fd_stencil(jet, h), _fd_stencil(jet, h / 2)] + [
+        _fd_stencil(Xs, h) for Xs in _fd_stencil(jet, h)]
+
+
+# the --point jets of benchmark seeds 1 and 8 (perfbench/workloads.py)
+_SEED_1_JET = {"y": 1.098864, "p": 0.061431, "q": 2.096677, "r": 0.053546, "s": -0.058008}
+_SEED_8_JET = {"y": 0.971079, "p": 0.203945, "q": 1.759784, "r": 0.298319, "s": 0.398853}
+
+
+@pytest.mark.parametrize("text", ["1", "x", "y", "x*y"])
+@pytest.mark.parametrize("jet", [_BOX_JET, default_test_jets()[0], _SEED_1_JET, _SEED_8_JET])
+def test_distinct_fd_jets_match_one_batch_per_stencil(monkeypatch, text, jet):
+    cfg = RadonConfig(f=parse(text))
+    want = _per_stencil_fd(cfg, jet)
+    for got, ref in zip(_fd_derivatives(cfg, jet), want):
+        assert np.array_equal(got, ref)
+    records = numerics_checks(cfg, jet)
+    monkeypatch.setattr(radon, "_fd_derivatives", lambda cfg, jet: want)
+    assert records == numerics_checks(cfg, jet)
+    assert len(records) == 4
+
+
+def test_numerics_checks_evaluates_each_distinct_fd_jet_once(monkeypatch):
+    cfg = RadonConfig(f=parse("x*y"))
+    batch, batches = radon.radon_F_batch, []
+
+    def recording(cfg, jets, order=None):
+        batches.append([tuple(jet[c] for c in COORDS) for jet in jets])
+        return batch(cfg, jets, order)
+
+    monkeypatch.setattr(radon, "radon_F_batch", recording)
+    numerics_checks(cfg, _BOX_JET)
+    # F at the jet, at twice the order and at the shifted base point
+    assert [len(jets) for jets in batches[:3]] == [1, 1, 1]
+    fd = [key for jets in batches[3:] for key in jets]
+    assert len(fd) == len(set(fd))
+    assert set(fd) == {tuple(jet[c] for c in COORDS)
+                       for jets in _fd_stencils(_BOX_JET, cfg.h) for jet in jets}
+    assert max(len(jets) for jets in batches) <= 20
+    assert sum(len(jets) for jets in batches) <= 230  # 443 with one batch per stencil
+    assert len(batches) - 3 <= 12
+
+
+def test_distinct_jets_keep_signed_zeros_apart():
+    zero, minus_zero = dict(_CONIC_JET, y=0.0), dict(_CONIC_JET, y=-0.0)
+    at, distinct = _distinct_jets([[zero, minus_zero], [zero, _CONIC_JET]])
+    assert at == [[0, 1], [0, 2]]
+    assert [math.copysign(1.0, key[0]) for key in distinct[:2]] == [1.0, -1.0]
+
+
+def test_fd_error_is_that_of_the_first_stencil_with_a_bad_jet():
+    # s + h crosses the value where the branch leaves the reals at x = 0.8,
+    # so the jet passes and some shifted jets do not
+    cfg = RadonConfig(f=parse("1"))
+    jet = dict(_CONIC_JET, s=9.147913463361752)
+    radon_F(cfg, jet)
+    with pytest.raises(RadonError) as alone:
+        _per_stencil_fd(cfg, jet)
+    with pytest.raises(RadonError) as distinct:
+        _fd_derivatives(cfg, jet)
+    assert str(distinct.value) == str(alone.value)
+    assert str(alone.value).startswith("branch leaves the reals at x=")
+
+
+def test_fd_error_does_not_depend_on_the_batches(monkeypatch):
+    # two bad jets new in one stencil, whose distinct jets straddle two
+    # batches; the batch names its last bad jet, as a conic error of a later
+    # jet comes before a branch error of an earlier one
+    cfg = RadonConfig(f=parse("x"))
+    at, distinct = _distinct_jets(_fd_stencils(_BOX_JET, cfg.h))
+    seen, news = set(), []
+    for idx in at:
+        news.append(sorted(set(idx) - seen))
+        seen.update(idx)
+    new = next(new for new in news if new and new[0] // 20 != new[-1] // 20)
+    bad = {distinct[new[0]], distinct[new[-1]]}
+    batch = radon.radon_F_batch
+
+    def failing(cfg, jets, order=None):
+        keys = [tuple(jet[c] for c in COORDS) for jet in jets]
+        named = [key for key in keys if key in bad]
+        if named:
+            raise RadonError(f"bad jet {named[-1]}")
+        return batch(cfg, jets, order)
+
+    monkeypatch.setattr(radon, "radon_F_batch", failing)
+    with pytest.raises(RadonError) as alone:
+        _per_stencil_fd(cfg, _BOX_JET)
+    with pytest.raises(RadonError) as distinct_jets:
+        _fd_derivatives(cfg, _BOX_JET)
+    assert str(distinct_jets.value) == str(alone.value) == f"bad jet {distinct[new[-1]]}"
+
+
+def test_array_conic_solve_matches_conic_from_jet_over_the_distinct_fd_jets(monkeypatch):
+    _, distinct = _distinct_jets(_fd_stencils(_BOX_JET, 1e-4))
+    jets = [dict(zip(COORDS, key)) for key in distinct]
+    expected = repr([conic_from_jet(jet, 0.0) for jet in jets])
+
+    def no_per_jet_solve(*args, **kwargs):
+        raise AssertionError("the array path must accept these jets")
+
+    monkeypatch.setattr(radon, "conic_from_jet", no_per_jet_solve)
+    assert repr(_conics_from_jets(jets, 0.0)) == expected
+
+
+@pytest.mark.parametrize("bad", [
+    dict(_BOX_JET, y=1e308), dict(_BOX_JET, p=1e154), dict(_BOX_JET, y=1e200, p=1e100),
+    {"y": 1.0, "p": 0.0, "q": 0.0, "r": 1.0, "s": 0.0}, dict(_BOX_JET, q=0.0),
+])
+def test_array_conic_solve_raises_no_numpy_warning(bad):
+    with pytest.raises(RadonError) as alone:
+        conic_from_jet(bad, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RadonError) as stacked:
+            _conics_from_jets([_BOX_JET, bad], 0.0)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_array_conic_solve_falls_back_on_a_special_branch():
+    # the parabola (c = 0) takes the near-linear case of the round trip
+    jets = [_BOX_JET, {"y": 0.0, "p": 0.0, "q": 2.0, "r": 0.0, "s": 0.0}, _CONIC_JET]
+    assert repr(_conics_from_jets(jets, 0.0)) == repr([conic_from_jet(j, 0.0) for j in jets])
 
 
 _RULE_ORDERS = (1, 2, 3, 5, 20, 60, 61, 120)

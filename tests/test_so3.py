@@ -10,6 +10,9 @@ from odegeom.geom import sample_points
 from odegeom.jet import builtin
 from odegeom.so3 import (
     So3Error,
+    _K_PAIRING,
+    _frac_inv,
+    _frame_contractions,
     _spinor_frame,
     build_G,
     expansion_check,
@@ -123,6 +126,29 @@ def test_requires_conics5(pd_gn5, metric_gn5):
 
 def test_frame_constants(gtensor):
     _all_pass(frame_constant_checks(gtensor))
+
+
+def _dense_frame_contractions(gh, kinv):
+    """The contractions of `frame_constant_checks` over every index tuple:
+    the oracle of the sums over the nonzero entries of kinv."""
+    n = range(5)
+    trace = [sum(kinv[i][j] * gh[i][j][c] for i in n for j in n) for c in n]
+    quadratic = [[sum(gh[e][f][a] * gh[e2][f2][b] * kinv[e][e2] * kinv[f][f2]
+                      for e, f, e2, f2 in itertools.product(n, repeat=4)) for b in n] for a in n]
+    full = sum(gh[a][b][c] * gh[a2][b2][c2] * kinv[a][a2] * kinv[b][b2] * kinv[c][c2]
+               for a, b, c, a2, b2, c2 in itertools.product(n, repeat=6))
+    return trace, quadratic, full
+
+
+def test_sparse_frame_contractions_match_the_dense_loops(gtensor):
+    k = [[_K_PAIRING.get((i, j), Fraction(0)) for j in range(5)] for i in range(5)]
+    kinv = _frac_inv(k)
+    assert sum(w != 0 for row in kinv for w in row) == 5  # anti-diagonal
+    trace, quadratic, full = _frame_contractions(gtensor.ghat, kinv)
+    assert (trace, quadratic, full) == _dense_frame_contractions(gtensor.ghat, kinv)
+    assert trace == [0] * 5 and full == Fraction(35, 12)
+    assert quadratic == [[Fraction(7, 12) * w for w in row] for row in k]
+    assert all(type(v) is Fraction for v in trace + [full] + sum(quadratic, []))
 
 
 def test_trace_free_coordinates(gtensor):
