@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from odegeom import geom, pentad, so3
-from odegeom.cli import Session, pentad_suite, run
+from odegeom.cli import Session, main, pentad_suite, run
 from odegeom.jet import load_ode_file
 from odegeom.report import CheckReport
 
@@ -265,6 +265,19 @@ def test_radon_branch_error_names_first_bad_node():
     code, text = run(["radon", "--ode", "conics5", "--interval", "-5", "5"])
     assert code == 2
     assert "x=3.224864142447385" in text
+
+
+@pytest.mark.parametrize("point, message", [
+    ("y=1e308,p=0,q=1,r=0,s=0", "jet conditions are not finite (jet too large or not a number)"),
+    ("y=0,p=0,q=0,r=0,s=0", "degenerate jet: conic conditions have rank 3, null space is not a line"),
+    ("y=1,p=0,q=0,r=1,s=0", "vertical tangent at the base point"),
+    ("y=1,p=0.3,q=2,r=0.1,s=9.5",
+     "branch leaves the reals at x=0.7848537614020786 (discriminant -1.56e-04)"),
+], ids=["overflow", "zero-jet", "vertical-tangent", "branch-leaves-reals"])
+def test_radon_point_jet_errors_exit_2(capsys, point, message):
+    assert main(["radon", "--ode", "conics5", "--point", point]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
 
 
 def test_radon_f_nonfinite_intermediate_exit_2():
