@@ -1,9 +1,10 @@
 """Numerical verification of the integral transform.
 
-A conic is recovered from a 4-jet by solving the five linear conditions its
-implicit equation must satisfy at the base point; evaluation along the conic
-is exact (quadratic formula plus implicit differentiation), and a numeric
-ODE integration of the jet system is kept as an independent cross-check.
+A conic is recovered from a 4-jet as the six signed 5x5 minors of the five
+linear conditions its implicit equation must satisfy at the base point (a
+null vector of the condition matrix); evaluation along the conic is exact
+(quadratic formula plus implicit differentiation), and a numeric ODE
+integration of the jet system is kept as an independent cross-check.
 That integration is a private port of the Dormand-Prince 5(4) pair with the
 starting-step rule of Hairer, Norsett & Wanner (Solving ODEs I, II.4); it
 repeats the RK45 step control of `solve_ivp` operation for operation, so its
@@ -11,32 +12,28 @@ results are bitwise those of `solve_ivp(method="RK45")`.
 
 The transform F(X) = integral of f(x, Z(x, X)) * q^(1/3) dx is taken over a
 fixed real interval on which the branch stays smooth and q keeps one sign
-(the real cube root carries the sign).  Its gradient and Hessian over the
-moduli coordinates X = (y, p, q, r, s) are exact: second-order forward-mode
-numbers (value, gradient, Hessian; Fike & Alonso, AIAA 2011-886; Griewank &
-Walther, Evaluating Derivatives, 2008) are carried through the conic, its
-branch and the test function at all Gauss nodes.  The conic there is the
-vector of signed 5x5 minors of the jet-condition matrix, from one Laplace
-expansion run on forward-mode numbers over all jets at once; the branch
-does not depend on the conic's scale, so it needs no normalisation.  The
-branch at every jet's nodes is one numpy pass, shared by all test functions
-of a contour, which add only f, f_y and f_yy at the nodes and the weighted
-sums.  The second-order operator pair is then applied with each point's
-geometry (one batch over the points) and the eigenvalue content extracted:
-a per-point least-squares lambda, and (mu, c) regressed across points from
-laplacian(F) = mu * (F + c).  Central differences of F remain only as an
-independent cross-check of those derivatives (`numerics_checks`).
+(the real cube root carries the sign).  It has one path, over a batch of
+jets: the minors from one Laplace expansion run on second-order
+forward-mode numbers (value, gradient, Hessian over the moduli coordinates
+X = (y, p, q, r, s); Fike & Alonso, AIAA 2011-886; Griewank & Walther,
+Evaluating Derivatives, 2008), the branch at every jet's Gauss nodes in one
+numpy pass, f at all the nodes in one `eval_points` pass and each jet's
+weighted sums.  `radon_derivatives` carries the five coordinate directions
+and gets F with its exact gradient and Hessian; `radon_F_batch` and
+`radon_F` carry none and evaluate f alone, which gives bitwise the same F
+(no value depends on the directions carried, nor on the batch).  The branch
+does not depend on the conic's scale, so the minors need no normalisation;
+`conic_from_jet` and `conic_jet` are the batch of one, with the minors made
+unit and sign-fixed.  Each jet is validated inside the path, by array tests
+over the batch, and the first bad jet raises the error it raises alone.
 
-The quadrature itself takes a batch of jets (`radon_F_batch`; `radon_F` is
-the batch of one): the branch at every jet's nodes is one numpy pass and f
-at all of them one `eval_points` pass, while each jet's node sum stays the
-scalar one, so a value does not depend on the batch it was computed in.
-The conics of a batch come from one stacked SVD of their 5x6 condition
-matrices, built by one broadcast over the jets' coordinates; the rank test,
-normalisation, sign fix and jet round trip of `conic_from_jet` then run as
-array operations over the batch.  `numerics_checks` takes its finite
-differences from 22 stencils of 20 jets that share about half their jets: it
-evaluates each distinct jet once, in batches of at most 20 (about 11 per
+The second-order operator pair is then applied with each point's geometry
+(one batch over the points) and the eigenvalue content extracted: a
+per-point least-squares lambda, and (mu, c) regressed across points from
+laplacian(F) = mu * (F + c).  Central differences of F remain only as an
+independent cross-check of those derivatives (`numerics_checks`).  They
+come from 22 stencils of 20 jets that share about half their jets, so each
+distinct jet is evaluated once, in batches of at most 20 (about 11 per
 call), which bounds the per-point dicts alive at once.
 
 The Gauss-Legendre rule (`_gauss`) is computed by Newton's method on the
@@ -80,18 +77,6 @@ class ConicCoefficients:
 
     vector: tuple
 
-    @property
-    def a(self):
-        return self.vector[0]
-
-    def phi_y(self, x: float, y: float) -> float:
-        a, b, c, d, e, f = self.vector
-        return 2 * b * x + 2 * c * y + 2 * e
-
-    def phi_x(self, x: float, y: float) -> float:
-        a, b, c, d, e, f = self.vector
-        return 2 * a * x + 2 * b * y + 2 * d
-
 
 def _condition_rows(x, y, p, q, r, s) -> list:
     """The five linear conditions on (a, b, c, d, e, f): the implicit
@@ -108,147 +93,33 @@ def _condition_rows(x, y, p, q, r, s) -> list:
 
 
 def conic_from_jet(jet: Dict[str, float], x0: float = 0.0) -> Tuple[ConicCoefficients, int]:
-    """Solve the five jet conditions for the conic through a 4-jet.
+    """Solve the five jet conditions for the conic through a 4-jet: the
+    signed minors of `_conic_fwd` at the jet alone, made unit and sign-fixed.
 
     Returns the normalized coefficients and the branch selector (the sign of
     the y-partial of the implicit equation along the defining branch).
-    Raises if a condition is not finite, the null space is not
-    one-dimensional or the recovered conic does not reproduce the jet.
+    Raises if a condition or minor is not finite, the null space is not
+    one-dimensional, the tangent at the base point is vertical or the
+    recovered conic does not reproduce the jet.
     """
-    rows = np.array(_condition_rows(x0, *(float(jet[c]) for c in COORDS)), dtype=float)
-    if not np.isfinite(rows).all():
-        raise RadonError("jet conditions are not finite (jet too large or not a number)")
-    try:
-        _, svals, vt = np.linalg.svd(rows)
-    except np.linalg.LinAlgError as exc:
-        raise RadonError(f"jet conditions could not be solved: {exc}") from None
-    y, p, q, r, s = (float(jet[c]) for c in COORDS)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    rank = int(np.sum(svals > 1e-10 * scale))
-    if rank != 5:
-        raise RadonError(
-            f"degenerate jet: conic conditions have rank {rank}, null space is not a line"
-        )
-    v = vt[-1]
+    minors, branches, _, checks = _conic_fwd([jet], x0, 0)
+    _raise_first(checks)
+    v = np.array([k.v[0] for k in minors])
     v = v / np.linalg.norm(v)
+    branch = int(branches[0])
     if v[int(np.argmax(np.abs(v)))] < 0:
-        v = -v
-    conic = ConicCoefficients(tuple(float(c) for c in v))
-    branch = 1 if conic.phi_y(x0, y) > 0 else -1
-    if conic.phi_y(x0, y) == 0.0:
-        raise RadonError("vertical tangent at the base point")
-    got = conic_jet(conic, branch, x0)
-    jet_scale = 1.0 + max(abs(v0) for v0 in (y, p, q, r, s))
-    gap = max(abs(got[c] - jet[c]) for c in COORDS)
-    if gap > 1e-10 * jet_scale:
-        raise RadonError(f"recovered conic does not reproduce the jet (gap {gap:.2e})")
-    return conic, branch
-
-
-def _conics_from_jets(jets: Sequence[Dict[str, float]],
-                      x0: float) -> List[Tuple[ConicCoefficients, int]]:
-    """`conic_from_jet` at each jet as array operations over the jets; each
-    result is bitwise that of the jet alone.
-
-    The condition matrices are one broadcast `_condition_rows` over the
-    coordinate columns (J, 5, 6), solved by one stacked SVD.  The rank test,
-    the normalisation (one `np.linalg.norm` per row), the sign fix, the
-    branch selector and the jet round trip (`_branch_at_nodes` at x0, then
-    the p, q, r, s formulas of `conic_jet`) run in `conic_from_jet`'s order
-    of operations.  When any jet fails any test, or a matrix is not finite,
-    or the stacked SVD fails, the jets are solved one by one by
-    `conic_from_jet`, so the first bad jet raises its own error.
-    """
-    coords = np.array([[float(jet[c]) for c in COORDS] for jet in jets]).reshape(-1, 5)
-    stack = np.empty((len(coords), 5, 6))
-    with np.errstate(all="ignore"):
-        for i, row in enumerate(_condition_rows(x0, *coords.T)):
-            for k, entry in enumerate(row):
-                stack[:, i, k] = entry
-    if np.isfinite(stack).all():
-        try:
-            _, svals, vt = np.linalg.svd(stack)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            conics = _conics_from_svd(coords, x0, svals, vt)
-            if conics is not None:
-                return conics
-    return [conic_from_jet(jet, x0) for jet in jets]
-
-
-def _conics_from_svd(coords: np.ndarray, x0: float, svals: np.ndarray,
-                     vt: np.ndarray) -> Optional[List[Tuple[ConicCoefficients, int]]]:
-    """The rank test, normalisation, sign fix and jet round trip of
-    `conic_from_jet` over the rows of a stacked SVD as array operations, or
-    None when any jet fails one of them."""
-    with np.errstate(all="ignore"):
-        scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
-        ok = (svals > 1e-10 * scale[:, None]).sum(axis=1) == 5
-        v = vt[:, -1]
-        v = v / np.array([np.linalg.norm(row) for row in v])[:, None]
-        v = np.where((v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)] < 0)[:, None], -v, v)
-        a, b, c, d, e, f = v.T
-        y = coords[:, 0]
-        phi_y = 2 * b * x0 + 2 * c * y + 2 * e
-        branches = np.where(phi_y > 0, 1, -1)
-        (yv, p, q, fy), regular = _branch_at_nodes(v, branches, np.array([x0]))
-        yv, p, q, fy = yv[:, 0], p[:, 0], q[:, 0], fy[:, 0]
-        G = 2 * b + 2 * c * p
-        r = -3 * q * G / fy
-        s = -3 * (r * G + 2 * c * q * q) / fy + 3 * q * G * G / (fy * fy)
-        gap = np.abs(np.stack([yv, p, q, r, s], axis=1) - coords).max(axis=1)
-        ok &= (phi_y != 0.0) & regular & (gap <= 1e-10 * (1.0 + np.abs(coords).max(axis=1)))
-    if not ok.all():
-        return None
-    return [(ConicCoefficients(tuple(row)), branch)
-            for row, branch in zip(v.tolist(), branches.tolist())]
-
-
-def _branch_y(conic: ConicCoefficients, branch: int, x: float) -> float:
-    a, b, c, d, e, f = conic.vector
-    B = 2 * b * x + 2 * e
-    C = a * x * x + 2 * d * x + f
-    if abs(c) < 1e-14 * (abs(B) + abs(C) + 1.0):
-        if B == 0.0:
-            raise RadonError(f"vertical tangent at x={x}")
-        yv = -C / B
-        if (1 if B > 0 else -1) != branch:
-            raise RadonError(f"branch lost at x={x} (sign flip)")
-        return yv
-    disc = B * B - 4 * c * C
-    if disc <= 0.0:
-        raise RadonError(f"branch leaves the reals at x={x} (discriminant {disc:.2e})")
-    sq = math.sqrt(disc)
-    qf = -(B + math.copysign(sq, B)) / 2.0 if B != 0.0 else -sq / 2.0
-    candidates = (qf / c, C / qf) if qf != 0.0 else (0.0,)
-    for cand in candidates:
-        fy = conic.phi_y(x, cand)
-        if (1 if fy > 0 else -1) == branch:
-            return cand
-    raise RadonError(f"branch lost at x={x} (no root with the defining orientation)")
+        v, branch = -v, -branch
+    return ConicCoefficients(tuple(v.tolist())), branch
 
 
 def conic_jet(conic: ConicCoefficients, branch: int, x: float) -> Dict[str, float]:
     """Full 4-jet of the selected branch by implicit differentiation (the
-    implicit equation is quadratic, so third partials vanish)."""
-    a, b, c, d, e, f = conic.vector
-    yv = _branch_y(conic, branch, x)
-    fy = conic.phi_y(x, yv)
-    if abs(fy) < 1e-13 * (1.0 + abs(x) + abs(yv)):
-        raise RadonError(f"vertical tangent at x={x}")
-    p = -conic.phi_x(x, yv) / fy
-    q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
-    G = 2 * b + 2 * c * p
-    r = -3 * q * G / fy
-    s = -3 * (r * G + 2 * c * q * q) / fy + 3 * q * G * G / (fy * fy)
-    return {"y": yv, "p": p, "q": q, "r": r, "s": s}
-
-
-def eval_Z(conic: ConicCoefficients, branch: int, x: float) -> Tuple[float, float]:
-    """(y, y'') on the selected branch at x."""
-    jet = conic_jet(conic, branch, x)
-    return jet["y"], jet["q"]
+    implicit equation is quadratic, so third partials vanish): `_jet_at`
+    for one conic at one x.  Raises if the branch is not regular there."""
+    got, check = _jet_at([np.array([v]) for v in conic.vector],
+                         np.array([float(branch)]), np.array([float(x)]))
+    _raise_first([check])
+    return {c: float(v[0]) for c, v in zip(COORDS, got)}
 
 
 # Dormand-Prince 5(4): nodes, stage matrix, 5th-order weights and the
@@ -453,123 +324,13 @@ def _gauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _branch_at_nodes(vectors: np.ndarray, branches: np.ndarray, x: np.ndarray):
-    """(y, p, q, phi_y) of each conic's branch at every node x in one numpy
-    pass, and the regular rows.
-
-    vectors holds one conic per row (J, 6), branches their selectors (J,);
-    the coefficients broadcast as columns against the nodes (N,), so y, p,
-    q and phi_y are (J, N).  The formulas and their order of operations are
-    those of `_branch_y` and `conic_jet`, so each value is bitwise the
-    scalar one.  The mask of regular rows is (J,): a row is not regular when
-    any of its nodes would take a special case on the scalar path (a
-    near-linear equation, B = 0, qf = 0) or raise there (no real root, no
-    root with the defining orientation, a vertical tangent), or when any
-    intermediate is not finite.  Its y and q are then meaningless.
-    """
-    a, b, c, d, e, f = (vectors[:, k, None] for k in range(6))
-    branch = branches[:, None]
-    with np.errstate(all="ignore"):
-        B = 2 * b * x + 2 * e
-        C = a * x * x + 2 * d * x + f
-        disc = B * B - 4 * c * C
-        sq = np.sqrt(disc)
-        qf = -(B + np.copysign(sq, B)) / 2.0
-        y1, y2 = qf / c, C / qf
-        fy1 = 2 * b * x + 2 * c * y1 + 2 * e
-        fy2 = 2 * b * x + 2 * c * y2 + 2 * e
-        take1 = (fy1 > 0) == (branch > 0)
-        take2 = (fy2 > 0) == (branch > 0)
-        y = np.where(take1, y1, y2)
-        fy = np.where(take1, fy1, fy2)
-        p = -(2 * a * x + 2 * b * y + 2 * d) / fy
-        q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
-        regular = (
-            ~(abs(c) < 1e-14 * (np.abs(B) + np.abs(C) + 1.0))
-            & (disc > 0.0)
-            & (B != 0.0)
-            & (qf != 0.0)
-            & (take1 | take2)
-            & ~(np.abs(fy) < 1e-13 * (1.0 + np.abs(x) + np.abs(y)))
-        )
-        finite = np.isfinite(B) & np.isfinite(C) & np.isfinite(disc) & np.isfinite(q)
-    return (y, p, q, fy), (regular & finite).all(axis=1)
-
-
-def _nodes(cfg: RadonConfig, order: Optional[int] = None):
-    """Gauss-Legendre nodes on the interval, their weights, and the
-    half-length that scales the weighted sum."""
-    nodes, weights = _gauss(order or cfg.order)
-    half = 0.5 * (cfg.x_b - cfg.x_a)
-    mid = 0.5 * (cfg.x_a + cfg.x_b)
-    return mid + half * nodes, weights, half
-
-
-def _check_q_sign(xs: Sequence[float], qs: Sequence[float]) -> None:
-    """q must not vanish at a node and must keep one sign across them."""
-    q_sign = 0
-    for x, qv in zip(xs, qs):
-        if qv == 0.0:
-            raise RadonError(f"q vanishes at x={x}; cube-root branch point inside the contour")
-        sgn = 1 if qv > 0 else -1
-        if q_sign == 0:
-            q_sign = sgn
-        elif sgn != q_sign:
-            raise RadonError("q changes sign inside the contour")
-
-
-def radon_F_batch(cfg: RadonConfig, jets: Sequence[Dict[str, float]],
-                  order: Optional[int] = None) -> List[float]:
-    """Gauss-Legendre quadrature of f(x, Z) * q^(1/3) over the interval, at
-    each jet; each value is bitwise that of `radon_F` at the jet alone.
-
-    q must keep one sign across the nodes; the cube root is the real one and
-    carries that sign.
-
-    Each jet's conic is that of `conic_from_jet`, from one stacked SVD of
-    all the condition matrices (`_conics_from_jets`).  The branch y and q at all
-    jets' nodes come from one numpy pass (`_branch_at_nodes`), and one array
-    test finds the jets whose q keeps one sign.  A jet that is irregular
-    there falls back to `eval_Z` node by node, and a jet whose q vanishes or
-    changes sign goes through the per-node sign check, so every error is the
-    scalar path's and names the first bad node.  f is compiled once per
-    configuration and evaluated at all jets' nodes in one `eval_points`
-    pass, which rejects non-finite intermediates.  Each jet's sum runs over
-    its nodes from left to right.
-    """
-    conics = _conics_from_jets(jets, cfg.x0)
-    xs, weights, half = _nodes(cfg, order)
-    (y, _, q, _), regular = _branch_at_nodes(np.array([conic.vector for conic, _ in conics]),
-                                             np.array([branch for _, branch in conics]), xs)
-    one_sign = regular & ((q > 0).all(axis=1) | (q < 0).all(axis=1))
-    xs = xs.tolist()
-    ys, qs = y.tolist(), q.tolist()
-    for j in np.flatnonzero(~one_sign):
-        if not regular[j]:
-            ys[j], qs[j] = zip(*(eval_Z(*conics[j], x) for x in xs))
-        _check_q_sign(xs, qs[j])
-    fs = cfg.f_evaluator.eval_points(
-        [{"x": x, "y": yv} for row in ys for x, yv in zip(xs, row)])[0]
-    weights = weights.tolist()
-    values = []
-    for fs_j, qs_j in zip(fs.reshape(len(jets), -1).tolist(), qs):
-        total = 0.0
-        for w, fv, qv in zip(weights, fs_j, qs_j):
-            total += w * fv * math.copysign(abs(qv) ** (1.0 / 3.0), qv)
-        values.append(half * total)
-    return values
-
-
-def radon_F(cfg: RadonConfig, jet: Dict[str, float], order: Optional[int] = None) -> float:
-    """The transform at one jet: `radon_F_batch` over a batch of one."""
-    return radon_F_batch(cfg, [jet], order)[0]
-
-
 class _Fwd2:
-    """Second-order forward-mode number over the moduli coordinates
-    (y, p, q, r, s): values (N,), gradients (N, 5) and Hessians (N, 5, 5) of
-    one quantity at N points at once.  A float or an (N,) array as a factor
-    is a constant; a leading axis of length 1 broadcasts."""
+    """Second-order forward-mode number over d directions of the moduli
+    coordinates (y, p, q, r, s): values (N,), gradients (N, d) and Hessians
+    (N, d, d) of one quantity at N points at once.  d is 5 for derivatives
+    along every coordinate, or 0 for values alone, which skip the
+    derivative arithmetic.  A float or an (N,) array as a factor is a
+    constant; a leading axis of length 1 broadcasts."""
 
     __slots__ = ("v", "g", "h")
     # numpy arrays on the left defer to the reflected operators below
@@ -579,6 +340,8 @@ class _Fwd2:
         self.v, self.g, self.h = v, g, h
 
     def __add__(self, other: "_Fwd2"):
+        if not self.g.shape[1]:  # no direction: values alone
+            return _Fwd2(self.v + other.v, self.g, self.h)
         return _Fwd2(self.v + other.v, self.g + other.g, self.h + other.h)
 
     def __neg__(self):
@@ -588,6 +351,8 @@ class _Fwd2:
         return self + (-other)
 
     def __mul__(self, other):
+        if not self.g.shape[1]:
+            return _Fwd2(self.v * (other.v if isinstance(other, _Fwd2) else other), self.g, self.h)
         if isinstance(other, _Fwd2):
             gg = self.g[:, :, None] * other.g[:, None, :]
             return _Fwd2(
@@ -603,28 +368,61 @@ class _Fwd2:
 
     def __truediv__(self, other: "_Fwd2"):
         inv = 1.0 / other.v
-        return self * other._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
+        return self * other._chain(inv, lambda: (-inv * inv, 2.0 * inv * inv * inv))
 
-    def _chain(self, f0, f1, f2) -> "_Fwd2":
-        """phi(self) for a function phi of one variable, given phi, phi' and
-        phi'' at the values."""
+    def _chain(self, f0, derivatives: Callable) -> "_Fwd2":
+        """phi(self) for a function phi of one variable, given phi at the
+        values and a function that gives phi' and phi'' there, called only
+        when there are directions."""
         g = self.g
+        if not g.shape[1]:
+            return _Fwd2(f0, g, self.h)
+        f1, f2 = derivatives()
         return _Fwd2(f0, f1[:, None] * g,
                      f1[:, None, None] * self.h + f2[:, None, None] * (g[:, :, None] * g[:, None, :]))
 
     def sqrt(self) -> "_Fwd2":
         r = np.sqrt(self.v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
+        return self._chain(r, lambda: (0.5 / r, -0.25 / (r * self.v)))
 
     def cbrt(self) -> "_Fwd2":
         """The real cube root, which carries the sign."""
         r = np.copysign(np.abs(self.v) ** (1.0 / 3.0), self.v)
-        return self._chain(r, r / (3.0 * self.v), -2.0 * r / (9.0 * self.v * self.v))
+        return self._chain(r, lambda: (r / (3.0 * self.v), -2.0 * r / (9.0 * self.v * self.v)))
 
     @staticmethod
     def where(mask: np.ndarray, a: "_Fwd2", b: "_Fwd2") -> "_Fwd2":
         return _Fwd2(np.where(mask, a.v, b.v), np.where(mask[:, None], a.g, b.g),
                      np.where(mask[:, None, None], a.h, b.h))
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(zeros: Tuple[Tuple[bool, ...], ...]):
+    """The Laplace expansion along the rows of the six 5x5 minors of a 5x6
+    matrix with plain-zero entries where `zeros` says, as a program: a step
+    per sub-determinant (rows i.. on some columns), a list of terms (odd, i,
+    col, sub), the entry (i, col) times step `sub` (none when sub is -1),
+    negated when odd; and the step of each minor.  Zero entries and
+    sub-determinants without terms (None) are left out."""
+    steps: list = []
+    index: dict = {}
+
+    def plan(i: int, cols: tuple) -> Optional[int]:
+        if i == len(zeros):
+            return -1
+        if (i, cols) not in index:
+            terms = []
+            for j, col in enumerate(cols):
+                if not zeros[i][col]:
+                    sub = plan(i + 1, cols[:j] + cols[j + 1:])
+                    if sub is not None:
+                        terms.append((j % 2 == 1, i, col, sub))
+            index[(i, cols)] = len(steps) if terms else None
+            if terms:
+                steps.append(terms)
+        return index[(i, cols)]
+
+    return steps, [plan(0, tuple(c for c in range(6) if c != k)) for k in range(6)]
 
 
 def _signed_minors(rows: list) -> list:
@@ -634,43 +432,165 @@ def _signed_minors(rows: list) -> list:
     The minor without column k, signed (-1)^k, is the k-th coefficient of a
     null vector of the matrix (expanding the 6x6 determinant with a repeated
     row): for the jet conditions, the conic through the jet, up to scale.
-    Laplace expansion along the rows computes each sub-determinant once and
-    skips the entries that are a plain zero.
+    The Laplace expansion (`_laplace_plan`) is planned once per pattern of
+    entries that are a plain zero, which it skips; a minor all of whose
+    terms are skipped is 0.
     """
-    memo: dict = {}
-
-    def det(i: int, cols: tuple):
-        # rows i.. restricted to cols; None when every term is skipped
-        if i == len(rows):
-            return 1
-        if (i, cols) not in memo:
-            total = None
-            for j, col in enumerate(cols):
-                entry = rows[i][col]
-                if isinstance(entry, (int, float)) and entry == 0:
-                    continue
-                sub = det(i + 1, cols[:j] + cols[j + 1:])
-                if sub is None:
-                    continue
-                term = -(entry * sub) if j % 2 else entry * sub
-                total = term if total is None else total + term
-            memo[(i, cols)] = total
-        return memo[(i, cols)]
-
-    minors = [det(0, tuple(c for c in range(6) if c != k)) for k in range(6)]
-    return [-minor if k % 2 else minor for k, minor in enumerate(minors)]
+    steps, minors = _laplace_plan(tuple(
+        tuple(isinstance(entry, (int, float)) and entry == 0 for entry in row) for row in rows))
+    dets: list = []
+    for terms in steps:
+        total = None
+        for odd, i, col, sub in terms:
+            term = rows[i][col] if sub < 0 else rows[i][col] * dets[sub]
+            term = -term if odd else term
+            total = term if total is None else total + term
+        dets.append(total)
+    return [0 if step is None else -dets[step] if k % 2 else dets[step]
+            for k, step in enumerate(minors)]
 
 
-def _conic_fwd(jets: Sequence[Dict[str, float]], x0: float) -> List[_Fwd2]:
-    """The conics' six coefficients (the signed minors, unnormalised) as
-    forward-mode numbers over the jets, one row per jet."""
-    count = len(jets)
-    unit = np.eye(5)
-    variables = [_Fwd2(np.array([float(jet[c]) for jet in jets]),
-                       np.repeat(unit[k:k + 1], count, axis=0), np.zeros((count, 5, 5)))
-                 for k, c in enumerate(COORDS)]
+_Check = Tuple[np.ndarray, Callable[[int], str]]
+
+
+def _raise_first(checks: Sequence[_Check]) -> None:
+    """Raise `RadonError` for the first jet that fails a check, with the
+    message of the first check it fails: the error it raises alone.  A
+    check is the mask of the jets that pass it and the message for a jet
+    that does not."""
+    passed = np.logical_and.reduce([ok for ok, _ in checks])
+    if not passed.all():
+        j = int(np.argmin(passed))
+        raise RadonError(next(message(j) for ok, message in checks if not ok[j]))
+
+
+def _conic_fwd(jets: Sequence[Dict[str, float]], x0: float,
+               dims: int = 5) -> Tuple[List[_Fwd2], np.ndarray, np.ndarray, List[_Check]]:
+    """The conic of each jet, its branch selector, the gap of its round trip
+    at the base point (the largest coordinate error) and the checks of the
+    jets.
+
+    The conic is the vector of signed minors, unnormalised, as forward-mode
+    numbers over `dims` directions: 5 for the moduli coordinates, 0 for
+    values alone.  The selector is the sign of phi_y at the base point.  The
+    checks, in order: the conditions and the minors are finite; the null
+    space is a line, as the minors' norm exceeds 1e-40 of the product of the
+    condition rows' largest entries (a smaller one puts the smallest
+    singular value at most 1e-10 of the largest, by Hadamard's inequality,
+    so the SVD that words the error counts a rank below 5); the tangent at
+    the base point is not vertical; the branch is regular there and
+    reproduces the jet.
+    """
+    coords = np.array([[float(jet[c]) for c in COORDS] for jet in jets]).reshape(-1, 5)
+    count, unit = len(coords), np.eye(5, dims)
+    variables = [_Fwd2(coords[:, k], np.repeat(unit[k:k + 1], count, axis=0),
+                       np.zeros((count, dims, dims))) for k in range(5)]
+    matrix = np.empty((count, 5, 6))
     with np.errstate(all="ignore"):
-        return _signed_minors(_condition_rows(x0, *variables))
+        rows = _condition_rows(x0, *variables)
+        minors = _signed_minors(rows)
+        for i, row in enumerate(rows):
+            for k, entry in enumerate(row):
+                matrix[:, i, k] = entry.v if isinstance(entry, _Fwd2) else entry
+        finite = np.isfinite(np.concatenate(
+            [k.v[:, None] for k in minors] + [k.g for k in minors]
+            + [k.h.reshape(count, -1) for k in minors], axis=1)).all(axis=1)
+        volume = np.sqrt(sum(k.v * k.v for k in minors))
+        for largest in np.abs(matrix).max(axis=2).T:
+            volume = volume / largest
+        b, c, e = (minors[k].v for k in (1, 2, 4))
+        phi_y = 2 * b * x0 + 2 * c * coords[:, 0] + 2 * e
+        branches = np.where(phi_y > 0, 1.0, -1.0)
+        got, at_base = _jet_at([k.v for k in minors], branches, np.full(count, float(x0)))
+        gap = np.abs(np.stack(got, axis=1) - coords).max(axis=1)
+    checks = [
+        (np.isfinite(matrix).all(axis=(1, 2)),
+         lambda j: "jet conditions are not finite (jet too large or not a number)"),
+        (finite, lambda j: "conic minors are not finite at the jet"),
+        (volume > 1e-40, lambda j: (
+            "degenerate jet: conic conditions have rank "
+            f"{np.linalg.matrix_rank(matrix[j], 1e-10 * np.linalg.norm(matrix[j], 2))}, "
+            "null space is not a line")),
+        (phi_y != 0.0, lambda j: "vertical tangent at the base point"),
+        at_base,
+        (gap <= 1e-10 * (1.0 + np.abs(coords).max(axis=1)),
+         lambda j: f"recovered conic does not reproduce the jet (gap {gap[j]:.2e})"),
+    ]
+    return minors, branches, gap, checks
+
+
+def _branch(conic: Sequence[_Fwd2], branches: np.ndarray, xs: np.ndarray, n: int):
+    """y, p, q and phi_y of each conic's branch at its point, one row per
+    point (n per jet), and the check of the branch at the points.
+
+    The coefficients and the selectors (the sign of phi_y on the branch)
+    are given per point.  The root of the branch's orientation is chosen
+    from the values, and p and q follow by implicit differentiation.  The
+    check wants the discriminant positive and phi_y of the branch's sign and
+    not small against the conic's scale at every point; its message names
+    the first point that fails.
+    """
+    a, b, c, d, e, f = conic
+    with np.errstate(all="ignore"):
+        B = 2 * xs * b + 2 * e
+        C = (xs * xs) * a + (2 * xs) * d + f
+        disc = B * B - 4 * c * C
+        sign_B = np.copysign(1.0, B.v)
+        qf = (B + sign_B * disc.sqrt()) * -0.5
+        # qf/c has phi_y = -sign(B) sqrt(disc), C/qf has +sign(B) sqrt(disc)
+        y = _Fwd2.where(sign_B != branches, qf / c, C / qf)
+        fy = B + 2 * c * y
+        p = -(2 * xs * a + 2 * b * y + 2 * d) / fy
+        q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
+        scale = np.sqrt(sum(k.v * k.v for k in conic))
+        real = (disc.v > 0.0).reshape(-1, n)
+        good = real & ((fy.v * branches > 0) & (np.abs(fy.v) >= 1e-13 * scale * (
+            1.0 + np.abs(xs) + np.abs(y.v)))).reshape(-1, n)
+
+    def message(j: int) -> str:
+        k = j * n + int(np.argmin(good[j]))
+        if real.flat[k]:
+            return f"vertical tangent at x={float(xs[k])}"
+        return (f"branch leaves the reals at x={float(xs[k])} "
+                f"(discriminant {disc.v[k] / scale[k] ** 2:.2e})")
+
+    return (y, p, q, fy), (good.all(axis=1), message)
+
+
+def _jet_at(conic: Sequence[np.ndarray], branches: np.ndarray, xs: np.ndarray):
+    """y, p, q, r and s on each conic's branch at its point (values alone),
+    and the check of the branch there (`_branch`); r and s follow by
+    implicit differentiation."""
+    none = np.zeros((len(xs), 0))
+    (y, p, q, fy), check = _branch([_Fwd2(v, none, none[:, :, None]) for v in conic],
+                                   branches, xs, 1)
+    y, p, q, fy = y.v, p.v, q.v, fy.v
+    b, c = conic[1], conic[2]
+    with np.errstate(all="ignore"):
+        G = 2 * b + 2 * c * p
+        r = -3 * q * G / fy
+        s = -3 * (r * G + 2 * c * q * q) / fy + 3 * q * G * G / (fy * fy)
+    return (y, p, q, r, s), check
+
+
+def _nodes(cfg: RadonConfig, order: Optional[int] = None):
+    """Gauss-Legendre nodes on the interval, their weights, and the
+    half-length that scales the weighted sum."""
+    nodes, weights = _gauss(order or cfg.order)
+    half = 0.5 * (cfg.x_b - cfg.x_a)
+    mid = 0.5 * (cfg.x_a + cfg.x_b)
+    return mid + half * nodes, weights, half
+
+
+def _q_sign_error(xs: Sequence[float], qs: Sequence[float]) -> str:
+    """Why q does not keep one nonzero sign across the nodes: it vanishes at
+    a node before it leaves the sign of the first, or it changes sign."""
+    for x, qv in zip(xs, qs):
+        if qv == 0.0:
+            return f"q vanishes at x={x}; cube-root branch point inside the contour"
+        if (qv > 0) != (qs[0] > 0):
+            break
+    return "q changes sign inside the contour"
 
 
 @dataclass(frozen=True)
@@ -685,74 +605,72 @@ class _Branch:
     weights: np.ndarray
 
 
-def _branch_fwd(cfg: RadonConfig, jets: Sequence[Dict[str, float]]) -> _Branch:
-    """The branch of each jet's conic at the nodes, by the chain rule.
+def _branch_fwd(cfg: RadonConfig, jets: Sequence[Dict[str, float]],
+                order: Optional[int] = None, dims: int = 5) -> _Branch:
+    """The branch of each jet's conic at the Gauss nodes, by the chain rule
+    over `dims` directions (`_conic_fwd`).
 
-    The conic is the vector of signed minors with its derivatives
-    (`RadonError` if they are not finite); the jet is validated by
-    `conic_from_jet` too, so it is accepted when `radon_F` accepts it.  At
-    each node the root of the branch's orientation is chosen from the float
-    values, and y, p and q follow.  All jets run in one numpy pass; the
-    checks then run jet by jet, each naming the first irregular node as the
-    quadrature does, so the first bad jet raises the error it raises alone.
+    All jets run in one numpy pass.  The checks of the jets (`_conic_fwd`),
+    of the branch at the nodes (`_branch`) and of the sign of q then run as
+    array tests over the jets, so the first bad jet raises the error it
+    raises alone, which names its first irregular node.
     """
-    minors = _conic_fwd(jets, cfg.x0)
-    xs, weights, half = _nodes(cfg)
-    count, n = len(jets), len(xs)
-    ys = np.array([float(jet["y"]) for jet in jets])
+    minors, branches, _, checks = _conic_fwd(jets, cfg.x0, dims)
+    xs, weights, half = _nodes(cfg, order)
+    count, n = len(branches), len(xs)
     rows = np.repeat(np.arange(count), n)
-    a, b, c, d, e, f = (_Fwd2(k.v[rows], k.g[rows], k.h[rows]) for k in minors)
     xs = np.tile(xs, count)
-    with np.errstate(all="ignore"):
-        b0, c0, e0 = (minors[k].v for k in (1, 2, 4))
-        branches = np.where(2 * b0 * cfg.x0 + 2 * c0 * ys + 2 * e0 > 0, 1.0, -1.0)
-        B = 2 * xs * b + 2 * e
-        C = (xs * xs) * a + (2 * xs) * d + f
-        disc = B * B - 4 * c * C
-        sign_B = np.copysign(1.0, B.v)
-        qf = (B + sign_B * disc.sqrt()) * -0.5
-        # qf/c has phi_y = -sign(B) sqrt(disc), C/qf has +sign(B) sqrt(disc)
-        y = _Fwd2.where(sign_B != branches[rows], qf / c, C / qf)
-        fy = B + 2 * c * y
-        p = -(2 * xs * a + 2 * b * y + 2 * d) / fy
-        q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
-    finite = np.logical_and.reduce(
-        [np.isfinite(k.v) & np.isfinite(k.g).all(1) & np.isfinite(k.h).all((1, 2)) for k in minors])
-    x_list, y_list, q_list = xs.tolist(), y.v.tolist(), q.v.tolist()
-    disc_list, fy_list = disc.v.tolist(), fy.v.tolist()
-    for j, jet in enumerate(jets):
-        if not finite[j]:
-            raise RadonError("conic minors are not finite at the jet")
-        conic_from_jet(jet, cfg.x0)  # validation only: rank, tangent, jet reproduced
-        scale = math.sqrt(sum(k.v[j] ** 2 for k in minors))
-        at = slice(j * n, (j + 1) * n)
-        for x, dv, fv, yv in zip(x_list[at], disc_list[at], fy_list[at], y_list[at]):
-            if not dv > 0.0:
-                raise RadonError(f"branch leaves the reals at x={x} "
-                                 f"(discriminant {dv / scale ** 2:.2e})")
-            if not (fv * branches[j] > 0 and abs(fv) >= 1e-13 * scale * (1.0 + abs(x) + abs(yv))):
-                raise RadonError(f"vertical tangent at x={x}")
-        _check_q_sign(x_list[at], q_list[at])
-    nodes = [{"x": x, "y": yv} for x, yv in zip(x_list, y_list)]
+    (y, _, q, _), at_nodes = _branch([_Fwd2(k.v[rows], k.g[rows], k.h[rows]) for k in minors],
+                                     branches[rows], xs, n)
+    qs = q.v.reshape(count, n)
+    checks += [at_nodes, ((qs > 0).all(axis=1) | (qs < 0).all(axis=1),
+                          lambda j: _q_sign_error(xs[j * n:(j + 1) * n].tolist(), qs[j].tolist()))]
+    _raise_first(checks)
+    nodes = [{"x": x, "y": yv} for x, yv in zip(xs.tolist(), y.v.tolist())]
     return _Branch(y, q.cbrt(), nodes, half * weights)
 
 
 def _transform_derivatives(cfg: RadonConfig,
                            br: _Branch) -> List[Tuple[float, np.ndarray, np.ndarray]]:
-    """F with its gradient (5,) and Hessian (5, 5) at each jet of the
-    branch: f, f_y and f_yy at every node from one `eval_points` pass, then
-    each jet's weighted sums."""
-    integrand = br.y._chain(*cfg.f_jet_evaluator.eval_points(br.nodes)) * br.cbrt_q
-    w, n = br.weights, len(br.weights)
+    """F with its gradient and Hessian over the branch's directions at each
+    jet of the branch: f at every node from one `eval_points` pass (with
+    f_y and f_yy when there are directions), then each jet's weighted sums."""
+    w, n, dims = br.weights, len(br.weights), br.y.g.shape[1]
+    if dims:
+        f, f_y, f_yy = cfg.f_jet_evaluator.eval_points(br.nodes)
+        integrand = br.y._chain(f, lambda: (f_y, f_yy)) * br.cbrt_q
+    else:
+        integrand = br.cbrt_q * cfg.f_evaluator.eval_points(br.nodes)[0]
     out = []
     for start in range(0, len(br.nodes), n):
         at = slice(start, start + n)
-        value, grad = w @ integrand.v[at], w @ integrand.g[at]
-        hess = np.tensordot(w, integrand.h[at], axes=1)
+        value, grad, hess = w @ integrand.v[at], np.zeros(0), np.zeros((0, 0))
+        if dims:
+            grad, hess = w @ integrand.g[at], np.tensordot(w, integrand.h[at], axes=1)
         if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
             raise RadonError("the transform or its derivatives are not finite")
         out.append((float(value), grad, hess))
     return out
+
+
+def radon_F_batch(cfg: RadonConfig, jets: Sequence[Dict[str, float]],
+                  order: Optional[int] = None) -> List[float]:
+    """Gauss-Legendre quadrature of f(x, Z) * q^(1/3) over the interval, at
+    each jet: the value part of the pass of `radon_derivatives`, carrying
+    no derivative direction and evaluating f alone, so each value is
+    bitwise its F.  Each jet's sum is its own, so a value does not depend
+    on the batch it was computed in.
+
+    q must keep one sign across the nodes; the cube root is the real one and
+    carries that sign.  The first bad jet raises the error it raises alone,
+    and f's `eval_points` pass rejects non-finite intermediates.
+    """
+    return [F for F, _, _ in _transform_derivatives(cfg, _branch_fwd(cfg, jets, order, 0))]
+
+
+def radon_F(cfg: RadonConfig, jet: Dict[str, float], order: Optional[int] = None) -> float:
+    """The transform at one jet: `radon_F_batch` over a batch of one."""
+    return radon_F_batch(cfg, [jet], order)[0]
 
 
 def radon_derivatives(cfg: RadonConfig, jet: Dict[str, float]) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -953,20 +871,17 @@ def conic_checks(seed: int = 0x5EED) -> List[CheckRecord]:
         "conic_parabola_from_jet", gap, 1e-10, 1, seed))
 
     rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(10):
-        jet = {
-            "y": rng.uniform(0.5, 1.5),
-            "p": rng.uniform(-0.5, 0.5),
-            "q": rng.uniform(1.0, 2.5),
-            "r": rng.uniform(-0.5, 0.5),
-            "s": rng.uniform(-0.5, 0.5),
-        }
-        conic, branch = conic_from_jet(jet, 0.0)
-        got = conic_jet(conic, branch, 0.0)
-        worst = max(worst, max(abs(got[c] - jet[c]) for c in COORDS))
+    jets = [{
+        "y": rng.uniform(0.5, 1.5),
+        "p": rng.uniform(-0.5, 0.5),
+        "q": rng.uniform(1.0, 2.5),
+        "r": rng.uniform(-0.5, 0.5),
+        "s": rng.uniform(-0.5, 0.5),
+    } for _ in range(10)]
+    _, _, gap, jet_checks = _conic_fwd(jets, 0.0, 0)  # one batch: the jets' round trips
+    _raise_first(jet_checks)
     checks.append(CheckRecord.from_residual(
-        "conic_jet_roundtrip", worst, 1e-10, 10, seed))
+        "conic_jet_roundtrip", float(gap.max()), 1e-10, 10, seed))
 
     try:
         conic_from_jet({"y": 0.0, "p": 0.0, "q": 0.0, "r": 0.0, "s": 0.0}, 0.0)
