@@ -7,7 +7,7 @@ check passed, 1 means at least one failed, 2 means the invocation or its
 inputs were invalid.
 
 A run builds one `Session`, and every suite it runs takes it, so each pipeline
-stage (frame, metric and its derivative tables, structure tensor) is computed
+stage (frame, metric, structure tensor) is computed
 once per run however many suites read it.
 """
 
@@ -230,10 +230,8 @@ def radon_suite(
 
     span = tuple(interval) if interval else (-0.8, 0.8)
     f_texts = [f_text] if f_text else ["1", "x", "y", "x*y"]
-    points = None
-    if point is not None:
-        base = dict(point)
-        points = [base] + radon._aux_points(base)
+    # a lone point gets its companions in `radon.verify_system`
+    points = None if point is None else [dict(point)]
 
     report.extend(radon.conic_checks(seed=seed))
     report.extend(radon.integration_cross_checks(s.ode, builtin("gn5"), seed=seed))

@@ -26,9 +26,10 @@ treat an expression as a DAG and are iterative.
 batch.  Every error names the first point that fails.  The loop is written
 with the arithmetic operators only, so the number type is pluggable: given a
 tangent per variable, it runs on `Jet1` numbers (first-order forward mode,
-Griewank & Walther, *Evaluating Derivatives*, ch. 3), whose value parts are
-computed by the very operations of a plain pass and whose derivative parts
-are the directional derivatives of the outputs along the tangent.
+Griewank & Walther, *Evaluating Derivatives*, ch. 3), and given seeds along
+d directions, on `Jet2` numbers (second order, ch. 13: gradients and
+Hessians along the directions).  Their value parts are computed by the very
+operations of a plain pass.
 
 Every node carries its support: `mask`, a bitmask of the variables it
 contains (bit i for VARIABLES[i]), computed once when the node is first
@@ -786,27 +787,91 @@ class Jet1:
             return Jet1(self.val + other.val, self.der + other.der)
         return Jet1(self.val + other, self.der)
 
-    def __radd__(self, other):
-        return Jet1(other + self.val, self.der)
+    __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is Jet1:
             return Jet1(self.val * other.val, self.der * other.val + self.val * other.der)
         return Jet1(self.val * other, self.der * other)
 
-    def __rmul__(self, other):
-        return Jet1(other * self.val, other * self.der)
+    __rmul__ = __mul__
 
     def __neg__(self):
         return Jet1(-self.val, -self.der)
 
     def __pow__(self, b):
-        val = self.val ** b
-        try:
-            slope = self.val ** (b - 1)
-        except (OverflowError, ZeroDivisionError):
-            slope = math.inf  # a non-finite derivative, rejected with the outputs
-        return Jet1(val, b * slope * self.der)
+        return Jet1(self.val ** b, b * _slope_power(self.val, b - 1) * self.der)
+
+
+def _slope_power(x, e):
+    """x ** e for a derivative of a power: infinite where a float overflows
+    or divides by 0, a non-finite derivative rejected with the outputs."""
+    try:
+        return x ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+class Jet2:
+    """Second-order forward-mode number over d directions: a value (a float
+    at a lone point, an (N,) array over N points), its gradient (d,) + that
+    shape and its Hessian (d, d) + that shape.  The direction axes lead, so
+    the parts broadcast against each other as they are.  A plain operand (a
+    float or an (N,) array) is a constant; over no direction (d = 0) a
+    number carries its value alone.  As in `Jet1`, value parts are bitwise
+    those of the plain pass."""
+
+    __slots__ = ("val", "grad", "hess")
+    # numpy arrays on the left defer to the reflected operators below
+    __array_ufunc__ = None
+
+    def __init__(self, val, grad, hess):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+
+    def __add__(self, other):
+        if type(other) is not Jet2:
+            return Jet2(self.val + other, self.grad, self.hess)
+        if not len(self.grad):
+            return Jet2(self.val + other.val, self.grad, self.hess)
+        return Jet2(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet2(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not len(self.grad):
+            other = other.val if type(other) is Jet2 else other
+            return Jet2(self.val * other, self.grad, self.hess)
+        if type(other) is not Jet2:
+            return Jet2(self.val * other, self.grad * other, self.hess * other)
+        a, b = self.grad, other.grad
+        ab = a[:, None] * b[None]
+        return Jet2(self.val * other.val, a * other.val + self.val * b,
+                    self.hess * other.val + self.val * other.hess + ab + ab.swapaxes(0, 1))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, b):
+        x = self.val
+        return self.chain(x ** b, lambda: (b * _slope_power(x, b - 1),
+                                           b * (b - 1) * _slope_power(x, b - 2)))
+
+    def chain(self, f0, derivatives: Callable) -> "Jet2":
+        """phi(self) for a function phi of one variable, given phi at the
+        values and a function that gives phi' and phi'' there, called only
+        when there are directions."""
+        g = self.grad
+        if not len(g):
+            return Jet2(f0, g, self.hess)
+        f1, f2 = derivatives()
+        return Jet2(f0, f1 * g, f1 * self.hess + f2 * (g[:, None] * g[None]))
 
 
 class Evaluator:
@@ -845,7 +910,7 @@ class Evaluator:
         self._outs = [slot[e] for e in self.exprs]
 
     def eval_points(self, points: Sequence[Mapping[str, float]],
-                    tangents: Optional[Sequence[Mapping[str, float]]] = None):
+                    tangents: Optional[Sequence[Mapping]] = None, second_order: bool = False):
         """Values of the expressions at the points: an array of shape
         (n_exprs, n_points).
 
@@ -864,7 +929,10 @@ class Evaluator:
         tangent component (a variable left out has tangent 0), the loop runs
         on `Jet1` numbers and returns a `Jet1` of two such arrays: the
         values, bitwise those of the plain pass, and the derivatives of the
-        expressions along the tangents.
+        expressions along the tangents.  With `second_order`, each tangent
+        maps a variable to its d components along d directions, and the loop
+        runs on `Jet2` numbers: it returns the values, the gradients
+        (d, n_exprs, n_points) and the Hessians (d, d, n_exprs, n_points).
 
         Raises `EvalError` naming the first point that fails: a negative
         base under a fractional exponent, a zero or non-finite base under a
@@ -874,9 +942,15 @@ class Evaluator:
         tangent, so its error is that of the first point that fails alone.
         """
         lone = len(points) == 1
+        number = None if tangents is None else Jet2 if second_order else Jet1
+        # the directions of a Jet2's seeds
+        dims = len(next((s for t in tangents for s in t.values()), ())) if number is Jet2 else 0
         vals: list = [None] * len(self._prog) + [0.0, 1.0]
         try:
-            with contextlib.nullcontext() if lone else np.errstate(all="ignore"):
+            # floats raise where numpy arrays (a batch, a Jet2's derivative
+            # parts) give a non-finite value, rejected with the outputs
+            silent = not lone or number is Jet2
+            with np.errstate(all="ignore") if silent else contextlib.nullcontext():
                 for i, (op, a, b, c) in enumerate(self._prog):
                     # the most frequent operations first
                     if op == _OP_PROD:
@@ -896,12 +970,17 @@ class Evaluator:
                             v = float(points[0][a]) if lone else np.array([float(pt[a]) for pt in points])
                         except KeyError:
                             raise EvalError(f"missing variable {a!r}", points[0]) from None
-                        if tangents is not None:
+                        if number is Jet1:
                             v = Jet1(v, float(tangents[0].get(a, 0.0)) if lone
                                      else np.array([float(t.get(a, 0.0)) for t in tangents]))
+                        elif number is Jet2:
+                            zero = np.zeros(dims)
+                            seed = (np.array(tangents[0].get(a, zero), dtype=float) if lone
+                                    else np.array([t.get(a, zero) for t in tangents], dtype=float).T)
+                            v = Jet2(v, seed, np.zeros(seed.shape[:1] + seed.shape))
                     else:
                         base = vals[a]
-                        x = base.val if type(base) is Jet1 else base
+                        x = base.val if type(base) is number else base
                         # a negative exponent is the one place a zero or
                         # non-finite intermediate can turn finite again
                         # (1/inf == 0), so the only one tested before the
@@ -922,34 +1001,36 @@ class Evaluator:
                             v = math.inf  # a float overflowed; rejected with the outputs
                     vals[i] = v
             outs = [vals[o] for o in self._outs]
-            if tangents is None:
+            if number is None:
                 parts = [outs]
             else:
-                parts = [[v.val if type(v) is Jet1 else v for v in outs],
-                         [v.der if type(v) is Jet1 else 0.0 for v in outs]]
-            if lone:
-                if not all(math.isfinite(v) for part in parts for v in part):
+                # the parts of the number in order; a plain output (a
+                # constant) has derivative parts 0
+                parts = [[getattr(v, name) if type(v) is number else v if name == "val" else 0.0
+                          for v in outs] for name in number.__slots__]
+            # a Jet2's gradient and Hessian lead with 1 and 2 direction axes
+            arrays = [np.empty((dims,) * (k if number is Jet2 else 0) + (len(outs), len(points)))
+                      for k in range(len(parts))]
+            for out, part in zip(arrays, parts):
+                for i, v in enumerate(part):
+                    out[..., i, 0 if lone else slice(None)] = v
+            if not all(np.isfinite(out).all() for out in arrays):
+                if lone:
                     raise EvalError("non-finite value during evaluation", points[0])
-                arrays = [np.array(part).reshape(len(outs), 1) for part in parts]
-            else:
-                arrays = [np.empty((len(outs), len(points))) for _ in parts]
-                for out, part in zip(arrays, parts):
-                    for row, v in zip(out, part):
-                        row[...] = v
-                if not all(np.isfinite(out).all() for out in arrays):
-                    raise EvalError("a point of the batch fails")
+                raise EvalError("a point of the batch fails")
         except EvalError:
             if lone:
                 raise
             # point by point, the first point that fails raises its own
             # error; should none fail alone (numpy's `power` rounding past a
             # limit that `**` stays within), their values are the result
-            singles = [self.eval_points([pt], None if tangents is None else [tangents[k]])
-                       for k, pt in enumerate(points)]
-            if tangents is None:
+            singles = [self.eval_points([pt], None if tangents is None else [tangents[k]],
+                                        second_order) for k, pt in enumerate(points)]
+            if number is None:
                 return np.hstack(singles)
-            return Jet1(np.hstack([s.val for s in singles]), np.hstack([s.der for s in singles]))
-        return arrays[0] if tangents is None else Jet1(*arrays)
+            return number(*(np.concatenate([getattr(s, name) for s in singles], axis=-1)
+                            for name in number.__slots__))
+        return arrays[0] if number is None else number(*arrays)
 
 
 def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:

@@ -12,17 +12,18 @@ exact; nothing is finite-differenced.  Conventions: Gamma^c_ab standard
 Levi-Civita, R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma Gamma,
 Ricci_cb = R^a_cab, R = g^cb Ricci_cb.
 
-First-order geometry is numeric.  `MetricField.frame_at` runs the 25-entry
-coframe program once over a batch of points on `expr.Jet1` numbers, each
-point once per coordinate with a unit tangent, and so gets the coframe C and
-its partials dC exactly (forward mode; Griewank & Walther, Evaluating
-Derivatives, 2008).  With K the frame pairing, g = C^T K C and
+No metric derivative is a symbolic table.  `MetricField.frame_at` runs the
+25-entry coframe program once over a batch of points on `expr.Jet1`
+numbers, each point once per coordinate with a unit tangent, and so gets the
+coframe C and its partials dC exactly (forward mode; Griewank & Walther,
+Evaluating Derivatives, 2008).  With K the frame pairing, g = C^T K C and
 d_c g = (d_c C)^T K C plus its transpose; the inverse and the Christoffel
-symbols follow in numpy.  The result of the last batch is kept, so
-`christoffel_at`, `derivatives_at` and `so3.GTensor.lower_at` on the same
-points share one pass; every caller passes its points as one batch.  Only
-curvature needs second derivatives: `derivatives_at` adds ddg from a table
-compiled on first use by differentiating the symbolic dg expressions.
+symbols follow in numpy.  The last batch is kept, so `christoffel_at`,
+`derivatives_at` and `so3.GTensor.lower_at` on the same points share one
+pass.  Only curvature needs second derivatives: `derivatives_at` runs the
+program once more on `expr.Jet2` numbers seeded with the five unit
+directions, and d_e d_c g = (d_e d_c C)^T K C + (d_e C)^T K (d_c C) plus
+its transpose.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ _K_LOWER = {(0, 4): Fraction(1), (4, 0): Fraction(1),
 _K_UPPER = {(0, 4): Fraction(1), (4, 0): Fraction(1),
             (1, 3): Fraction(-1, 4), (3, 1): Fraction(-1, 4),
             (2, 2): Fraction(1, 6)}
+_K = np.array([[float(_K_LOWER.get((i, j), 0)) for j in range(5)] for i in range(5)])
 
 
 class GeomError(Exception):
@@ -94,10 +96,17 @@ def _sym_minor(g, rows: tuple, cols: tuple, memo: dict) -> Expr:
     return res
 
 
+def _symmetric(entry) -> tuple:
+    """The symmetric 5x5 table whose entries on and above the diagonal are
+    entry(a, b)."""
+    upper = {(a, b): entry(a, b) for a in range(5) for b in range(a, 5)}
+    return tuple(tuple(upper[min(a, b), max(a, b)] for b in range(5)) for a in range(5))
+
+
 class MetricField:
     """Covariant/contravariant metric over the moduli coordinates: symbolic
-    tables built on first use, and the numeric first-order geometry at a
-    batch of points (`frame_at`)."""
+    tables built on first use, and the numeric geometry at a batch of points
+    (`frame_at`, `derivatives_at`)."""
 
     def __init__(self, pd: PentadData):
         if pd.n != 5:
@@ -105,68 +114,41 @@ class MetricField:
         self.pd = pd
         self.ode = pd.ode
         self.coords = pd.ode.coords
-        self._deriv_cache: Optional[tuple] = None
-        self._evaluator: Optional[Evaluator] = None
         self._frame: Optional[tuple] = None   # (points key, FrameAtPoints)
 
     @cached_property
     def g_lower(self) -> tuple:
         """g_ab from the coframe rows and the frame pairing; built on first
         use, since the numeric geometry reads the coframe program alone."""
-        n = 5
         C = self.pd.coframe_rows
-        lower = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                entry = _pairing([C[i][a] for i in range(n)], [C[j][b] for j in range(n)], _K_LOWER)
-                lower[a][b] = entry
-                lower[b][a] = entry
-        return tuple(tuple(r) for r in lower)
+        return _symmetric(lambda a, b: _pairing([row[a] for row in C], [row[b] for row in C],
+                                                _K_LOWER))
 
     @cached_property
     def g_upper(self) -> tuple:
         """g^ab as the adjugate of g_ab over its determinant; built on first
         use."""
-        n = 5
         memo: dict = {}
-        idx = tuple(range(n))
+        idx = tuple(range(5))
         inv_det = pow_(_sym_minor(self.g_lower, idx, idx, memo), Fraction(-1))
-        upper = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                rows = tuple(i for i in idx if i != b)
-                cols = tuple(j for j in idx if j != a)
-                cof = _sym_minor(self.g_lower, rows, cols, memo)
-                entry = mul(cof, inv_det)
-                if (a + b) % 2 == 1:
-                    entry = neg(entry)
-                upper[a][b] = entry
-                upper[b][a] = entry
-        return tuple(tuple(r) for r in upper)
+
+        def entry(a, b):
+            rows = tuple(i for i in idx if i != b)
+            cols = tuple(j for j in idx if j != a)
+            cofactor = mul(_sym_minor(self.g_lower, rows, cols, memo), inv_det)
+            return neg(cofactor) if (a + b) % 2 else cofactor
+
+        return _symmetric(entry)
 
     # -- second construction route ------------------------------------------
 
     def contravariant_from_pairing(self) -> tuple:
         """g(dX^a, dX^b) obtained by pairing the differentiated rows of d(y)
         directly, the repeated-differentiation route."""
-        n = 5
         L = self.pd.lower
-        out = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                entry = _pairing(L[a], L[b], _K_UPPER)
-                out[a][b] = entry
-                out[b][a] = entry
-        return tuple(tuple(r) for r in out)
+        return _symmetric(lambda a, b: _pairing(L[a], L[b], _K_UPPER))
 
     # -- numeric evaluation ----------------------------------------------------
-
-    @cached_property
-    def _dg_exprs(self) -> list:
-        """dg[c][a][b] = d_c g_ab as expressions, differentiated again for
-        the second-order table."""
-        g = self.g_lower
-        return [[[diff(g[a][b], c) for b in range(5)] for a in range(5)] for c in self.coords]
 
     @cached_property
     def _coframe_ev(self) -> Evaluator:
@@ -188,10 +170,7 @@ class MetricField:
         # rows are the entries C[i][a], columns the points, coordinate-minor
         C = jets.val.reshape(n, n, count, n)[..., 0].transpose(2, 0, 1)
         dC = jets.der.reshape(n, n, count, n).transpose(2, 3, 0, 1)
-        K = np.zeros((n, n))
-        for (i, j), c in _K_LOWER.items():
-            K[i, j] = float(c)
-        KC = K @ C
+        KC = _K @ C
         CtKC = np.swapaxes(C, 1, 2) @ KC
         g = 0.5 * (CtKC + np.swapaxes(CtKC, 1, 2))
         X = np.swapaxes(dC, 2, 3) @ KC[:, None]
@@ -203,31 +182,19 @@ class MetricField:
         self._frame = (key, frame)
         return frame
 
-    def _derivative_exprs(self):
-        """(g, dg, ddg) expression tables, ddg by differentiating the cached
-        dg; built once, with the evaluator of ddg."""
-        if self._deriv_cache is not None:
-            return self._deriv_cache
-        n = 5
-        coords = self.coords
-        dg = self._dg_exprs
-        ddg = [
-            [[[diff(dg[c][a][b], coords[e]) for b in range(n)] for a in range(n)] for c in range(n)]
-            for e in range(n)
-        ]
-        self._deriv_cache = (self.g_lower, dg, ddg)
-        self._evaluator = Evaluator(
-            [ex for blk3 in ddg for blk in blk3 for row in blk for ex in row])
-        return self._deriv_cache
-
     def derivatives_at(self, points: Sequence[Dict[str, float]]):
         """(g, dg, ddg, g_inv) at a batch of points, each with a leading
-        point axis: g and dg from `frame_at`, ddg from the second-order
-        table, which only curvature needs."""
-        self._derivative_exprs()
+        point axis, ddg[k, e, c, a, b] = d_e d_c g_ab: g, dg and g_inv from
+        `frame_at`, ddg from one second-order forward-mode pass over the
+        coframe program, which only curvature needs."""
         fr = self.frame_at(points)
-        ddg = self._evaluator.eval_points(points).T.reshape(len(points), 5, 5, 5, 5)
-        return fr.g, fr.dg, ddg, fr.g_inv
+        n, count = 5, len(points)
+        seeds = dict(zip(self.coords, np.eye(n)))
+        hess = self._coframe_ev.eval_points(points, [seeds] * count, second_order=True).hess
+        ddC = np.moveaxis(hess.reshape(n, n, n, n, count), -1, 0)   # [k, e, c, i, a]
+        X = (np.swapaxes(ddC, 3, 4) @ (_K @ fr.C)[:, None, None]
+             + np.swapaxes(fr.dC, 2, 3)[:, :, None] @ (_K @ fr.dC)[:, None])
+        return fr.g, fr.dg, X + np.swapaxes(X, 3, 4), fr.g_inv
 
     def christoffel_at(self, points: Sequence[Dict[str, float]]):
         """(g, dg, g_inv, gamma) at a batch of points from `frame_at`, each
@@ -381,36 +348,26 @@ def curvature_checks(
         points = sample_points(m.ode, count, seed)
     checks: List[CheckRecord] = []
     sym_tol = 1e-9
-    worst_sym = worst_bianchi = 0.0
-    scalars = []
-    einstein_worst = 0.0
-    ricci_scale_min = float("inf")
-
     cat = catalog.for_ode(m.ode.name) or {}
     einstein_factor = cat.get("einstein_factor")
 
-    for cv in curvature(m, points):
-        R = cv.riemann
-        scale = np.max(np.abs(R)) + 1e-300
-        worst_sym = max(
-            worst_sym,
-            float(np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3))))) / scale,
-            float(np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2))))) / scale,
-            float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))) / scale,
-        )
-        bianchi = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-        worst_bianchi = max(worst_bianchi, float(np.max(np.abs(bianchi))) / scale)
-        scalars.append(cv.scalar)
-        if einstein_factor is not None:
-            gap = cv.ricci - einstein_factor * cv.g
-            einstein_worst = max(
-                einstein_worst, float(np.max(np.abs(gap))) / (np.max(np.abs(cv.g)) + 1e-300)
-            )
-        else:
-            ricci_scale_min = min(
-                ricci_scale_min,
-                float(np.max(np.abs(cv.ricci))) / (np.max(np.abs(cv.g)) + 1e-300),
-            )
+    cvs = curvature(m, points)
+    R = np.array([cv.riemann for cv in cvs])
+    g = np.array([cv.g for cv in cvs])
+    ricci = np.array([cv.ricci for cv in cvs])
+    scalars = [cv.scalar for cv in cvs]
+
+    def worst(T, scale):
+        """The largest over the points of max|T| at a point over its scale."""
+        return float(np.max(np.max(np.abs(T), axis=tuple(range(1, T.ndim))) / scale))
+
+    R_scale = np.max(np.abs(R), axis=(1, 2, 3, 4)) + 1e-300
+    g_scale = np.max(np.abs(g), axis=(1, 2)) + 1e-300
+    worst_sym = max(worst(R + np.transpose(R, (0, 2, 1, 3, 4)), R_scale),
+                    worst(R + np.transpose(R, (0, 1, 2, 4, 3)), R_scale),
+                    worst(R - np.transpose(R, (0, 3, 4, 1, 2)), R_scale))
+    bianchi = R + np.transpose(R, (0, 1, 3, 4, 2)) + np.transpose(R, (0, 1, 4, 2, 3))
+    worst_bianchi = worst(bianchi, R_scale)
 
     checks.append(CheckRecord.from_residual(
         "riemann_symmetries", worst_sym, sym_tol, len(points), seed))
@@ -427,10 +384,12 @@ def curvature_checks(
             checks.append(CheckRecord.from_residual(
                 "scalar_curvature_zero", gap, 1e-8, len(points), seed))
     if einstein_factor is not None:
+        einstein_worst = worst(ricci - einstein_factor * g, g_scale)
         checks.append(CheckRecord.from_residual(
             "einstein_ricci_proportional", einstein_worst, 1e-6, len(points), seed,
             notes=f"Ricci = {einstein_factor} * g"))
     else:
+        ricci_scale_min = float(np.min(np.max(np.abs(ricci), axis=(1, 2)) / g_scale))
         checks.append(CheckRecord(
             "ricci_not_zero",
             "pass" if ricci_scale_min > 0.1 else "fail",
@@ -578,21 +537,18 @@ def connection_checks(
     phi, psi, chi = forms.reshape(3, n, len(points)).transpose(0, 2, 1)
     # nabla_a e^i_b = d_a C[i,b] - Gamma^c_ab C[i,c]
     nabla = np.einsum("kaib->kiab", fr.dC) - np.einsum("kic,kcab->kiab", fr.C, fr.gamma)
-    worst = 0.0
-    law_tol = 1e-8
-    for k in range(len(points)):
-        Cv = fr.C[k]
-        scale = np.max(np.abs(nabla[k])) + 1e-300
-        for i in range(n):
-            mdeg = i
-            rhs = (2 * mdeg - 4) * np.einsum("a,b->ab", phi[k], Cv[i])
-            if mdeg > 0:
-                rhs = rhs + mdeg * np.einsum("a,b->ab", psi[k], Cv[i - 1])
-            if mdeg < 4:
-                rhs = rhs + (4 - mdeg) * np.einsum("a,b->ab", chi[k], Cv[i + 1])
-            worst = max(worst, float(np.max(np.abs(nabla[k, i] - rhs))) / scale)
+    # e^(i-1) and e^(i+1) at [k, i]; the missing ends are 0, with weight 0
+    zero = np.zeros_like(fr.C[:, :1])
+    prev = np.concatenate((zero, fr.C[:, :-1]), axis=1)
+    succ = np.concatenate((fr.C[:, 1:], zero), axis=1)
+    m_deg = np.arange(n)[:, None, None]
+    rhs = ((2 * m_deg - 4) * (phi[:, None, :, None] * fr.C[:, :, None])
+           + m_deg * (psi[:, None, :, None] * prev[:, :, None])
+           + (4 - m_deg) * (chi[:, None, :, None] * succ[:, :, None]))
+    scale = np.max(np.abs(nabla), axis=(1, 2, 3)) + 1e-300
+    worst = float(np.max(np.max(np.abs(nabla - rhs), axis=(2, 3)) / scale[:, None]))
     checks.append(CheckRecord.from_residual(
-        "connection_frame_compatibility", worst, law_tol, len(points), seed,
+        "connection_frame_compatibility", worst, 1e-8, len(points), seed,
         notes="nabla e^i vs (2m-4) phi e^i + m psi e^(i-1) + (4-m) chi e^(i+1)"))
     return checks
 

@@ -13,19 +13,22 @@ results are bitwise those of `solve_ivp(method="RK45")`.
 The transform F(X) = integral of f(x, Z(x, X)) * q^(1/3) dx is taken over a
 fixed real interval on which the branch stays smooth and q keeps one sign
 (the real cube root carries the sign).  It has one path, over a batch of
-jets: the minors from one Laplace expansion run on second-order
-forward-mode numbers (value, gradient, Hessian over the moduli coordinates
-X = (y, p, q, r, s); Fike & Alonso, AIAA 2011-886; Griewank & Walther,
-Evaluating Derivatives, 2008), the branch at every jet's Gauss nodes in one
-numpy pass, f at all the nodes in one `eval_points` pass and each jet's
-weighted sums.  `radon_derivatives` carries the five coordinate directions
+jets: the minors from one Laplace expansion run on `expr.Jet2` numbers
+(value, gradient and Hessian over the moduli coordinates X = (y, p, q, r,
+s); Fike & Alonso, AIAA 2011-886), the branch at every jet's Gauss nodes in
+one numpy pass (its square and cube roots, divisions and choice of root are
+functions over those numbers here), f at all the nodes in one `eval_points`
+pass and each jet's weighted sums.  `radon_derivatives` carries the five coordinate directions
 and gets F with its exact gradient and Hessian; `radon_F_batch` and
 `radon_F` carry none and evaluate f alone, which gives bitwise the same F
 (no value depends on the directions carried, nor on the batch).  The branch
 does not depend on the conic's scale, so the minors need no normalisation;
 `conic_from_jet` and `conic_jet` are the batch of one, with the minors made
 unit and sign-fixed.  Each jet is validated inside the path, by array tests
-over the batch, and the first bad jet raises the error it raises alone.
+over the batch, and the first bad jet raises the error it raises alone; at
+a jet the caller did not give (a finite-difference stencil jet, a companion
+of a lone point, the jet carried to a shifted base point) the error names
+that jet and its role.
 
 The second-order operator pair is then applied with each point's geometry
 (one batch over the points) and the eigenvalue content extracted: a
@@ -57,7 +60,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .expr import Evaluator, Expr, ExprError, diff, free_variables, parse
+from .expr import Evaluator, Expr, ExprError, Jet2, diff, free_variables, parse
 from .geom import MetricField
 from .jet import JetOde
 from .report import CheckRecord
@@ -67,7 +70,21 @@ COORDS = ("y", "p", "q", "r", "s")
 
 
 class RadonError(Exception):
-    pass
+    """`jet`: the index in its batch of the jet the error is about, if any."""
+
+    def __init__(self, message: str, jet: Optional[int] = None):
+        super().__init__(message)
+        self.jet = jet
+
+
+def _at_jet(err: RadonError, jets: Sequence[Dict[str, float]], role: str,
+            start: int = 0) -> RadonError:
+    """`err` naming the jet it is about and that jet's role, for an error
+    at a jet the caller made (a jet before `start` keeps its error)."""
+    if err.jet is None or err.jet < start:
+        return err
+    jet = {c: jets[err.jet][c] for c in COORDS}
+    return RadonError(f"{err} at the {role} {jet}", err.jet)
 
 
 @dataclass(frozen=True)
@@ -81,8 +98,8 @@ class ConicCoefficients:
 def _condition_rows(x, y, p, q, r, s) -> list:
     """The five linear conditions on (a, b, c, d, e, f): the implicit
     equation and its first four total x-derivatives vanish at the jet.
-    Generic in the number type: floats give the matrix `conic_from_jet`
-    solves, `_Fwd2` numbers the one whose minors `_conic_fwd` expands."""
+    Generic in the number type: floats, `Jet2` numbers (whose minors
+    `_conic_fwd` expands) or expressions."""
     return [
         [x * x, 2 * x * y, y * y, 2 * x, 2 * y, 1],
         [2 * x, 2 * (y + x * p), 2 * y * p, 2, 2 * p, 0],
@@ -104,7 +121,7 @@ def conic_from_jet(jet: Dict[str, float], x0: float = 0.0) -> Tuple[ConicCoeffic
     """
     minors, branches, _, checks = _conic_fwd([jet], x0, 0)
     _raise_first(checks)
-    v = np.array([k.v[0] for k in minors])
+    v = np.array([k.val[0] for k in minors])
     v = v / np.linalg.norm(v)
     branch = int(branches[0])
     if v[int(np.argmax(np.abs(v)))] < 0:
@@ -324,76 +341,25 @@ def _gauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-class _Fwd2:
-    """Second-order forward-mode number over d directions of the moduli
-    coordinates (y, p, q, r, s): values (N,), gradients (N, d) and Hessians
-    (N, d, d) of one quantity at N points at once.  d is 5 for derivatives
-    along every coordinate, or 0 for values alone, which skip the
-    derivative arithmetic.  A float or an (N,) array as a factor is a
-    constant; a leading axis of length 1 broadcasts."""
+def _sqrt(x: Jet2) -> Jet2:
+    r = np.sqrt(x.val)
+    return x.chain(r, lambda: (0.5 / r, -0.25 / (r * x.val)))
 
-    __slots__ = ("v", "g", "h")
-    # numpy arrays on the left defer to the reflected operators below
-    __array_ufunc__ = None
 
-    def __init__(self, v: np.ndarray, g: np.ndarray, h: np.ndarray):
-        self.v, self.g, self.h = v, g, h
+def _cbrt(x: Jet2) -> Jet2:
+    """The real cube root, which carries the sign."""
+    r = np.copysign(np.abs(x.val) ** (1.0 / 3.0), x.val)
+    return x.chain(r, lambda: (r / (3.0 * x.val), -2.0 * r / (9.0 * x.val * x.val)))
 
-    def __add__(self, other: "_Fwd2"):
-        if not self.g.shape[1]:  # no direction: values alone
-            return _Fwd2(self.v + other.v, self.g, self.h)
-        return _Fwd2(self.v + other.v, self.g + other.g, self.h + other.h)
 
-    def __neg__(self):
-        return _Fwd2(-self.v, -self.g, -self.h)
+def _div(a: Jet2, b: Jet2) -> Jet2:
+    inv = 1.0 / b.val
+    return a * b.chain(inv, lambda: (-inv * inv, 2.0 * inv * inv * inv))
 
-    def __sub__(self, other):
-        return self + (-other)
 
-    def __mul__(self, other):
-        if not self.g.shape[1]:
-            return _Fwd2(self.v * (other.v if isinstance(other, _Fwd2) else other), self.g, self.h)
-        if isinstance(other, _Fwd2):
-            gg = self.g[:, :, None] * other.g[:, None, :]
-            return _Fwd2(
-                self.v * other.v,
-                self.g * other.v[:, None] + self.v[:, None] * other.g,
-                self.h * other.v[:, None, None] + self.v[:, None, None] * other.h
-                + gg + gg.transpose(0, 2, 1),
-            )
-        k = np.asarray(other, dtype=float)
-        return _Fwd2(self.v * k, self.g * k[..., None], self.h * k[..., None, None])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "_Fwd2"):
-        inv = 1.0 / other.v
-        return self * other._chain(inv, lambda: (-inv * inv, 2.0 * inv * inv * inv))
-
-    def _chain(self, f0, derivatives: Callable) -> "_Fwd2":
-        """phi(self) for a function phi of one variable, given phi at the
-        values and a function that gives phi' and phi'' there, called only
-        when there are directions."""
-        g = self.g
-        if not g.shape[1]:
-            return _Fwd2(f0, g, self.h)
-        f1, f2 = derivatives()
-        return _Fwd2(f0, f1[:, None] * g,
-                     f1[:, None, None] * self.h + f2[:, None, None] * (g[:, :, None] * g[:, None, :]))
-
-    def sqrt(self) -> "_Fwd2":
-        r = np.sqrt(self.v)
-        return self._chain(r, lambda: (0.5 / r, -0.25 / (r * self.v)))
-
-    def cbrt(self) -> "_Fwd2":
-        """The real cube root, which carries the sign."""
-        r = np.copysign(np.abs(self.v) ** (1.0 / 3.0), self.v)
-        return self._chain(r, lambda: (r / (3.0 * self.v), -2.0 * r / (9.0 * self.v * self.v)))
-
-    @staticmethod
-    def where(mask: np.ndarray, a: "_Fwd2", b: "_Fwd2") -> "_Fwd2":
-        return _Fwd2(np.where(mask, a.v, b.v), np.where(mask[:, None], a.g, b.g),
-                     np.where(mask[:, None, None], a.h, b.h))
+def _where(mask: np.ndarray, a: Jet2, b: Jet2) -> Jet2:
+    return Jet2(np.where(mask, a.val, b.val), np.where(mask, a.grad, b.grad),
+                np.where(mask, a.hess, b.hess))
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +393,7 @@ def _laplace_plan(zeros: Tuple[Tuple[bool, ...], ...]):
 
 def _signed_minors(rows: list) -> list:
     """The six signed 5x5 minors of a 5x6 matrix, in any number type that
-    `_condition_rows` takes (floats, `_Fwd2` numbers, expressions).
+    `_condition_rows` takes (floats, `Jet2` numbers, expressions).
 
     The minor without column k, signed (-1)^k, is the k-th coefficient of a
     null vector of the matrix (expanding the 6x6 determinant with a repeated
@@ -461,11 +427,11 @@ def _raise_first(checks: Sequence[_Check]) -> None:
     passed = np.logical_and.reduce([ok for ok, _ in checks])
     if not passed.all():
         j = int(np.argmin(passed))
-        raise RadonError(next(message(j) for ok, message in checks if not ok[j]))
+        raise RadonError(next(message(j) for ok, message in checks if not ok[j]), j)
 
 
 def _conic_fwd(jets: Sequence[Dict[str, float]], x0: float,
-               dims: int = 5) -> Tuple[List[_Fwd2], np.ndarray, np.ndarray, List[_Check]]:
+               dims: int = 5) -> Tuple[List[Jet2], np.ndarray, np.ndarray, List[_Check]]:
     """The conic of each jet, its branch selector, the gap of its round trip
     at the base point (the largest coordinate error) and the checks of the
     jets.
@@ -482,26 +448,26 @@ def _conic_fwd(jets: Sequence[Dict[str, float]], x0: float,
     reproduces the jet.
     """
     coords = np.array([[float(jet[c]) for c in COORDS] for jet in jets]).reshape(-1, 5)
-    count, unit = len(coords), np.eye(5, dims)
-    variables = [_Fwd2(coords[:, k], np.repeat(unit[k:k + 1], count, axis=0),
-                       np.zeros((count, dims, dims))) for k in range(5)]
+    count, unit = len(coords), np.eye(dims, 5)
+    variables = [Jet2(coords[:, k], np.repeat(unit[:, k:k + 1], count, axis=1),
+                      np.zeros((dims, dims, count))) for k in range(5)]
     matrix = np.empty((count, 5, 6))
     with np.errstate(all="ignore"):
         rows = _condition_rows(x0, *variables)
         minors = _signed_minors(rows)
         for i, row in enumerate(rows):
             for k, entry in enumerate(row):
-                matrix[:, i, k] = entry.v if isinstance(entry, _Fwd2) else entry
+                matrix[:, i, k] = entry.val if isinstance(entry, Jet2) else entry
         finite = np.isfinite(np.concatenate(
-            [k.v[:, None] for k in minors] + [k.g for k in minors]
-            + [k.h.reshape(count, -1) for k in minors], axis=1)).all(axis=1)
-        volume = np.sqrt(sum(k.v * k.v for k in minors))
+            [k.val[None] for k in minors] + [k.grad for k in minors]
+            + [k.hess.reshape(-1, count) for k in minors])).all(axis=0)
+        volume = np.sqrt(sum(k.val * k.val for k in minors))
         for largest in np.abs(matrix).max(axis=2).T:
             volume = volume / largest
-        b, c, e = (minors[k].v for k in (1, 2, 4))
+        b, c, e = (minors[k].val for k in (1, 2, 4))
         phi_y = 2 * b * x0 + 2 * c * coords[:, 0] + 2 * e
         branches = np.where(phi_y > 0, 1.0, -1.0)
-        got, at_base = _jet_at([k.v for k in minors], branches, np.full(count, float(x0)))
+        got, at_base = _jet_at([k.val for k in minors], branches, np.full(count, float(x0)))
         gap = np.abs(np.stack(got, axis=1) - coords).max(axis=1)
     checks = [
         (np.isfinite(matrix).all(axis=(1, 2)),
@@ -519,7 +485,7 @@ def _conic_fwd(jets: Sequence[Dict[str, float]], x0: float,
     return minors, branches, gap, checks
 
 
-def _branch(conic: Sequence[_Fwd2], branches: np.ndarray, xs: np.ndarray, n: int):
+def _branch(conic: Sequence[Jet2], branches: np.ndarray, xs: np.ndarray, n: int):
     """y, p, q and phi_y of each conic's branch at its point, one row per
     point (n per jet), and the check of the branch at the points.
 
@@ -535,24 +501,24 @@ def _branch(conic: Sequence[_Fwd2], branches: np.ndarray, xs: np.ndarray, n: int
         B = 2 * xs * b + 2 * e
         C = (xs * xs) * a + (2 * xs) * d + f
         disc = B * B - 4 * c * C
-        sign_B = np.copysign(1.0, B.v)
-        qf = (B + sign_B * disc.sqrt()) * -0.5
+        sign_B = np.copysign(1.0, B.val)
+        qf = (B + sign_B * _sqrt(disc)) * -0.5
         # qf/c has phi_y = -sign(B) sqrt(disc), C/qf has +sign(B) sqrt(disc)
-        y = _Fwd2.where(sign_B != branches, qf / c, C / qf)
+        y = _where(sign_B != branches, _div(qf, c), _div(C, qf))
         fy = B + 2 * c * y
-        p = -(2 * xs * a + 2 * b * y + 2 * d) / fy
-        q = -(2 * a + 4 * b * p + 2 * c * p * p) / fy
-        scale = np.sqrt(sum(k.v * k.v for k in conic))
-        real = (disc.v > 0.0).reshape(-1, n)
-        good = real & ((fy.v * branches > 0) & (np.abs(fy.v) >= 1e-13 * scale * (
-            1.0 + np.abs(xs) + np.abs(y.v)))).reshape(-1, n)
+        p = _div(-(2 * xs * a + 2 * b * y + 2 * d), fy)
+        q = _div(-(2 * a + 4 * b * p + 2 * c * p * p), fy)
+        scale = np.sqrt(sum(k.val * k.val for k in conic))
+        real = (disc.val > 0.0).reshape(-1, n)
+        good = real & ((fy.val * branches > 0) & (np.abs(fy.val) >= 1e-13 * scale * (
+            1.0 + np.abs(xs) + np.abs(y.val)))).reshape(-1, n)
 
     def message(j: int) -> str:
         k = j * n + int(np.argmin(good[j]))
         if real.flat[k]:
             return f"vertical tangent at x={float(xs[k])}"
         return (f"branch leaves the reals at x={float(xs[k])} "
-                f"(discriminant {disc.v[k] / scale[k] ** 2:.2e})")
+                f"(discriminant {disc.val[k] / scale[k] ** 2:.2e})")
 
     return (y, p, q, fy), (good.all(axis=1), message)
 
@@ -561,10 +527,9 @@ def _jet_at(conic: Sequence[np.ndarray], branches: np.ndarray, xs: np.ndarray):
     """y, p, q, r and s on each conic's branch at its point (values alone),
     and the check of the branch there (`_branch`); r and s follow by
     implicit differentiation."""
-    none = np.zeros((len(xs), 0))
-    (y, p, q, fy), check = _branch([_Fwd2(v, none, none[:, :, None]) for v in conic],
-                                   branches, xs, 1)
-    y, p, q, fy = y.v, p.v, q.v, fy.v
+    none = np.zeros((0, len(xs)))
+    (y, p, q, fy), check = _branch([Jet2(v, none, none[None]) for v in conic], branches, xs, 1)
+    y, p, q, fy = y.val, p.val, q.val, fy.val
     b, c = conic[1], conic[2]
     with np.errstate(all="ignore"):
         G = 2 * b + 2 * c * p
@@ -599,8 +564,8 @@ class _Branch:
     forward-mode numbers over the jets' nodes, rows jet-major: y, the real
     cube root of q, the (x, y) node points, and the scaled weights (N,)."""
 
-    y: _Fwd2
-    cbrt_q: _Fwd2
+    y: Jet2
+    cbrt_q: Jet2
     nodes: List[Dict[str, float]]
     weights: np.ndarray
 
@@ -620,14 +585,15 @@ def _branch_fwd(cfg: RadonConfig, jets: Sequence[Dict[str, float]],
     count, n = len(branches), len(xs)
     rows = np.repeat(np.arange(count), n)
     xs = np.tile(xs, count)
-    (y, _, q, _), at_nodes = _branch([_Fwd2(k.v[rows], k.g[rows], k.h[rows]) for k in minors],
-                                     branches[rows], xs, n)
-    qs = q.v.reshape(count, n)
+    (y, _, q, _), at_nodes = _branch(
+        [Jet2(k.val[rows], k.grad[:, rows], k.hess[..., rows]) for k in minors],
+        branches[rows], xs, n)
+    qs = q.val.reshape(count, n)
     checks += [at_nodes, ((qs > 0).all(axis=1) | (qs < 0).all(axis=1),
                           lambda j: _q_sign_error(xs[j * n:(j + 1) * n].tolist(), qs[j].tolist()))]
     _raise_first(checks)
-    nodes = [{"x": x, "y": yv} for x, yv in zip(xs.tolist(), y.v.tolist())]
-    return _Branch(y, q.cbrt(), nodes, half * weights)
+    nodes = [{"x": x, "y": yv} for x, yv in zip(xs.tolist(), y.val.tolist())]
+    return _Branch(y, _cbrt(q), nodes, half * weights)
 
 
 def _transform_derivatives(cfg: RadonConfig,
@@ -635,20 +601,23 @@ def _transform_derivatives(cfg: RadonConfig,
     """F with its gradient and Hessian over the branch's directions at each
     jet of the branch: f at every node from one `eval_points` pass (with
     f_y and f_yy when there are directions), then each jet's weighted sums."""
-    w, n, dims = br.weights, len(br.weights), br.y.g.shape[1]
+    w, n, dims = br.weights, len(br.weights), len(br.y.grad)
     if dims:
         f, f_y, f_yy = cfg.f_jet_evaluator.eval_points(br.nodes)
-        integrand = br.y._chain(f, lambda: (f_y, f_yy)) * br.cbrt_q
+        integrand = br.y.chain(f, lambda: (f_y, f_yy)) * br.cbrt_q
     else:
         integrand = br.cbrt_q * cfg.f_evaluator.eval_points(br.nodes)[0]
     out = []
-    for start in range(0, len(br.nodes), n):
+    for j, start in enumerate(range(0, len(br.nodes), n)):
         at = slice(start, start + n)
-        value, grad, hess = w @ integrand.v[at], np.zeros(0), np.zeros((0, 0))
+        value, grad, hess = w @ integrand.val[at], np.zeros(0), np.zeros((0, 0))
         if dims:
-            grad, hess = w @ integrand.g[at], np.tensordot(w, integrand.h[at], axes=1)
+            # node-major and contiguous: the layout picks the BLAS kernel that
+            # sums, and so its rounding
+            grad = w @ np.ascontiguousarray(integrand.grad[:, at].T)
+            hess = np.tensordot(w, np.moveaxis(integrand.hess[..., at], -1, 0), axes=1)
         if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
-            raise RadonError("the transform or its derivatives are not finite")
+            raise RadonError("the transform or its derivatives are not finite", j)
         out.append((float(value), grad, hess))
     return out
 
@@ -800,18 +769,21 @@ def verify_system(
     (covector = lambda * grad F) with its relative residual.  Across points
     (at least two; a single input point gets deterministic companions):
     mu-hat and the additive constant from laplacian(F) = mu * (F + c), and
-    the gap against the eigenvalue relation mu = 6 lambda^2 + R/10.
+    the gap against the eigenvalue relation mu = 6 lambda^2 + R/10.  An
+    error at a companion names it.
     """
-    if isinstance(points, dict):
-        points = [points] + _aux_points(points)
-    points = list(points)
-    if len(points) < 2:
+    points = [points] if isinstance(points, dict) else list(points)
+    given = len(points)
+    if given < 2:
         points = points + _aux_points(points[0])
     if len({(cfg.x_a, cfg.x_b, cfg.order, cfg.x0) for cfg in cfgs}) != 1:
         raise ValueError("the test functions of one call must share one contour")
 
-    branch = _branch_fwd(cfgs[0], points)
-    derivatives = [_transform_derivatives(cfg, branch) for cfg in cfgs]
+    try:
+        branch = _branch_fwd(cfgs[0], points)
+        derivatives = [_transform_derivatives(cfg, branch) for cfg in cfgs]
+    except RadonError as err:
+        raise _at_jet(err, points, "companion jet", given) from None
     _, _, g_inv, gamma = m.christoffel_at(points)
     G_lower = G.lower_at(points)
     results = []
@@ -851,33 +823,19 @@ def conic_checks(seed: int = 0x5EED) -> List[CheckRecord]:
     """Jet -> conic -> jet fidelity, including the catalogued examples."""
     checks: List[CheckRecord] = []
 
-    circle_jet = {"y": 1.0, "p": 0.0, "q": -1.0, "r": 0.0, "s": -3.0}
-    conic, branch = conic_from_jet(circle_jet, 0.0)
-    v = np.array(conic.vector)
-    ref = np.array([1.0, 0, 1.0, 0, 0, -1.0])
-    ref = ref / np.linalg.norm(ref)
-    gap = float(min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref))))
-    checks.append(CheckRecord.from_residual(
-        "conic_circle_from_jet", gap, 1e-10, 1, seed,
-        notes="unit-circle jet recovers x^2 + y^2 = 1"))
-
-    parab_jet = {"y": 0.0, "p": 0.0, "q": 2.0, "r": 0.0, "s": 0.0}
-    conic, branch = conic_from_jet(parab_jet, 0.0)
-    v = np.array(conic.vector)
-    ref = np.array([1.0, 0, 0, 0, -0.5, 0])
-    ref = ref / np.linalg.norm(ref)
-    gap = float(min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref))))
-    checks.append(CheckRecord.from_residual(
-        "conic_parabola_from_jet", gap, 1e-10, 1, seed))
+    for name, jet, ref, notes in (
+            ("conic_circle_from_jet", {"y": 1.0, "p": 0.0, "q": -1.0, "r": 0.0, "s": -3.0},
+             [1.0, 0, 1.0, 0, 0, -1.0], "unit-circle jet recovers x^2 + y^2 = 1"),
+            ("conic_parabola_from_jet", {"y": 0.0, "p": 0.0, "q": 2.0, "r": 0.0, "s": 0.0},
+             [1.0, 0, 0, 0, -0.5, 0], "")):
+        v = np.array(conic_from_jet(jet, 0.0)[0].vector)
+        ref = np.array(ref) / np.linalg.norm(ref)
+        gap = float(min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref))))
+        checks.append(CheckRecord.from_residual(name, gap, 1e-10, 1, seed, notes=notes))
 
     rng = random.Random(seed)
-    jets = [{
-        "y": rng.uniform(0.5, 1.5),
-        "p": rng.uniform(-0.5, 0.5),
-        "q": rng.uniform(1.0, 2.5),
-        "r": rng.uniform(-0.5, 0.5),
-        "s": rng.uniform(-0.5, 0.5),
-    } for _ in range(10)]
+    box = ((0.5, 1.5), (-0.5, 0.5), (1.0, 2.5), (-0.5, 0.5), (-0.5, 0.5))
+    jets = [{c: rng.uniform(lo, hi) for c, (lo, hi) in zip(COORDS, box)} for _ in range(10)]
     _, _, gap, jet_checks = _conic_fwd(jets, 0.0, 0)  # one batch: the jets' round trips
     _raise_first(jet_checks)
     checks.append(CheckRecord.from_residual(
@@ -947,7 +905,11 @@ def _fd_derivatives(cfg: RadonConfig,
                 cfg, [dict(zip(COORDS, key)) for key in distinct[start:start + _FD_BATCH]]))
     except (RadonError, ExprError):
         for X, step in outer:
-            radon_F_batch(cfg, _fd_stencil(X, step))
+            stencil = _fd_stencil(X, step)
+            try:
+                radon_F_batch(cfg, stencil)
+            except RadonError as err:
+                raise _at_jet(err, stencil, "finite-difference stencil jet") from None
         raise
     g1, g2, *inner = (_fd_combine([values[i] for i in idx], step)
                       for idx, (_, step) in zip(at, outer))
@@ -973,7 +935,11 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
     delta = 0.1
     shifted_jet = conic_jet(conic, branch, cfg.x0 + delta)
     cfg_shifted = replace(cfg, x0=cfg.x0 + delta)
-    F3 = radon_F(cfg_shifted, shifted_jet)
+    try:
+        F3 = radon_F(cfg_shifted, shifted_jet)
+    except RadonError as err:
+        role = f"jet carried along its conic to x={cfg_shifted.x0}"
+        raise _at_jet(err, [shifted_jet], role) from None
     checks.append(CheckRecord.from_residual(
         "reparametrisation_invariance", abs(F1 - F3) / (1.0 + abs(F1)), 1e-9, 2, seed,
         notes="transform depends on the conic, not on the jet representative"))

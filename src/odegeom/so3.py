@@ -37,7 +37,7 @@ from .expr import (
     add,
     mul,
 )
-from .geom import MetricField, curvature, sample_points
+from .geom import _K_LOWER as _K_PAIRING, MetricField, curvature, sample_points
 from .pentad import PentadData
 from .report import CheckRecord, check_identities
 
@@ -252,10 +252,6 @@ class GTensor:
         CC = np.einsum("ijk,pjb,pkc->pibc", self.ghat_np, fr.C, fr.C)
         X = np.einsum("pdia,pibc->pdabc", fr.dC, CC)
         return X + np.transpose(X, (0, 1, 3, 2, 4)) + np.transpose(X, (0, 1, 4, 3, 2))
-
-
-_K_PAIRING = {(0, 4): Fraction(1), (1, 3): Fraction(-4), (2, 2): Fraction(6),
-              (3, 1): Fraction(-4), (4, 0): Fraction(1)}
 
 
 def build_G(pd: PentadData, m: MetricField) -> GTensor:

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from odegeom import geom, pentad, so3
+from odegeom import expr, pentad, so3
 from odegeom.cli import Session, main, pentad_suite, run
+from odegeom.expr import Const, Evaluator
 from odegeom.jet import load_ode_file
 from odegeom.report import CheckReport
 
@@ -304,14 +305,13 @@ def _count_stages(monkeypatch):
 
     monkeypatch.setattr(pentad, "solve_pentad", counted("solve_pentad", pentad.solve_pentad))
     monkeypatch.setattr(so3, "build_G", counted("build_G", so3.build_G))
-    tables = geom.MetricField._derivative_exprs
+    eval_points = Evaluator.eval_points
 
-    def second_order(self):
-        if self._deriv_cache is None:
-            counts["second_order"] += 1
-        return tables(self)
+    def counted_eval_points(self, points, tangents=None, second_order=False):
+        counts["second_order"] += second_order
+        return eval_points(self, points, tangents, second_order)
 
-    monkeypatch.setattr(geom.MetricField, "_derivative_exprs", second_order)
+    monkeypatch.setattr(Evaluator, "eval_points", counted_eval_points)
     return counts
 
 
@@ -319,7 +319,9 @@ def test_all_runs_each_stage_once(monkeypatch):
     counts = _count_stages(monkeypatch)
     code, _ = run(["all", "--ode", "conics5", "--json"])
     assert code == 0
-    assert counts == {"solve_pentad": 1, "build_G": 1, "second_order": 1}
+    # one second-order pass per batch of curvature points: geom's 20 and
+    # the so3 identities' 10
+    assert counts == {"solve_pentad": 1, "build_G": 1, "second_order": 2}
 
 
 def test_geom_point_reuses_the_session(monkeypatch):
@@ -327,7 +329,53 @@ def test_geom_point_reuses_the_session(monkeypatch):
     code, text = run(["geom", "--ode", "gn5", "--point", "y=1,p=0.5,q=1.5,r=0.7,s=0.3"])
     assert code == 0
     assert "scalar curvature at point" in text
-    assert counts == {"solve_pentad": 1, "build_G": 0, "second_order": 1}
+    # the checks' 20 points, then the point
+    assert counts == {"solve_pentad": 1, "build_G": 0, "second_order": 2}
+
+
+def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
+        monkeypatch, metric_conics5, metric_gn5):
+    """Every metric derivative a report uses comes from the forward-mode
+    passes over the coframe program: no report compiles a partial of a
+    metric entry for evaluation, nor differentiates one again."""
+    differentiated, compiled = [], []
+    diff = expr.diff
+
+    def recorded_diff(e, v):
+        differentiated.append(e)
+        return diff(e, v)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "odegeom" and getattr(module, "diff", None) is diff:
+            monkeypatch.setattr(module, "diff", recorded_diff)
+    init = Evaluator.__init__
+
+    def recorded_init(self, exprs):
+        init(self, exprs)
+        compiled.extend(self.exprs)
+
+    monkeypatch.setattr(Evaluator, "__init__", recorded_init)
+    for argv in (["all", "--ode", "conics5"], ["all", "--ode", "gn5"],
+                 ["geom", "--ode", "gn5", "--point", "y=1,p=0.5,q=1.5,r=0.7,s=0.3"]):
+        assert run(argv)[0] == 0
+    assert differentiated and compiled
+    for m in (metric_conics5, metric_gn5):
+        # nodes are interned: a partial built in a report is this very node
+        partials = {diff(e, c) for row in m.g_lower for e in row for c in m.coords}
+        partials = {p for p in partials if not isinstance(p, Const)}
+        assert not partials & set(compiled)
+        assert not partials & set(differentiated)
+
+
+def test_radon_error_at_a_jet_the_user_did_not_give_names_it(capsys):
+    # the point passes; the jet carried along its conic for the
+    # reparametrisation check does not
+    assert main(["radon", "--ode", "conics5", "--point", "y=1,p=0.3,q=0.05,r=0.5,s=-3"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", (
+        "error: recovered conic does not reproduce the jet (gap 1.58e-09) at the jet carried "
+        "along its conic to x=0.1 {'y': 1.0302923694398298, 'p': 0.3057255141567353, "
+        "'q': 0.044004253209064606, 'r': -0.5118862111731556, 's': 0.7642554674472568}\n"))
 
 
 _SCIPY_FREE_REPORT = """

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odegeom import expr
 from odegeom.expr import (
@@ -17,6 +17,7 @@ from odegeom.expr import (
     Evaluator,
     ExprError,
     Jet1,
+    Jet2,
     Neg,
     ParseError,
     Pow,
@@ -637,7 +638,7 @@ def test_a_batch_fails_where_the_scalar_oracle_fails_first(exprs, points):
 
 
 def test_a_lone_point_matches_the_scalar_oracle_on_the_built_in_tables(
-        pd_conics5, pd_gn5, pd_conics4, metric_conics5, metric_gn5):
+        pd_conics5, pd_gn5, pd_conics4, metric_conics5, metric_gn5, symbolic_metric_tables):
     for pd in (pd_conics5, pd_gn5, pd_conics4):
         points = sample_points(pd.ode, 3, seed=17)
         _assert_lone_points_match_the_oracle(Evaluator([pd.ode.rhs]), points)
@@ -645,11 +646,9 @@ def test_a_lone_point_matches_the_scalar_oracle_on_the_built_in_tables(
             _assert_lone_points_match_the_oracle(Evaluator([e for row in rows for e in row]), points)
     for m in (metric_conics5, metric_gn5):
         points = sample_points(m.ode, 3, seed=17)
-        m._derivative_exprs()
-        first_order = [ex for row in m.g_lower for ex in row]
-        first_order += [ex for blk in m._dg_exprs for row in blk for ex in row]
-        _assert_lone_points_match_the_oracle(Evaluator(first_order), points)
-        _assert_lone_points_match_the_oracle(m._evaluator, points)
+        g, dg, ddg = symbolic_metric_tables(m)
+        _assert_lone_points_match_the_oracle(Evaluator(g + dg), points)
+        _assert_lone_points_match_the_oracle(Evaluator(ddg), points)
     jet_points = [dict(pt, x=0.0) for pt in sample_points(pd_conics5.ode, 3, seed=17)]
     _assert_lone_points_match_the_oracle(Evaluator(_conic_minor_table()), jet_points)
 
@@ -721,21 +720,63 @@ _POLY_ODE = JetOde("poly", 5, parse("x*s^2 - 3*r*q + y"), DOM)
 _positive_points = st.fixed_dictionaries({name: st.floats(0.25, 2.0) for name in VARIABLES})
 
 
+def _derivative_scale(exprs, point, tangent) -> list:
+    """Per expression, its derivative along the tangent at the point with
+    every term taken by its size: each sum adds the sizes of its terms and
+    each product those of its product-rule terms.  Two derivatives of one
+    expression computed in different orders differ by rounding, which is
+    relative to this size, not to their result, which may cancel."""
+    val, size = {}, {}
+    for node in topo_order(exprs):
+        if isinstance(node, Const):
+            val[node], size[node] = node.fvalue, 0.0
+        elif isinstance(node, Var):
+            val[node], size[node] = point[node.name], abs(tangent.get(node.name, 0.0))
+        elif isinstance(node, Neg):
+            val[node], size[node] = -val[node.child], size[node.child]
+        elif isinstance(node, Sum):
+            val[node] = math.fsum(val[t] for t in node.terms)
+            size[node] = math.fsum(size[t] for t in node.terms)
+        elif isinstance(node, Prod):
+            vals = [abs(val[f]) for f in node.factors]
+            val[node] = math.prod(val[f] for f in node.factors)
+            size[node] = math.fsum(size[f] * math.prod(vals[:i] + vals[i + 1:])
+                                   for i, f in enumerate(node.factors))
+        else:
+            x, b = val[node.base], float(node.exponent)
+            try:
+                val[node] = x ** b
+                size[node] = abs(b) * abs(x) ** (b - 1) * size[node.base]
+            except (OverflowError, ZeroDivisionError):
+                val[node] = size[node] = math.inf
+    # a size that overflowed (inf, or nan from inf * 0) bounds nothing
+    return [math.inf if math.isnan(size[e]) else size[e] for e in exprs]
+
+
 def _assert_forward_mode_matches(ev, points):
     try:
         plain = ev.eval_points(points)
         want = Evaluator([total_derivative(e, _POLY_ODE) for e in ev.exprs]).eval_points(points)
     except EvalError:
         return  # undefined at a point: the error texts are tested below
-    jets = ev.eval_points(points, total_derivative_direction(_POLY_ODE, points))
+    tangents = total_derivative_direction(_POLY_ODE, points)
+    jets = ev.eval_points(points, tangents)
     assert isinstance(jets, Jet1)
     assert jets.val.tobytes() == plain.tobytes()
-    assert np.all(np.abs(jets.der - want) <= 1e-12 * (1.0 + np.abs(want)))
+    scale = np.array([_derivative_scale(ev.exprs, pt, t) for pt, t in zip(points, tangents)]).T
+    assert np.all(np.abs(jets.der - want) <= 1e-12 * (1.0 + scale))
+
+
+_CANCELLING_POINT = {"x": 0.0, "y": 0.0, "p": 0.0, "q": 0.0, "r": 1.01343642441124e-102,
+                     "s": 0.71875}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_exprs, min_size=1, max_size=4),
        st.lists(_positive_points | _points, min_size=2, max_size=4))
+# D(r * r^-1) = s r^-1 - r r^-2 s: two terms of 7e101 that cancel to 0, while
+# the forward-mode pass, rounding in another order, gives -1.2e86
+@example([mul(var("r"), pow_(var("r"), -1))], [_CANCELLING_POINT, dict(_CANCELLING_POINT, r=1.0)])
 def test_forward_mode_is_the_plain_pass_and_the_total_derivative(exprs, points):
     ev = Evaluator(exprs)
     _assert_forward_mode_matches(ev, points)
@@ -751,11 +792,71 @@ def test_forward_mode_errors_name_the_same_point_with_the_same_text(text, bad, m
     ev = Evaluator([parse(text)])
     points = [{"q": 1.5, "r": 1.0}, {"q": bad, "r": 1.0}, {"q": 0.25, "r": 2.0}]
     tangents = [{"q": 1.0, "r": -0.5}, {"q": 2.0}, {"r": 1.0}]
-    for pts, tgs in ((points, tangents), (points[1:2], tangents[1:2])):
+    # each point's own seeds along two directions, the second its tangent
+    seeds = [{v: (1.0, t) for v, t in tangent.items()} for tangent in tangents]
+    for k in (slice(None), slice(1, 2)):
         with pytest.raises(EvalError) as plain:
-            ev.eval_points(pts)
-        with pytest.raises(EvalError) as jet:
-            ev.eval_points(pts, tgs)
-        assert str(jet.value) == str(plain.value)
-        assert message in str(jet.value)
-        assert jet.value.point == plain.value.point == points[1]
+            ev.eval_points(points[k])
+        for tgs, second_order in ((tangents[k], False), (seeds[k], True)):
+            with pytest.raises(EvalError) as jet:
+                ev.eval_points(points[k], tgs, second_order)
+            assert str(jet.value) == str(plain.value)
+            assert message in str(jet.value)
+            assert jet.value.point == plain.value.point == points[1]
+
+
+# -- second-order forward mode: Jet2 numbers in the same loop ---------------
+#
+# Seeded along d directions, the value parts must be the plain pass bit for
+# bit, and a direction seeded with a Jet1 tangent must give that pass's
+# derivative bit for bit: both follow the same product and power rules.
+# The Hessians are checked against symbolic second partials on the conic
+# minors here and on the metric in `test_geom`.
+
+
+def _seeds(tangents):
+    """Two directions per point: the tangent and e_q + e_r/2 (d = 2)."""
+    return [{v: (t.get(v, 0.0), {"q": 1.0, "r": 0.5}.get(v, 0.0)) for v in VARIABLES}
+            for t in tangents]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4),
+       st.lists(_positive_points | _points, min_size=1, max_size=4))
+def test_second_order_values_are_the_plain_pass_and_gradients_the_first_order_pass(exprs, points):
+    ev = Evaluator(exprs)
+    tangents = total_derivative_direction(_POLY_ODE, points)
+    try:
+        plain = ev.eval_points(points)
+        first = ev.eval_points(points, tangents)
+    except EvalError:
+        return  # undefined at a point: the error texts are tested above
+    try:
+        second = ev.eval_points(points, _seeds(tangents), second_order=True)
+    except EvalError as err:
+        # a second derivative may overflow where the first does not
+        assert str(err).startswith("non-finite value during evaluation")
+        return
+    assert isinstance(second, Jet2)
+    assert second.grad.shape == (2,) + plain.shape
+    assert second.hess.shape == (2, 2) + plain.shape
+    assert second.val.tobytes() == plain.tobytes()
+    assert second.grad[0].tobytes() == first.der.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_second_order_conic_minors_match_their_symbolic_partials(pd_conics5, count):
+    table = _conic_minor_table()
+    minors = table[::21]
+    points = [dict(pt, x=0.0) for pt in sample_points(pd_conics5.ode, count, seed=17)]
+    want = Evaluator(table).eval_points(points).reshape(6, 21, count)
+    upper = [(i, j) for i in range(5) for j in range(i, 5)]
+    want_grad = np.moveaxis(want[:, 1:6], 1, 0)
+    want_hess = np.empty((5, 5, 6, count))
+    for k, (i, j) in enumerate(upper):
+        want_hess[i, j] = want_hess[j, i] = want[:, 6 + k]
+    seeds = [dict(zip(COORDS, np.eye(5)))] * count
+    got = Evaluator(minors).eval_points(points, seeds, second_order=True)
+    assert got.val.tobytes() == Evaluator(minors).eval_points(points).tobytes()
+    for part, ref in ((got.grad, want_grad), (got.hess, want_hess)):
+        assert np.max(np.abs(part - ref)) <= 1e-12 * np.max(np.abs(ref))

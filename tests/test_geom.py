@@ -163,25 +163,39 @@ def test_radon_suite_never_builds_second_order_table(monkeypatch, conics5):
     from odegeom import cli
     from odegeom.geom import MetricField
 
-    def refuse(self):
-        raise AssertionError("second-order metric table built")
+    def refuse(self, points):
+        raise AssertionError("second derivatives of the metric taken")
 
-    monkeypatch.setattr(MetricField, "_derivative_exprs", refuse)
+    # the suite needs the metric to first order only
+    monkeypatch.setattr(MetricField, "derivatives_at", refuse)
     report = cli.radon_suite(cli.Session(conics5, 50, 1e-9, 0x5EED))
     assert report.checks
 
 
 @pytest.mark.parametrize("metric", ["metric_conics5", "metric_gn5"])
-def test_forward_mode_metric_matches_the_symbolic_derivatives(metric, request):
+def test_forward_mode_metric_matches_the_symbolic_derivatives(
+        metric, request, symbolic_metric_tables):
     m = request.getfixturevalue(metric)
     pts = sample_points(m.ode, 20, seed=23)
     g, dg, _, _ = m.christoffel_at(pts)
-    flat = [e for row in m.g_lower for e in row]
-    flat += [e for blk in m._dg_exprs for row in blk for e in row]
-    want = Evaluator(flat).eval_points(pts).T
+    g_table, dg_table, _ = symbolic_metric_tables(m)
+    want = Evaluator(g_table + dg_table).eval_points(pts).T
     g_ref, dg_ref = want[:, :25].reshape(-1, 5, 5), want[:, 25:].reshape(-1, 5, 5, 5)
     assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
     assert np.max(np.abs(dg - dg_ref)) <= 1e-12 * np.max(np.abs(dg_ref))
+
+
+@pytest.mark.parametrize("metric", ["metric_conics5", "metric_gn5"])
+def test_second_order_metric_matches_the_symbolic_table(metric, request, symbolic_metric_tables):
+    m = request.getfixturevalue(metric)
+    pts = sample_points(m.ode, 20, seed=23)
+    g, dg, ddg, g_inv = m.derivatives_at(pts)
+    *_, ddg_table = symbolic_metric_tables(m)
+    ddg_ref = Evaluator(ddg_table).eval_points(pts).T.reshape(-1, 5, 5, 5, 5)
+    assert np.max(np.abs(ddg - ddg_ref)) <= 1e-12 * np.max(np.abs(ddg_ref))
+    # g, dg and g_inv are those of the first-order pass
+    fr = m.frame_at(pts)
+    assert (g is fr.g) and (dg is fr.dg) and (g_inv is fr.g_inv)
 
 
 def test_radon_suite_never_builds_the_symbolic_first_order_table(monkeypatch, conics5):
@@ -189,9 +203,10 @@ def test_radon_suite_never_builds_the_symbolic_first_order_table(monkeypatch, co
     from odegeom.geom import MetricField
 
     def refuse(self):
-        raise AssertionError("symbolic metric derivatives built")
+        raise AssertionError("symbolic metric built")
 
-    monkeypatch.setattr(MetricField, "_dg_exprs", property(refuse))
+    # without the symbolic metric, no table of its derivatives can be built
+    monkeypatch.setattr(MetricField, "g_lower", property(refuse))
     report = cli.radon_suite(cli.Session(conics5, 50, 1e-9, 0x5EED))
     assert report.checks and report.passed()
 

@@ -420,8 +420,39 @@ def test_fd_error_is_that_of_the_first_stencil_with_a_bad_jet():
         _per_stencil_fd(cfg, jet)
     with pytest.raises(RadonError) as distinct:
         _fd_derivatives(cfg, jet)
-    assert str(distinct.value) == str(alone.value)
+    # the error names the first stencil jet that fails alone
+    stencils = [_fd_stencil(jet, cfg.h), _fd_stencil(jet, cfg.h / 2)]
+    stencils += [_fd_stencil(X, cfg.h) for X in _fd_stencil(jet, cfg.h)]
+    bad = next(X for stencil in stencils for X in stencil if _fails(cfg, X))
+    assert str(distinct.value) == f"{alone.value} at the finite-difference stencil jet {bad}"
     assert str(alone.value).startswith("branch leaves the reals at x=")
+
+
+def _fails(cfg, jet) -> bool:
+    try:
+        radon_F(cfg, jet)
+    except RadonError:
+        return True
+    return False
+
+
+def test_a_companion_jet_error_names_the_companion(gtensor, metric_conics5):
+    # the jet passes, its first companion (y and q scaled) does not
+    cfg = RadonConfig(f=parse("1"))
+    jet = {"y": 1.0, "p": 0.3, "q": 0.05, "r": 0.5, "s": -3.0}
+    radon_derivatives(cfg, jet)
+    companion = _aux_points(jet)[0]
+    with pytest.raises(RadonError) as alone:
+        radon_derivatives(cfg, companion)
+    assert str(alone.value).startswith("recovered conic does not reproduce the jet")
+    for given in (jet, [jet]):
+        with pytest.raises(RadonError) as named:
+            verify_system([cfg], given, gtensor, metric_conics5)
+        assert str(named.value) == f"{alone.value} at the companion jet {companion}"
+    # a jet the caller gave keeps the error it raises alone
+    with pytest.raises(RadonError) as own:
+        verify_system([cfg], [default_test_jets()[0], companion], gtensor, metric_conics5)
+    assert str(own.value) == str(alone.value)
 
 
 def test_fd_error_does_not_depend_on_the_batches(monkeypatch):
@@ -659,8 +690,8 @@ def test_forward_mode_minors_match_the_symbolic_minors():
     for j, jet in enumerate(_ORACLE_JETS):
         vals = table.eval_points([dict(jet, x=0.0)])[:, 0]
         want = (vals[:6], vals[6:36].reshape(6, 5), vals[36:].reshape(6, 5, 5))
-        got = (np.array([k.v[j] for k in fwd]), np.array([k.g[j] for k in fwd]),
-               np.array([k.h[j] for k in fwd]))
+        got = (np.array([k.val[j] for k in fwd]), np.array([k.grad[:, j] for k in fwd]),
+               np.array([k.hess[..., j] for k in fwd]))
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
