@@ -302,10 +302,10 @@ def run(argv: Sequence[str]) -> tuple:
         elif args.command == "geom":
             report = geom_suite(session)
             if point is not None:
-                [cv] = geom.curvature(session.metric, [point])
-                extra_lines.append(f"scalar curvature at point: {cv.scalar:.12g}")
+                cv = geom.curvature(session.metric, [point])
+                extra_lines.append(f"scalar curvature at point: {cv.scalar[0]:.12g}")
                 extra_lines.append("metric at point:")
-                for row in cv.g:
+                for row in cv.g[0]:
                     extra_lines.append("  " + "  ".join(f"{v: .6e}" for v in row))
         elif args.command == "so3":
             report = so3_suite(session)

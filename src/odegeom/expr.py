@@ -1118,10 +1118,23 @@ def compare_values(v1, v2, points: Sequence[dict], tol: float, seed: int) -> lis
     residuals = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
     results = []
     for row in residuals:
-        i = int(np.argmax(row))
-        worst = float(row[i])
-        results.append(EquivResult(worst <= tol, worst, len(points), tol, seed, points[i]))
+        residual, point = worst_sample(row, points)
+        results.append(EquivResult(residual <= tol, residual, len(points), tol, seed, point))
     return results
+
+
+def worst_sample(residuals, points: Sequence[dict]) -> Tuple[float, dict]:
+    """(max_residual, worst_point) of residuals at samples: an array with
+    the sample on its first axis, one sample per point, whose trailing axes
+    are reduced by max.  The point is that of the first sample where the
+    largest residual occurs; a NaN anywhere is the result, at the first
+    sample that holds one, so a NaN residual fails every tolerance."""
+    residuals = np.asarray(residuals, dtype=float)
+    if len(residuals) != len(points):
+        raise ValueError(f"{len(residuals)} residual samples for {len(points)} points")
+    flat = residuals.reshape(len(points), -1)
+    j = int(np.argmax(flat))  # the first largest entry, or the first NaN, in sample order
+    return float(flat.flat[j]), points[j // flat.shape[1]]
 
 
 def equiv_all(

@@ -217,6 +217,11 @@ class FrameAtPoints:
     gamma: np.ndarray
 
 
+def _point_max(a: np.ndarray) -> np.ndarray:
+    """max|a| at each point (leading axis), shaped to broadcast against a."""
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)), keepdims=True)
+
+
 def _christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     # Gamma^d_ab = 1/2 g^de (d_a g_eb + d_b g_ea - d_e g_ab), per point
     return 0.5 * np.einsum(
@@ -225,21 +230,24 @@ def _christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CurvatureAtPoint:
-    point: Dict[str, float]
+class CurvatureAtPoints:
+    """Curvature at a batch of points, leading axis the point: the metric
+    g, g_inv, gamma[k, d, a, b] = Gamma^d_ab, riemann[k, d, c, a, b] =
+    R_dcab (all indices down), ricci and the scalar curvature."""
+
     g: np.ndarray
     g_inv: np.ndarray
-    gamma: np.ndarray        # Gamma[d, a, b]
-    riemann: np.ndarray      # R_{dcab} (all indices down)
+    gamma: np.ndarray
+    riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: np.ndarray
 
 
 def metric_from_frame(pd: PentadData) -> MetricField:
     return MetricField(pd)
 
 
-def curvature(m: MetricField, points: Sequence[Dict[str, float]]) -> List[CurvatureAtPoint]:
+def curvature(m: MetricField, points: Sequence[Dict[str, float]]) -> CurvatureAtPoints:
     """Riemann/Ricci/scalar at a batch of points from exact metric
     derivatives (`derivatives_at`)."""
     g, dg, ddg, g_inv = m.derivatives_at(points)
@@ -262,8 +270,7 @@ def curvature(m: MetricField, points: Sequence[Dict[str, float]]) -> List[Curvat
     ricci = np.einsum("krsrn->ksn", riem_up)
     scalar = np.einsum("ksn,ksn->k", g_inv, ricci)
     riemann = np.einsum("kdr,krsmn->kdsmn", g, riem_up)
-    return [CurvatureAtPoint(pt, g[k], g_inv[k], gamma[k], riemann[k], ricci[k], float(scalar[k]))
-            for k, pt in enumerate(points)]
+    return CurvatureAtPoints(g, g_inv, gamma, riemann, ricci, scalar)
 
 
 def sample_points(ode: JetOde, count: int, seed: int = DEFAULT_SEED) -> List[Dict[str, float]]:
@@ -351,51 +358,42 @@ def curvature_checks(
     cat = catalog.for_ode(m.ode.name) or {}
     einstein_factor = cat.get("einstein_factor")
 
-    cvs = curvature(m, points)
-    R = np.array([cv.riemann for cv in cvs])
-    g = np.array([cv.g for cv in cvs])
-    ricci = np.array([cv.ricci for cv in cvs])
-    scalars = [cv.scalar for cv in cvs]
-
-    def worst(T, scale):
-        """The largest over the points of max|T| at a point over its scale."""
-        return float(np.max(np.max(np.abs(T), axis=tuple(range(1, T.ndim))) / scale))
-
-    R_scale = np.max(np.abs(R), axis=(1, 2, 3, 4)) + 1e-300
-    g_scale = np.max(np.abs(g), axis=(1, 2)) + 1e-300
-    worst_sym = max(worst(R + np.transpose(R, (0, 2, 1, 3, 4)), R_scale),
-                    worst(R + np.transpose(R, (0, 1, 2, 4, 3)), R_scale),
-                    worst(R - np.transpose(R, (0, 3, 4, 1, 2)), R_scale))
+    cv = curvature(m, points)
+    R, g, ricci = cv.riemann, cv.g, cv.ricci
+    n = len(points)
+    R_scale = _point_max(R) + 1e-300
+    g_scale = _point_max(g) + 1e-300
+    symmetries = np.concatenate([R + np.transpose(R, (0, 2, 1, 3, 4)),
+                                 R + np.transpose(R, (0, 1, 2, 4, 3)),
+                                 R - np.transpose(R, (0, 3, 4, 1, 2))], axis=1)
     bianchi = R + np.transpose(R, (0, 1, 3, 4, 2)) + np.transpose(R, (0, 1, 4, 2, 3))
-    worst_bianchi = worst(bianchi, R_scale)
 
     checks.append(CheckRecord.from_residual(
-        "riemann_symmetries", worst_sym, sym_tol, len(points), seed))
+        "riemann_symmetries", np.abs(symmetries) / R_scale, sym_tol, n, seed, points=points))
     checks.append(CheckRecord.from_residual(
-        "bianchi_first_identity", worst_bianchi, sym_tol, len(points), seed))
+        "bianchi_first_identity", np.abs(bianchi) / R_scale, sym_tol, n, seed, points=points))
 
     expected_R = cat.get("scalar_curvature")
     if expected_R is not None:
-        gap = max(abs(s - expected_R) for s in scalars)
+        gap = np.abs(cv.scalar - expected_R)
         if expected_R == -60.0:
             checks.append(CheckRecord.from_residual(
-                "scalar_curvature_minus60", gap, 1e-6, len(points), seed))
+                "scalar_curvature_minus60", gap, 1e-6, n, seed, points=points))
         else:
             checks.append(CheckRecord.from_residual(
-                "scalar_curvature_zero", gap, 1e-8, len(points), seed))
+                "scalar_curvature_zero", gap, 1e-8, n, seed, points=points))
     if einstein_factor is not None:
-        einstein_worst = worst(ricci - einstein_factor * g, g_scale)
         checks.append(CheckRecord.from_residual(
-            "einstein_ricci_proportional", einstein_worst, 1e-6, len(points), seed,
-            notes=f"Ricci = {einstein_factor} * g"))
+            "einstein_ricci_proportional", np.abs(ricci - einstein_factor * g) / g_scale, 1e-6,
+            n, seed, notes=f"Ricci = {einstein_factor} * g", points=points))
     else:
-        ricci_scale_min = float(np.min(np.max(np.abs(ricci), axis=(1, 2)) / g_scale))
+        ricci_scale_min = float(np.min(_point_max(ricci) / g_scale))
         checks.append(CheckRecord(
             "ricci_not_zero",
             "pass" if ricci_scale_min > 0.1 else "fail",
             ricci_scale_min,
             0.1,
-            len(points),
+            n,
             seed,
             "max|Ricci| / max|g| must stay above 0.1; scalar-flat but not Ricci-flat",
         ))
@@ -439,10 +437,10 @@ def structure_checks(
     h = len(harmonic_pts)
     if h:
         div_c = np.einsum("kab,kcab->kc", g_inv[:h], gamma[:h])
-        worst = float(np.max(np.max(np.abs(div_c), axis=1)
-                             / (np.max(np.abs(gamma[:h]), axis=(1, 2, 3)) + 1e-300)))
+        scale = np.max(np.abs(gamma[:h]), axis=(1, 2, 3)) + 1e-300
         checks.append(CheckRecord.from_residual(
-            "harmonic_coordinates", worst, 1e-8, h, seed, notes="g^ab Gamma^c_ab = 0"))
+            "harmonic_coordinates", np.abs(div_c) / scale[:, None], 1e-8, h, seed,
+            notes="g^ab Gamma^c_ab = 0", points=harmonic_pts))
 
     eigs = np.linalg.eigvalsh(g[h:])
     split_ok = bool(np.all((eigs > 0).sum(axis=1) == 3) and np.all((eigs < 0).sum(axis=1) == 2))
@@ -545,11 +543,10 @@ def connection_checks(
     rhs = ((2 * m_deg - 4) * (phi[:, None, :, None] * fr.C[:, :, None])
            + m_deg * (psi[:, None, :, None] * prev[:, :, None])
            + (4 - m_deg) * (chi[:, None, :, None] * succ[:, :, None]))
-    scale = np.max(np.abs(nabla), axis=(1, 2, 3)) + 1e-300
-    worst = float(np.max(np.max(np.abs(nabla - rhs), axis=(2, 3)) / scale[:, None]))
     checks.append(CheckRecord.from_residual(
-        "connection_frame_compatibility", worst, 1e-8, len(points), seed,
-        notes="nabla e^i vs (2m-4) phi e^i + m psi e^(i-1) + (4-m) chi e^(i+1)"))
+        "connection_frame_compatibility", np.abs(nabla - rhs) / (_point_max(nabla) + 1e-300), 1e-8,
+        len(points), seed, notes="nabla e^i vs (2m-4) phi e^i + m psi e^(i-1) + (4-m) chi e^(i+1)",
+        points=points))
     return checks
 
 

@@ -727,10 +727,6 @@ class RadonVerification:
     c_offset: float
     relation_gap: float   # |mu - (6 lam^2 + R/10)| with R = -60
 
-    @property
-    def max_residual(self) -> float:
-        return max(p.residual for p in self.points)
-
 
 def default_test_jets() -> List[Dict[str, float]]:
     return [
@@ -830,8 +826,9 @@ def conic_checks(seed: int = 0x5EED) -> List[CheckRecord]:
              [1.0, 0, 0, 0, -0.5, 0], "")):
         v = np.array(conic_from_jet(jet, 0.0)[0].vector)
         ref = np.array(ref) / np.linalg.norm(ref)
-        gap = float(min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref))))
-        checks.append(CheckRecord.from_residual(name, gap, 1e-10, 1, seed, notes=notes))
+        gap = min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref)))
+        checks.append(CheckRecord.from_residual(name, [gap], 1e-10, 1, seed, notes=notes,
+                                                points=[jet]))
 
     rng = random.Random(seed)
     box = ((0.5, 1.5), (-0.5, 0.5), (1.0, 2.5), (-0.5, 0.5), (-0.5, 0.5))
@@ -839,7 +836,7 @@ def conic_checks(seed: int = 0x5EED) -> List[CheckRecord]:
     _, _, gap, jet_checks = _conic_fwd(jets, 0.0, 0)  # one batch: the jets' round trips
     _raise_first(jet_checks)
     checks.append(CheckRecord.from_residual(
-        "conic_jet_roundtrip", float(gap.max()), 1e-10, 10, seed))
+        "conic_jet_roundtrip", gap, 1e-10, 10, seed, points=jets))
 
     try:
         conic_from_jet({"y": 0.0, "p": 0.0, "q": 0.0, "r": 0.0, "s": 0.0}, 0.0)
@@ -861,9 +858,10 @@ def integration_cross_checks(ode5: JetOde, gn5: JetOde, seed: int = 0x5EED) -> L
     conic, branch = conic_from_jet(jet0, 0.0)
     num = integrate_ode(ode5, jet0, 0.0, 0.3, tol=1e-11)
     exact = conic_jet(conic, branch, 0.3)
-    worst = max(abs(num[c] - exact[c]) / (1.0 + abs(exact[c])) for c in COORDS)
     checks.append(CheckRecord.from_residual(
-        "ode_integration_matches_conic", worst, 1e-8, 1, seed))
+        "ode_integration_matches_conic",
+        [[abs(num[c] - exact[c]) / (1.0 + abs(exact[c])) for c in COORDS]], 1e-8, 1, seed,
+        points=[jet0]))
 
     # y = 1 + x^2 + (1+x)^(3/2) solves the s^2/r equation
     def closed(x):
@@ -877,9 +875,10 @@ def integration_cross_checks(ode5: JetOde, gn5: JetOde, seed: int = 0x5EED) -> L
 
     num = integrate_ode(gn5, closed(0.0), 0.0, 0.5, tol=1e-11)
     ref = closed(0.5)
-    worst = max(abs(num[c] - ref[c]) / (1.0 + abs(ref[c])) for c in COORDS)
     checks.append(CheckRecord.from_residual(
-        "ode_integration_matches_closed_form", worst, 1e-8, 1, seed))
+        "ode_integration_matches_closed_form",
+        [[abs(num[c] - ref[c]) / (1.0 + abs(ref[c])) for c in COORDS]], 1e-8, 1, seed,
+        points=[closed(0.0)]))
     return checks
 
 
@@ -928,7 +927,8 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
     F1 = radon_F(cfg, jet)
     F2 = radon_F(cfg, jet, order=2 * cfg.order)
     checks.append(CheckRecord.from_residual(
-        "quadrature_order_stability", abs(F1 - F2) / (1.0 + abs(F1)), 1e-10, 2, seed))
+        "quadrature_order_stability", [abs(F1 - F2) / (1.0 + abs(F1))], 1e-10, 2, seed,
+        points=[jet]))
 
     # same conic, jet carried to a shifted base point; contour fixed
     conic, branch = conic_from_jet(jet, cfg.x0)
@@ -941,20 +941,20 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
         role = f"jet carried along its conic to x={cfg_shifted.x0}"
         raise _at_jet(err, [shifted_jet], role) from None
     checks.append(CheckRecord.from_residual(
-        "reparametrisation_invariance", abs(F1 - F3) / (1.0 + abs(F1)), 1e-9, 2, seed,
-        notes="transform depends on the conic, not on the jet representative"))
+        "reparametrisation_invariance", [abs(F1 - F3) / (1.0 + abs(F1))], 1e-9, 2, seed,
+        notes="transform depends on the conic, not on the jet representative", points=[jet]))
 
     g1, g2, H = _fd_derivatives(cfg, jet)
     checks.append(CheckRecord.from_residual(
         "fd_gradient_step_doubling",
-        float(np.linalg.norm(g1 - g2)) / (float(np.linalg.norm(g1)) + 1e-300),
-        1e-5, 2, seed))
+        [float(np.linalg.norm(g1 - g2)) / (float(np.linalg.norm(g1)) + 1e-300)],
+        1e-5, 2, seed, points=[jet]))
 
     # Hessian asymmetry when built as differences of gradients (Richardson on
     # the outer difference too, so truncation does not masquerade as asymmetry)
     asym = float(np.max(np.abs(H - H.T))) / (float(np.max(np.abs(H))) + 1e-300)
     checks.append(CheckRecord.from_residual(
-        "fd_hessian_symmetry", asym, 1e-6, 1, seed))
+        "fd_hessian_symmetry", [asym], 1e-6, 1, seed, points=[jet]))
     return checks
 
 
@@ -970,20 +970,22 @@ def system_checks(
     if points is None:
         points = default_test_jets()
     checks: List[CheckRecord] = []
-    all_lams: List[float] = []
-    worst_gap = 0.0
     cfgs = [RadonConfig(f=parse(text), x_a=interval[0], x_b=interval[1]) for text in f_texts]
-    for text, ver in zip(f_texts, verify_system(cfgs, points, G, m)):
-        all_lams.extend(p.lam for p in ver.points)
-        worst_gap = max(worst_gap, ver.relation_gap)
+    vers = verify_system(cfgs, points, G, m)
+    for text, ver in zip(f_texts, vers):
         tag = text.replace("*", "")
         checks.append(CheckRecord.from_residual(
-            f"system_residual_f_{tag}", ver.max_residual, 1e-4, len(ver.points), seed,
-            notes=f"lambda_hat = {ver.lam:.6f}"))
+            f"system_residual_f_{tag}", [p.residual for p in ver.points], 1e-4,
+            len(ver.points), seed, notes=f"lambda_hat = {ver.lam:.6f}",
+            points=[p.jet for p in ver.points]))
+    # the spread of lambda as each sample's height above the smallest
+    lams = np.array([p.lam for ver in vers for p in ver.points])
     checks.append(CheckRecord.from_residual(
-        "lambda_point_to_point_spread", float(max(all_lams) - min(all_lams)), 1e-3,
-        len(all_lams), seed))
+        "lambda_point_to_point_spread", lams - np.min(lams), 1e-3, len(lams), seed,
+        points=[p.jet for ver in vers for p in ver.points]))
+    # the samples of the relation are the test functions
     checks.append(CheckRecord.from_residual(
-        "eigenvalue_relation_mu_6lam2_R10", worst_gap, 1e-3, len(f_texts), seed,
-        notes="mu vs 6 lambda^2 + R/10 at R = -60"))
+        "eigenvalue_relation_mu_6lam2_R10", [ver.relation_gap for ver in vers], 1e-3,
+        len(f_texts), seed, notes="mu vs 6 lambda^2 + R/10 at R = -60",
+        points=[{"f": text} for text in f_texts]))
     return checks

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .expr import DEFAULT_SEED, EquivResult, Expr, SampleDomain, equiv_all
+from .expr import DEFAULT_SEED, EquivResult, Expr, SampleDomain, equiv_all, worst_sample
 
 PASS = "pass"
 FAIL = "fail"
@@ -42,20 +42,27 @@ class CheckRecord:
     @staticmethod
     def from_residual(
         name: str,
-        residual: float,
+        residual,
         tolerance: float,
         samples: int,
         seed: int = DEFAULT_SEED,
         notes: str = "",
+        *,
+        points: Sequence[dict],
     ) -> "CheckRecord":
+        """Passes iff the largest residual is at most the tolerance: the
+        residuals are per sample, one sample per point, and are reduced by
+        `worst_sample`."""
+        residual, worst_point = worst_sample(residual, points)
         return CheckRecord(
             name=name,
             status=PASS if residual <= tolerance else FAIL,
-            max_residual=float(residual),
+            max_residual=residual,
             tolerance=float(tolerance),
             samples=samples,
             seed=seed,
             notes=notes,
+            worst_point=worst_point,
         )
 
     @staticmethod

@@ -37,7 +37,7 @@ from .expr import (
     add,
     mul,
 )
-from .geom import _K_LOWER as _K_PAIRING, MetricField, curvature, sample_points
+from .geom import _K_LOWER as _K_PAIRING, MetricField, _point_max, curvature, sample_points
 from .pentad import PentadData
 from .report import CheckRecord, check_identities
 
@@ -317,17 +317,11 @@ def frame_constant_checks(G: GTensor) -> List[CheckRecord]:
         0.0, 0.0, 1, DEFAULT_SEED, "k^ij Ghat_ijk = 0 exactly"))
 
     # Ghat_efa Ghat^ef_b = (7/12) k_ab
-    ok = True
-    worst = Fraction(0)
-    for a in range(5):
-        for b in range(5):
-            want = Fraction(7, 12) * k[a][b]
-            if quadratic[a][b] != want:
-                ok = False
-                worst = max(worst, abs(quadratic[a][b] - want))
+    gap = max(abs(q - Fraction(7, 12) * kk)
+              for q_row, k_row in zip(quadratic, k) for q, kk in zip(q_row, k_row))
     checks.append(CheckRecord(
         "gtensor_quadratic_trace_7_12",
-        "pass" if ok else "fail", float(worst), 1e-10, 1, DEFAULT_SEED,
+        "pass" if gap == 0 else "fail", float(gap), 1e-10, 1, DEFAULT_SEED,
         "G_efa G^ef_b = (7/12) g_ab exactly on the frame"))
 
     checks.append(CheckRecord(
@@ -355,11 +349,16 @@ def trace_checks_symbolic(
                              m.ode.domain, samples, tol, seed)]
 
 
+def _perm(T: np.ndarray, *axes: int) -> np.ndarray:
+    """T with its axes after the leading point axis permuted as `axes`."""
+    return np.transpose(T, (0,) + tuple(a + 1 for a in axes))
+
+
 def _sym_last3(T: np.ndarray) -> np.ndarray:
     return (
-        T + np.transpose(T, (0, 1, 3, 2)) + np.transpose(T, (0, 2, 1, 3))
-        + np.transpose(T, (0, 2, 3, 1)) + np.transpose(T, (0, 3, 1, 2))
-        + np.transpose(T, (0, 3, 2, 1))
+        T + _perm(T, 0, 1, 3, 2) + _perm(T, 0, 2, 1, 3)
+        + _perm(T, 0, 2, 3, 1) + _perm(T, 0, 3, 1, 2)
+        + _perm(T, 0, 3, 2, 1)
     ) / 6.0
 
 
@@ -371,98 +370,82 @@ def g_identities(
     tol: float = 1e-8,
 ) -> List[CheckRecord]:
     """The compatibility identities tying the structure tensor to the metric
-    and curvature, at random points."""
+    and curvature, at random points, each an array expression over the
+    leading point axis."""
     m = G.m
     if points is None:
         points = sample_points(m.ode, count, seed)
 
-    worst = {"quartic": 0.0, "parallel": 0.0, "curv_sym": 0.0, "chi_decomp": 0.0,
-             "chi_sym": 0.0, "riemann_eigen": 0.0, "norm": 0.0, "trace2": 0.0}
+    cv = curvature(m, points)
+    g, ginv, R4 = cv.g, cv.g_inv, cv.riemann
+    Gl, dG = G.lower_at(points), G.derivative_at(points)
+    Gup = np.einsum("kax,kby,kcz,kxyz->kabc", ginv, ginv, ginv, Gl)
+    Gmix = np.einsum("kef,kfab->keab", ginv, Gl)
 
-    for cv, Gl, dGv in zip(curvature(m, points), G.lower_at(points), G.derivative_at(points)):
-        g, ginv = cv.g, cv.g_inv
-        Gup = np.einsum("ax,by,cz,xyz->abc", ginv, ginv, ginv, Gl)
-        Gmix = np.einsum("ef,fab->eab", ginv, Gl)
-        gscale = np.max(np.abs(g))
+    norm = np.abs(np.einsum("kabc,kabc->k", Gl, Gup) - 35.0 / 12.0)
+    t2 = np.einsum("kefa,kxyb,kex,kfy->kab", Gl, Gl, ginv, ginv) - (7.0 / 12.0) * g
+    trace2 = np.abs(t2) / _point_max(g)
 
-        norm = float(np.einsum("abc,abc->", Gl, Gup))
-        worst["norm"] = max(worst["norm"], abs(norm - 35.0 / 12.0))
-        t2 = np.einsum("efa,xyb,ex,fy->ab", Gl, Gl, ginv, ginv) - (7.0 / 12.0) * g
-        worst["trace2"] = max(worst["trace2"], float(np.max(np.abs(t2))) / gscale)
+    chi = 6.0 * np.einsum("keab,kcde->kabcd", Gmix, Gl)
+    chi_scale = _point_max(chi) + 1e-300
+    target = (
+        np.einsum("kab,kcd->kabcd", g, g)
+        + np.einsum("kac,kbd->kabcd", g, g)
+        + np.einsum("kad,kbc->kabcd", g, g)
+    ) / 3.0
+    quartic = np.abs(_sym_last3(chi) - target) / chi_scale
 
-        chi = 6.0 * np.einsum("eab,cde->abcd", Gmix, Gl)
-        chi_scale = np.max(np.abs(chi)) + 1e-300
-        target = (
-            np.einsum("ab,cd->abcd", g, g)
-            + np.einsum("ac,bd->abcd", g, g)
-            + np.einsum("ad,bc->abcd", g, g)
-        ) / 3.0
-        worst["quartic"] = max(worst["quartic"], float(np.max(np.abs(_sym_last3(chi) - target))) / chi_scale)
+    nabla = (
+        dG
+        - np.einsum("keda,kebc->kdabc", cv.gamma, Gl)
+        - np.einsum("kedb,kaec->kdabc", cv.gamma, Gl)
+        - np.einsum("kedc,kabe->kdabc", cv.gamma, Gl)
+    )
+    scale = _point_max(dG) + _point_max(cv.gamma)[..., None] * _point_max(Gl)[..., None] + 1e-300
+    parallel = np.abs(nabla) / scale
 
-        nabla = (
-            dGv
-            - np.einsum("eda,ebc->dabc", cv.gamma, Gl)
-            - np.einsum("edb,aec->dabc", cv.gamma, Gl)
-            - np.einsum("edc,abe->dabc", cv.gamma, Gl)
-        )
-        scale = np.max(np.abs(dGv)) + np.max(np.abs(cv.gamma)) * np.max(np.abs(Gl)) + 1e-300
-        worst["parallel"] = max(worst["parallel"], float(np.max(np.abs(nabla))) / scale)
+    Rmix = np.einsum("kabce,ked->kabcd", R4, ginv)
+    T = np.einsum("kabcd,kefc->kabdef", Rmix, Gup)
+    Tsym = (
+        T + _perm(T, 0, 1, 3, 4, 2) + _perm(T, 0, 1, 4, 2, 3)
+        + _perm(T, 0, 1, 3, 2, 4) + _perm(T, 0, 1, 4, 3, 2)
+        + _perm(T, 0, 1, 2, 4, 3)
+    ) / 6.0
+    curv_sym = np.abs(Tsym) / (_point_max(T) + 1e-300)
 
-        R4 = cv.riemann
-        Rmix = np.einsum("abce,ed->abcd", R4, ginv)
-        T = np.einsum("abcd,efc->abdef", Rmix, Gup)
-        Tsym = (
-            T + np.transpose(T, (0, 1, 3, 4, 2)) + np.transpose(T, (0, 1, 4, 2, 3))
-            + np.transpose(T, (0, 1, 3, 2, 4)) + np.transpose(T, (0, 1, 4, 3, 2))
-            + np.transpose(T, (0, 1, 2, 4, 3))
-        ) / 6.0
-        worst["curv_sym"] = max(worst["curv_sym"], float(np.max(np.abs(Tsym))) / (np.max(np.abs(T)) + 1e-300))
+    # full symmetrisation: average slot 0 into each position, then
+    # symmetrise the remaining three slots
+    chi_s4 = _sym_last3((chi + _perm(chi, 1, 0, 2, 3) + _perm(chi, 2, 1, 0, 3)
+                         + _perm(chi, 3, 1, 2, 0)) / 4.0)
+    chi_sym = np.abs(chi_s4 - target) / chi_scale
+    # chi_a[bc]d and chi_a[bd]c contributions; the last permutation sends
+    # [a,b,c,d] to chi[a,d,b,c]
+    decomp = (
+        chi_s4
+        + (1.0 / 3.0)
+        * (chi - _perm(chi, 0, 2, 1, 3) + _perm(chi, 0, 1, 3, 2) - _perm(chi, 0, 2, 3, 1))
+    )
+    chi_decomp = np.abs(chi - decomp) / chi_scale
 
-        # full symmetrisation: average slot 0 into each position, then
-        # symmetrise the remaining three slots
-        chi_s4 = (chi + np.transpose(chi, (1, 0, 2, 3)) + np.transpose(chi, (2, 1, 0, 3))
-                  + np.transpose(chi, (3, 1, 2, 0))) / 4.0
-        chi_s4 = _sym_last3(chi_s4)
-        worst["chi_sym"] = max(
-            worst["chi_sym"], float(np.max(np.abs(chi_s4 - target))) / chi_scale
-        )
-        # chi_a[bc]d and chi_a[bd]c contributions; the last transpose sends
-        # [a,b,c,d] to chi[a,d,b,c]
-        decomp = (
-            chi_s4
-            + (1.0 / 3.0)
-            * (chi - np.transpose(chi, (0, 2, 1, 3)) + np.transpose(chi, (0, 1, 3, 2))
-               - np.transpose(chi, (0, 2, 3, 1)))
-        )
-        worst["chi_decomp"] = max(worst["chi_decomp"], float(np.max(np.abs(chi - decomp))) / chi_scale)
+    F = 0.5 * (np.einsum("kabcd->kbcad", chi) - np.einsum("kacbd->kbcad", chi))
+    Fup = np.einsum("kcx,kdy,kxypq->kcdpq", ginv, ginv, F)
+    lhs = np.einsum("kabcd,kcdpq->kabpq", R4, Fup)
+    rhs = 1.75 * R4
+    riemann_eigen = np.abs(lhs - rhs) / (_point_max(rhs) + 1e-300)
 
-        F = 0.5 * (np.einsum("abcd->bcad", chi) - np.einsum("acbd->bcad", chi))
-        Fup = np.einsum("cx,dy,xypq->cdpq", ginv, ginv, F)
-        lhs = np.einsum("abcd,cdpq->abpq", R4, Fup)
-        rhs = 1.75 * R4
-        worst["riemann_eigen"] = max(
-            worst["riemann_eigen"], float(np.max(np.abs(lhs - rhs))) / (np.max(np.abs(rhs)) + 1e-300)
-        )
-
-    records = [
-        CheckRecord.from_residual("identity_norm_35_12_points", worst["norm"], 1e-10,
-                                  len(points), seed),
-        CheckRecord.from_residual("identity_trace_7_12_points", worst["trace2"], 1e-10,
-                                  len(points), seed),
-        CheckRecord.from_residual("identity_quartic_normalisation", worst["quartic"], tol,
-                                  len(points), seed, notes="6 G^e_a(b G_cd)e = g_a(b g_cd)"),
-        CheckRecord.from_residual("identity_parallel_tensor", worst["parallel"], tol,
-                                  len(points), seed, notes="nabla G = 0"),
-        CheckRecord.from_residual("identity_curvature_symmetric_part", worst["curv_sym"], tol,
-                                  len(points), seed, notes="R_abc^(d G^ef)c = 0"),
-        CheckRecord.from_residual("identity_chi_symmetrisation", worst["chi_sym"], tol,
-                                  len(points), seed),
-        CheckRecord.from_residual("identity_chi_decomposition", worst["chi_decomp"], tol,
-                                  len(points), seed),
-        CheckRecord.from_residual("identity_riemann_eigen_7_4", worst["riemann_eigen"], tol,
-                                  len(points), seed, notes="R_abcd F^cd_pq = (7/4) R_abpq"),
-    ]
-    return records
+    rows = (
+        ("identity_norm_35_12_points", norm, 1e-10, ""),
+        ("identity_trace_7_12_points", trace2, 1e-10, ""),
+        ("identity_quartic_normalisation", quartic, tol, "6 G^e_a(b G_cd)e = g_a(b g_cd)"),
+        ("identity_parallel_tensor", parallel, tol, "nabla G = 0"),
+        ("identity_curvature_symmetric_part", curv_sym, tol, "R_abc^(d G^ef)c = 0"),
+        ("identity_chi_symmetrisation", chi_sym, tol, ""),
+        ("identity_chi_decomposition", chi_decomp, tol, ""),
+        ("identity_riemann_eigen_7_4", riemann_eigen, tol, "R_abcd F^cd_pq = (7/4) R_abpq"),
+    )
+    return [CheckRecord.from_residual(name, residual, row_tol, len(points), seed, notes=notes,
+                                      points=points)
+            for name, residual, row_tol, notes in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +511,6 @@ def expansion_check(
         points = sample_points(ode, count, seed)
     rows = catalog.for_ode("conics5")["operator_rows"]
     coords = ode.coords
-    rng = np.random.default_rng(seed)
-
-    row_names = {c: f"operator_row_{c}" for c in coords}
-    worst = {c: 0.0 for c in coords}
 
     # one batched evaluator: equation rhs followed by every row coefficient
     keys = []
@@ -544,39 +523,32 @@ def expansion_check(
             else:
                 keys.append((c, pair))
                 exprs.append(catalog.expr(text))
-    ev = Evaluator(exprs)
+    vals = Evaluator(exprs).eval_points(points)
+    coeff = dict(zip(keys, vals[1:]))
+    for key, factor in lam_marks.items():
+        coeff[key] = factor * vals[0]
 
-    _, _, g_inv_at, gamma_at = m.christoffel_at(points)
-    Gl_at = G.lower_at(points)
-    for vals, g_inv, gamma, Gl in zip(ev.eval_points(points).T.tolist(), g_inv_at, gamma_at,
-                                       Gl_at):
-        lam_val = vals[0]
-        coeff_val = dict(zip(keys, vals[1:]))
-        for key, factor in lam_marks.items():
-            coeff_val[key] = factor * lam_val
+    # the test fields of each point: a symmetric Hessian H and a gradient b
+    # per field, from 25 + 5 consecutive draws of one stream
+    draws = np.random.default_rng(seed).standard_normal((len(points), n_fields, 30))
+    H = draws[..., :25].reshape(len(points), n_fields, 5, 5)
+    H = (H + np.swapaxes(H, 2, 3)) / 2.0
+    b = draws[..., 25:]
 
-        # per-point tensors, shared by all test fields
-        Gmixed = np.einsum("abc,bx,cy->axy", Gl, g_inv, g_inv)
+    _, _, g_inv, gamma = m.christoffel_at(points)
+    Gmixed = np.einsum("kabc,kbx,kcy->kaxy", G.lower_at(points), g_inv, g_inv)
+    cov_hess = H - np.einsum("kdbc,kfd->kfbc", gamma, b)
+    v = np.einsum("kabc,kfbc->kfa", Gmixed, cov_hess)
+    scale = np.max(np.abs(v), axis=2) + 1e-300
 
-        for _ in range(n_fields):
-            H = rng.standard_normal((5, 5))
-            H = (H + H.T) / 2.0
-            b = rng.standard_normal(5)
-            cov_hess = H - np.einsum("dbc,d->bc", gamma, b)
-            v = np.einsum("abc,bc->a", Gmixed, cov_hess)
-            scale = np.max(np.abs(v)) + 1e-300
-            for ci, c in enumerate(coords):
-                printed = -b[ci]
-                for pair in rows[c]:
-                    i, j = coords.index(pair[0]), coords.index(pair[1])
-                    printed += coeff_val[(c, pair)] * H[i, j]
-                worst[c] = max(worst[c], abs(printed - v[ci]) / scale)
-
-    return [
-        CheckRecord.from_residual(
-            row_names[c], worst[c], tol, len(points), seed,
+    records = []
+    for ci, c in enumerate(coords):
+        printed = -b[..., ci]
+        for pair in rows[c]:
+            i, j = coords.index(pair[0]), coords.index(pair[1])
+            printed = printed + coeff[(c, pair)][:, None] * H[..., i, j]
+        records.append(CheckRecord.from_residual(
+            f"operator_row_{c}", np.abs(printed - v[..., ci]) / scale, tol, len(points), seed,
             notes="top-coordinate-derivative coefficient read as the equation rhs"
-            if c == "y" else "",
-        )
-        for c in coords
-    ]
+            if c == "y" else "", points=points))
+    return records

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from odegeom import expr, pentad, so3
-from odegeom.cli import Session, main, pentad_suite, run
-from odegeom.expr import Const, Evaluator
-from odegeom.jet import load_ode_file
+from odegeom.cli import Session, geom_suite, main, pentad_suite, radon_suite, run, so3_suite
+from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, Const, Evaluator
+from odegeom.jet import builtin, load_ode_file
 from odegeom.report import CheckReport
 
 JSON_KEYS = {"name", "status", "max_residual", "tolerance", "samples", "seed", "notes"}
@@ -236,13 +236,27 @@ def test_failing_residual_records_carry_their_worst_point(tmp_path):
             assert lo <= c.worst_point[name] <= hi, (c.name, name)
 
 
+# the exact or boolean rows of a conics5 report: no worst point
+_ROWS_WITHOUT_A_POINT = {
+    "gtensor_frame_pairing_consistent", "gtensor_raw_symmetry", "gtensor_trace_free_exact",
+    "gtensor_quadratic_trace_7_12", "gtensor_norm_35_12", "signature_split_3_2",
+    "conic_degenerate_jet_rejected",
+}
+
+
 def test_worst_points_are_never_rendered(tmp_path):
-    _, report = _user_pentad_report(tmp_path)
-    assert all(c.worst_point for c in report.checks)
-    bare = CheckReport([dataclasses.replace(c, worst_point={}) for c in report.checks])
-    assert bare.checks == report.checks
-    assert report.to_json() == bare.to_json()
-    assert report.render_table() == bare.render_table()
+    _, user = _user_pentad_report(tmp_path)
+    assert all(c.worst_point for c in user.checks)
+    s = Session(builtin("conics5"), DEFAULT_SAMPLES, DEFAULT_REL_TOL, DEFAULT_SEED)
+    every_suite = pentad_suite(s)
+    for suite in (geom_suite, so3_suite, radon_suite):
+        every_suite.extend(suite(s).checks)
+    assert {c.name for c in every_suite.checks if not c.worst_point} == _ROWS_WITHOUT_A_POINT
+    for report in (user, every_suite):
+        bare = CheckReport([dataclasses.replace(c, worst_point={}) for c in report.checks])
+        assert bare.checks == report.checks
+        assert report.to_json() == bare.to_json()
+        assert report.render_table() == bare.render_table()
 
 
 def test_oversized_constant_exit_2(tmp_path):

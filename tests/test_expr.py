@@ -39,11 +39,13 @@ from odegeom.expr import (
     to_string,
     topo_order,
     var,
+    worst_sample,
 )
 from odegeom.geom import sample_points
 from odegeom.jet import JetOde, load_ode_file, total_derivative, total_derivative_direction
 from odegeom.pentad import _build_rows, solve_pentad
 from odegeom.radon import COORDS, _condition_rows
+from odegeom.report import CheckRecord
 
 DOM = SampleDomain.box(q=(0.5, 2.0), r=(0.5, 2.0), s=(-1.0, 1.0))
 
@@ -209,6 +211,31 @@ def test_equiv_each_is_one_result_per_pair_and_equiv_all_their_worst():
     assert equiv_all([bad, bad], DOM, seed=3) == each[1]
     with pytest.raises(ExprError):
         equiv_each([], DOM)
+
+
+def test_worst_sample_is_the_first_largest_and_a_nan_wins():
+    points = [{"q": float(i)} for i in range(4)]
+    # trailing axes are reduced by max; a tie goes to the first sample
+    assert worst_sample([[0.1, 0.3], [0.3, 0.2], [0.0, 0.3], [0.2, 0.2]], points) == (
+        0.3, points[0])
+    assert worst_sample(np.array([1.0, 2.0, 5.0, 5.0]), points) == (5.0, points[2])
+    for residuals, at in (([np.nan, 1.0, 5.0, 0.0], 0),
+                          ([1.0, 5.0, np.nan, np.nan], 2),
+                          ([[0.0, 1.0], [2.0, np.nan], [3.0, 0.0], [np.nan, 9.0]], 1)):
+        residual, point = worst_sample(residuals, points)
+        assert math.isnan(residual) and point is points[at]
+    with pytest.raises(ValueError):
+        worst_sample([1.0, 2.0], points)
+
+
+def test_a_nan_residual_fails_its_record_at_its_point():
+    points = [{"q": float(i)} for i in range(3)]
+    rec = CheckRecord.from_residual("row", [[0.0, 1e-12], [np.nan, 0.0], [0.5, 0.0]], 1e-8, 7,
+                                    points=points)
+    assert rec.status == "fail" and math.isnan(rec.max_residual)
+    assert rec.worst_point is points[1] and rec.samples == 7
+    rec = CheckRecord.from_residual("row", [0.0, 1e-9, 1e-9], 1e-8, 3, points=points)
+    assert (rec.status, rec.max_residual, rec.worst_point) == ("pass", 1e-9, points[1])
 
 
 def test_integer_power_under_a_fractional_power_is_kept():

@@ -1,8 +1,26 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from odegeom import catalog
-from odegeom.expr import ZERO, Evaluator, equiv, equiv_all, parse
+from odegeom import catalog, geom
+from odegeom.expr import (
+    DEFAULT_SEED,
+    ONE,
+    ZERO,
+    Const,
+    Evaluator,
+    add,
+    diff,
+    equiv,
+    equiv_all,
+    mul,
+    neg,
+    parse,
+    pow_,
+    var,
+)
 from odegeom.geom import (
     GeomError,
     connection_checks,
@@ -15,6 +33,7 @@ from odegeom.geom import (
     sample_points,
     structure_checks,
 )
+from odegeom.jet import total_derivative
 
 
 def _all_pass(checks):
@@ -70,24 +89,23 @@ def test_pairing_checks_gn5(metric_gn5):
 
 def test_curvature_einstein_conics5(metric_conics5, conics5):
     pts = sample_points(conics5, 20, seed=101)
-    for cv in curvature(metric_conics5, pts[:5]):
-        assert cv.scalar == pytest.approx(-60.0, abs=1e-6)
-        assert np.max(np.abs(cv.ricci + 12.0 * cv.g)) < 1e-6
+    cv = curvature(metric_conics5, pts[:5])
+    assert cv.scalar == pytest.approx(np.full(5, -60.0), abs=1e-6)
+    assert np.max(np.abs(cv.ricci + 12.0 * cv.g)) < 1e-6
     _all_pass(curvature_checks(metric_conics5, points=pts))
 
 
 def test_curvature_gn5_scalar_flat_not_ricci_flat(metric_gn5, gn5):
     pts = sample_points(gn5, 10, seed=7)
-    for cv in curvature(metric_gn5, pts[:3]):
-        assert abs(cv.scalar) < 1e-8
-        assert np.max(np.abs(cv.ricci)) > 0.1 * np.max(np.abs(cv.g))
+    cv = curvature(metric_gn5, pts[:3])
+    assert np.all(np.abs(cv.scalar) < 1e-8)
+    assert np.all(np.max(np.abs(cv.ricci), axis=(1, 2)) > 0.1 * np.max(np.abs(cv.g), axis=(1, 2)))
     _all_pass(curvature_checks(metric_gn5, points=pts))
 
 
 def test_riemann_symmetries_at_point(metric_conics5, conics5):
     pt = sample_points(conics5, 1, seed=4)[0]
-    [cv] = curvature(metric_conics5, [pt])
-    R = cv.riemann
+    [R] = curvature(metric_conics5, [pt]).riemann
     scale = np.max(np.abs(R))
     assert np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))) < 1e-9 * scale
     assert np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2)))) < 1e-9 * scale
@@ -234,3 +252,119 @@ def test_radon_report_runs_the_coframe_program_once_per_batch(monkeypatch, conic
     coframe = session.metric._coframe_ev
     assert len(verify_calls) == 1
     assert [tangents for ev, tangents in calls if ev is coframe] == [True]
+
+
+def _key(pt):
+    return tuple(sorted(pt.items()))
+
+
+def _weights(points, seed):
+    """A distinct weight in 1..n for each point, in shuffled order."""
+    return {_key(pt): w for pt, w in zip(points, np.random.default_rng(seed).permutation(
+        len(points)) + 1.0)}
+
+
+def test_curvature_rows_keep_the_point_whose_residual_is_largest(
+        metric_conics5, conics5, monkeypatch):
+    # Riemann, Ricci and the scalar perturbed with a different weight at each
+    # point: all four rows fail, and each row's point is the one whose
+    # lone-point residual, recomputed by the same check, is the largest
+    points = sample_points(conics5, 20, DEFAULT_SEED)
+    weight = _weights(points, 5)
+    rng = np.random.default_rng(6)
+    E4, E2 = rng.standard_normal((5, 5, 5, 5)), rng.standard_normal((5, 5))
+    exact = geom.curvature
+
+    def perturbed(m, pts):
+        cv = exact(m, pts)
+        w = np.array([1e-3 * weight[_key(pt)] for pt in pts])
+        return dataclasses.replace(cv, riemann=cv.riemann + w[:, None, None, None, None] * E4,
+                                   ricci=cv.ricci + w[:, None, None] * E2, scalar=cv.scalar + w)
+
+    monkeypatch.setattr(geom, "curvature", perturbed)
+    batch = curvature_checks(metric_conics5, points=points)
+    alone = [curvature_checks(metric_conics5, points=[pt]) for pt in points]
+    assert [rec.name for rec in batch] == ["riemann_symmetries", "bianchi_first_identity",
+                                           "scalar_curvature_minus60",
+                                           "einstein_ricci_proportional"]
+    for i, rec in enumerate(batch):
+        residuals = [recs[i].max_residual for recs in alone]
+        assert rec.status == "fail", rec.name
+        assert rec.worst_point == points[int(np.argmax(residuals))], rec.name
+        assert rec.max_residual == pytest.approx(max(residuals), rel=1e-9), rec.name
+
+
+def test_harmonic_coordinates_keep_the_point_whose_residual_is_largest(
+        metric_conics5, conics5, monkeypatch):
+    points = sample_points(conics5, 10, DEFAULT_SEED)
+    weight = _weights(points, 7)
+    E = np.random.default_rng(8).standard_normal((5, 5, 5))
+    exact = geom.MetricField.christoffel_at
+
+    def perturbed(self, pts):
+        g, dg, g_inv, gamma = exact(self, pts)
+        w = np.array([1e-3 * weight.get(_key(pt), 0.0) for pt in pts])
+        return g, dg, g_inv, gamma + w[:, None, None, None] * E
+
+    monkeypatch.setattr(geom.MetricField, "christoffel_at", perturbed)
+    [rec] = [c for c in structure_checks(metric_conics5) if c.name == "harmonic_coordinates"]
+    _, _, g_inv, gamma = metric_conics5.christoffel_at(points)
+    residuals = [np.max(np.abs(np.einsum("ab,cab->c", gi, ga))) / (np.max(np.abs(ga)) + 1e-300)
+                 for gi, ga in zip(g_inv, gamma)]
+    assert rec.status == "fail"
+    assert rec.worst_point == points[int(np.argmax(residuals))]
+    assert rec.max_residual == pytest.approx(max(residuals), rel=1e-9)
+
+
+def test_connection_compatibility_keeps_the_point_whose_residual_is_largest(
+        conn, metric_conics5, conics5):
+    # a wrong dy component of phi fails the frame compatibility law
+    bad = dataclasses.replace(conn, phi=(add(conn.phi[0], mul(Const(Fraction(1, 10)),
+                                                              pow_(var("r"), 2))),)
+                              + conn.phi[1:])
+    points = sample_points(conics5, 20, DEFAULT_SEED)
+    rec = connection_checks(bad, metric_conics5, points=points)[-1]
+    residuals = [connection_checks(bad, metric_conics5, points=[pt], samples=2)[-1].max_residual
+                 for pt in points]
+    assert rec.name == "connection_frame_compatibility"
+    assert rec.status == "fail"
+    assert rec.worst_point == points[int(np.argmax(residuals))]
+    assert rec.max_residual == pytest.approx(max(residuals), rel=1e-9)
+
+
+_X, _Y = var("x"), var("y")
+# the point fields xi d_x + eta d_y of the projective algebra sl(3)
+_PROJECTIVE_FIELDS = {
+    "d_x": (ONE, ZERO), "d_y": (ZERO, ONE), "x d_x": (_X, ZERO), "y d_x": (_Y, ZERO),
+    "x d_y": (ZERO, _X), "y d_y": (ZERO, _Y),
+    "x(x d_x + y d_y)": (mul(_X, _X), mul(_X, _Y)), "y(x d_x + y d_y)": (mul(_X, _Y), mul(_Y, _Y)),
+}
+
+
+def _lie_derivative_of_metric(m, xi, eta, points):
+    """L_K g_ab = K^c d_c g_ab + g_cb d_a K^c + g_ac d_b K^c at the points,
+    K^c = D^c Q the prolonged evolutionary field of the characteristic
+    Q = eta - xi p (D the total derivative of the equation), with g and dg
+    from the metric's forward-mode pass."""
+    ode = m.ode
+    K = [add(eta, neg(mul(xi, var("p"))))]
+    for _ in range(4):
+        K.append(total_derivative(K[-1], ode))
+    vals = Evaluator(K + [diff(k, a) for k in K for a in ode.coords]).eval_points(points)
+    Kv = vals[:5].T
+    dK = vals[5:].reshape(5, 5, len(points)).transpose(2, 1, 0)   # [k, a, c] = d_a K^c
+    fr = m.frame_at(points)
+    return (np.einsum("kc,kcab->kab", Kv, fr.dg) + np.einsum("kcb,kac->kab", fr.g, dK)
+            + np.einsum("kac,kbc->kab", fr.g, dK)), fr.g
+
+
+def test_projective_fields_are_killing_fields_of_the_conics_metric(metric_conics5, conics5):
+    # conics form SL(3)/SO(2,1): all eight projective fields preserve g
+    points = sample_points(conics5, 20, DEFAULT_SEED)
+    for name, (xi, eta) in _PROJECTIVE_FIELDS.items():
+        lie, g = _lie_derivative_of_metric(metric_conics5, xi, eta, points)
+        assert np.max(np.abs(lie)) <= 1e-12 * np.max(np.abs(g)), name
+    # negative controls: two point fields outside sl(3)
+    for xi, eta in ((ZERO, mul(_X, _X)), (ZERO, mul(_Y, _Y))):
+        lie, g = _lie_derivative_of_metric(metric_conics5, xi, eta, points)
+        assert np.max(np.abs(lie)) > np.max(np.abs(g))

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odegeom import cli, so3
-from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED
+from odegeom import catalog, cli, so3
+from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, evaluate
 from odegeom.geom import sample_points
 from odegeom.jet import builtin
 from odegeom.so3 import (
@@ -188,3 +188,105 @@ def test_mu_lambda_values():
     assert mu_lambda(0.0, -60.0) == pytest.approx(-6.0)
     assert mu_lambda(1.0, -60.0) == pytest.approx(0.0)
     assert mu_lambda(0.0, 0.0) == 0.0
+
+
+def _patch_lower_at(monkeypatch, change):
+    """GTensor.lower_at with change(G_k, point) applied to a copy of each
+    point's G_abc, so a batch and a lone point see the same change."""
+    lower_at = so3.GTensor.lower_at
+
+    def patched(self, points):
+        Gl = lower_at(self, points).copy()
+        for k, pt in enumerate(points):
+            change(Gl[k], pt)
+        return Gl
+
+    monkeypatch.setattr(so3.GTensor, "lower_at", patched)
+
+
+def test_a_nan_fails_every_identity_and_operator_row_at_its_point(
+        gtensor, metric_conics5, conics5, monkeypatch):
+    points = sample_points(conics5, 10, DEFAULT_SEED)
+    bad = points[6]
+
+    def poison(G_k, pt):
+        if pt == bad:
+            G_k[1, 2, 3] = np.nan
+
+    _patch_lower_at(monkeypatch, poison)
+    records = g_identities(gtensor) + expansion_check(gtensor, metric_conics5)
+    assert len(records) == 13
+    for rec in records:
+        assert rec.status == "fail", rec.name
+        assert np.isnan(rec.max_residual), rec.name
+        assert rec.worst_point == bad, rec.name
+
+
+def test_identity_rows_keep_the_point_whose_residual_is_largest(
+        gtensor, conics5, monkeypatch):
+    # a perturbation of G with a different weight at each point fails all
+    # eight rows; each row's point is the one whose lone-point residual,
+    # recomputed by the same check, is the largest
+    points = sample_points(conics5, 10, DEFAULT_SEED)
+    weight = {tuple(sorted(pt.items())): w
+              for pt, w in zip(points, np.random.default_rng(3).permutation(10) + 1.0)}
+    E = np.random.default_rng(4).standard_normal((5, 5, 5))
+
+    def perturb(G_k, pt):
+        G_k += 1e-3 * weight[tuple(sorted(pt.items()))] * E
+
+    _patch_lower_at(monkeypatch, perturb)
+    batch = g_identities(gtensor, points)
+    alone = [g_identities(gtensor, [pt]) for pt in points]
+    for i, rec in enumerate(batch):
+        residuals = [recs[i].max_residual for recs in alone]
+        assert rec.status == "fail", rec.name
+        assert rec.worst_point == points[int(np.argmax(residuals))], rec.name
+        assert rec.max_residual == pytest.approx(max(residuals), rel=1e-9), rec.name
+
+
+def _operator_row_residuals(gtensor, metric, rows, points, n_fields=20, seed=DEFAULT_SEED):
+    """[point, row] residuals of the printed operator rows, one point and
+    one test field at a time through `hor_operator`, each field's Hessian
+    and gradient drawn as 25 + 5 numbers of one stream."""
+    ode = metric.ode
+    coords = ode.coords
+    _, _, g_inv, gamma = metric.christoffel_at(points)
+    Gl = gtensor.lower_at(points)
+    rng = np.random.default_rng(seed)
+    out = np.zeros((len(points), len(coords)))
+    for k, pt in enumerate(points):
+        lam = evaluate(ode.rhs, pt)
+        coeff = {(c, pair): float(text.split(":")[1]) * lam if text.startswith("lambda:")
+                 else evaluate(catalog.expr(text), pt)
+                 for c, table in rows.items() for pair, text in table.items()}
+        for _ in range(n_fields):
+            H = rng.standard_normal((5, 5))
+            H = (H + H.T) / 2.0
+            b = rng.standard_normal(5)
+            v = hor_operator(b, H, g_inv[k], gamma[k], Gl[k]).covector
+            for ci, c in enumerate(coords):
+                printed = -b[ci] + sum(coeff[(c, pair)] * H[coords.index(pair[0]),
+                                                            coords.index(pair[1])]
+                                       for pair in rows[c])
+                out[k, ci] = max(out[k, ci], abs(printed - v[ci]) / (np.max(np.abs(v)) + 1e-300))
+    return out
+
+
+def test_operator_rows_keep_the_point_whose_residual_is_largest(
+        gtensor, metric_conics5, conics5, monkeypatch):
+    # every row's first coefficient doubled: all five rows fail
+    rows = {c: dict(table) for c, table in catalog.for_ode("conics5")["operator_rows"].items()}
+    for table in rows.values():
+        pair, text = next(iter(table.items()))
+        table[pair] = (f"lambda:{2 * float(text.split(':')[1])}" if text.startswith("lambda:")
+                       else f"2*({text})")
+    monkeypatch.setitem(catalog.for_ode("conics5"), "operator_rows", rows)
+    points = sample_points(conics5, 10, DEFAULT_SEED)
+    oracle = _operator_row_residuals(gtensor, metric_conics5, rows, points)
+    records = expansion_check(gtensor, metric_conics5, points=points)
+    assert [rec.name for rec in records] == [f"operator_row_{c}" for c in conics5.coords]
+    for rec, column in zip(records, oracle.T):
+        assert rec.status == "fail", rec.name
+        assert rec.worst_point == points[int(np.argmax(column))], rec.name
+        assert rec.max_residual == pytest.approx(column.max(), rel=1e-9), rec.name
