@@ -21,18 +21,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import catalog, geom, pentad, radon, so3
 from .expr import (
     DEFAULT_REL_TOL,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    Evaluator,
     ExprError,
-    ONE,
     ParseError,
     ZERO,
-    add,
-    mul,
     parse,
+    relative_residual,
 )
 from .jet import JetError, JetOde, builtin, builtin_names, resolve_ode
 from .pentad import PentadError
@@ -124,39 +125,64 @@ class Session:
         return so3.build_G(self.pd, self.metric)
 
 
+def _frame_at_samples(pd: pentad.PentadData) -> tuple:
+    """(L, letters, C): the rows, the coefficient letters and the coframe at
+    the solve's sample points.  Order 5 takes them from the numbers of the
+    residual certification, the coframe by forward substitution; order 4
+    evaluates the symbolic frame there, which its symplectic form is built
+    from, so that its checks certify that frame."""
+    if pd.n == 5:
+        v = pd.values
+        return v.lower, v.coefficients(), v.coframe()
+    n = pd.n
+    vals = Evaluator([e for row in pd.lower + pd.coframe_rows for e in row]
+                     + list(pd.coefficients.values())).eval_points(pd.points)
+    L, C = vals[:2 * n * n].reshape(2, n, n, -1)
+    return L, dict(zip(pd.coefficients, vals[2 * n * n:])), C
+
+
+def _values_check(name: str, got, expected: Sequence, s: Session) -> CheckRecord:
+    """One check of values at the solve's sample points against the
+    expected expressions evaluated there, under the residual of
+    `compare_values`."""
+    points = s.pd.points
+    want = Evaluator(list(expected)).eval_points(points)
+    return CheckRecord.from_residual(name, relative_residual(np.array(got), want).T, s.tol,
+                                     len(points), s.seed, points=points)
+
+
 def pentad_suite(s: Session) -> CheckReport:
     report = CheckReport()
     ode, pd = s.ode, s.pd
     n = ode.order
     sampling = (ode.domain, s.samples, s.tol, s.seed)
     cat = catalog.for_ode(ode.name)
+    lower, letters, coframe = _frame_at_samples(pd)
 
     if cat:
         report.add(check_identities(catalog.p_check_name(ode.name),
                                     [(pd.P, catalog.expr(cat["P"]))], *sampling))
         report.add(check_identities("Q_matches_expected",
                                     [(pd.Q, catalog.expr(cat["Q"]))], *sampling))
-        report.add(check_identities(
+        report.add(_values_check(
             "coefficients_match_expected",
-            [(pd.coefficients[letter], catalog.expr(text))
-             for letter, text in cat["coefficients"].items()],
-            *sampling))
+            [letters[letter] for letter in cat["coefficients"]],
+            [catalog.expr(text) for text in cat["coefficients"].values()], s))
         if "coframe" in cat:
             ref = catalog.matrix(cat["coframe"])
-            report.add(check_identities(
-                "coframe_matches_expected",
-                [(pd.coframe_rows[i][a], ref[i][a]) for i in range(n) for a in range(n)],
-                *sampling))
+            report.add(_values_check(
+                "coframe_matches_expected", coframe.reshape(n * n, -1),
+                [ref[i][a] for i in range(n) for a in range(n)], s))
 
     for name, chk in zip(pd.residual_names, pd.residual_checks):
         report.add(CheckRecord.from_equiv(name, chk))
 
-    report.add(check_identities(
+    # sum_a C[i][a] L[a][j] against the identity, at each point
+    product = (coframe[:, :, None] * lower[None]).sum(axis=1)
+    report.add(CheckRecord.from_residual(
         "coframe_frame_inverse_identity",
-        [(add(*[mul(pd.coframe_rows[i][a], pd.lower[a][j]) for a in range(n)]),
-          ONE if i == j else ZERO)
-         for i in range(n) for j in range(n)],
-        *sampling))
+        np.moveaxis(relative_residual(product, np.eye(n)[:, :, None]), -1, 0),
+        s.tol, len(pd.points), s.seed, points=pd.points))
 
     if n == 4:
         form = pentad.symplectic(pd)

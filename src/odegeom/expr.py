@@ -26,10 +26,15 @@ treat an expression as a DAG and are iterative.
 batch.  Every error names the first point that fails.  The loop is written
 with the arithmetic operators only, so the number type is pluggable: given a
 tangent per variable, it runs on `Jet1` numbers (first-order forward mode,
-Griewank & Walther, *Evaluating Derivatives*, ch. 3), and given seeds along
+Griewank & Walther, *Evaluating Derivatives*, ch. 3); given seeds along
 d directions, on `Jet2` numbers (second order, ch. 13: gradients and
-Hessians along the directions).  Their value parts are computed by the very
-operations of a plain pass.
+Hessians along the directions); and given a variable's Taylor coefficients
+along one direction, on `Taylor` numbers (truncated Taylor series to any
+degree, ch. 13: along the flow of an ODE, the total derivatives D^k / k!).
+Their value parts are computed by the very operations of a plain pass.
+`Jet1` stays apart from the degree-1 `Taylor` number: its products and
+power rule are the cheaper ones of the first-order metric pass, whose bits
+they fix.
 
 Every node carries its support: `mask`, a bitmask of the variables it
 contains (bit i for VARIABLES[i]), computed once when the node is first
@@ -69,6 +74,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -874,6 +880,89 @@ class Jet2:
         return Jet2(f0, f1 * g, f1 * self.hess + f2 * (g[:, None] * g[None]))
 
 
+class Taylor:
+    """Truncated Taylor series along one direction: the coefficients c_0 ..
+    c_d of t^0 .. t^d, each a float (at a lone point) or an array over a
+    batch (univariate Taylor propagation; Griewank & Walther, ch. 13).
+
+    As in `Jet1`, c_0 is computed by the operation a plain pass applies, so
+    value parts are bitwise those of the plain pass.  A plain operand (a
+    float constant) is a series whose higher coefficients are 0; two series
+    of different degrees give one of the lower degree.  Products are Cauchy
+    products on the coefficients, elementwise (no BLAS call).  A positive
+    integer power is a product of the base with itself, so a zero base
+    divides by nothing; any other power follows the recurrence of
+    x y' = b x' y, which divides by c_0."""
+
+    __slots__ = ("coef",)
+    # numpy arrays on the left defer to the reflected operators below
+    __array_ufunc__ = None
+
+    def __init__(self, *coef):
+        self.coef = coef
+
+    @property
+    def val(self):
+        return self.coef[0]
+
+    def __add__(self, other):
+        a = self.coef
+        if type(other) is not Taylor:
+            return Taylor(a[0] + other, *a[1:])
+        return Taylor(*[x + y for x, y in zip(a, other.coef)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Taylor(*[-x for x in self.coef])
+
+    def __mul__(self, other):
+        a = self.coef
+        if type(other) is not Taylor:
+            return Taylor(*[x * other for x in a])
+        b = other.coef
+        out = []
+        for m in range(min(len(a), len(b))):
+            c = a[m] * b[0]
+            for k in range(1, m + 1):
+                c = c + a[m - k] * b[k]
+            out.append(c)
+        return Taylor(*out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, b):
+        a = self.coef
+        head = a[0] ** b
+        if type(b) is int and b > 0:
+            power, square = None, self
+            while True:
+                if b & 1:
+                    power = square if power is None else power * square
+                b >>= 1
+                if not b:
+                    return Taylor(head, *power.coef[1:])
+                square = square * square
+        # k c_0 y_k = sum_(j<k) (b (k - j) - j) c_(k-j) y_j
+        inv = _slope_power(a[0], -1)
+        y = [head]
+        for k in range(1, len(a)):
+            acc = b * k * a[k] * head
+            for j in range(1, k):
+                acc = acc + (b * (k - j) - j) * a[k - j] * y[j]
+            y.append(acc * inv / k)
+        return Taylor(*y)
+
+
+def series_derivative(c):
+    """The series of the derivative along the direction of a `Taylor`
+    number, one degree lower, (k + 1) c_(k+1) for k < d; 0.0 for a plain
+    number (a constant)."""
+    if type(c) is not Taylor:
+        return 0.0
+    return Taylor(*[k * x for k, x in enumerate(c.coef[1:], 1)])
+
+
 class Evaluator:
     """Compiled evaluator for a batch of expressions sharing one DAG.
 
@@ -910,7 +999,8 @@ class Evaluator:
         self._outs = [slot[e] for e in self.exprs]
 
     def eval_points(self, points: Sequence[Mapping[str, float]],
-                    tangents: Optional[Sequence[Mapping]] = None, second_order: bool = False):
+                    tangents: Optional[Sequence[Mapping]] = None, second_order: bool = False,
+                    series: bool = False):
         """Values of the expressions at the points: an array of shape
         (n_exprs, n_points).
 
@@ -933,6 +1023,11 @@ class Evaluator:
         maps a variable to its d components along d directions, and the loop
         runs on `Jet2` numbers: it returns the values, the gradients
         (d, n_exprs, n_points) and the Hessians (d, d, n_exprs, n_points).
+        With `series`, each tangent maps a variable to its Taylor
+        coefficients of degrees 1 .. d along one direction, and the loop runs
+        on `Taylor` numbers: it returns a `Taylor` of d + 1 such arrays, the
+        values (bitwise those of the plain pass) and the coefficients of
+        degrees 1 .. d of the expressions along the direction.
 
         Raises `EvalError` naming the first point that fails: a negative
         base under a fractional exponent, a zero or non-finite base under a
@@ -942,9 +1037,15 @@ class Evaluator:
         tangent, so its error is that of the first point that fails alone.
         """
         lone = len(points) == 1
-        number = None if tangents is None else Jet2 if second_order else Jet1
-        # the directions of a Jet2's seeds
-        dims = len(next((s for t in tangents for s in t.values()), ())) if number is Jet2 else 0
+        number = (None if tangents is None else Jet2 if second_order
+                  else Taylor if series else Jet1)
+        # the directions of a Jet2's seeds, or a Taylor number's degree
+        dims = (len(next((s for t in tangents for s in t.values()), ()))
+                if number is Jet2 or number is Taylor else 0)
+        if number is Taylor:
+            width, parts_of = dims + 1, attrgetter("coef")
+        elif number is not None:
+            width, parts_of = len(number.__slots__), attrgetter(*number.__slots__)
         vals: list = [None] * len(self._prog) + [0.0, 1.0]
         try:
             # floats raise where numpy arrays (a batch, a Jet2's derivative
@@ -978,6 +1079,11 @@ class Evaluator:
                             seed = (np.array(tangents[0].get(a, zero), dtype=float) if lone
                                     else np.array([t.get(a, zero) for t in tangents], dtype=float).T)
                             v = Jet2(v, seed, np.zeros(seed.shape[:1] + seed.shape))
+                        elif number is Taylor:
+                            none = (0.0,) * dims
+                            v = Taylor(v, *(tuple(map(float, tangents[0].get(a, none))) if lone
+                                            else np.array([t.get(a, none) for t in tangents],
+                                                          dtype=float).reshape(len(points), dims).T))
                     else:
                         base = vals[a]
                         x = base.val if type(base) is number else base
@@ -1006,8 +1112,8 @@ class Evaluator:
             else:
                 # the parts of the number in order; a plain output (a
                 # constant) has derivative parts 0
-                parts = [[getattr(v, name) if type(v) is number else v if name == "val" else 0.0
-                          for v in outs] for name in number.__slots__]
+                parts = [[parts_of(v)[k] if type(v) is number else v if k == 0 else 0.0
+                          for v in outs] for k in range(width)]
             # a Jet2's gradient and Hessian lead with 1 and 2 direction axes
             arrays = [np.empty((dims,) * (k if number is Jet2 else 0) + (len(outs), len(points)))
                       for k in range(len(parts))]
@@ -1025,11 +1131,11 @@ class Evaluator:
             # error; should none fail alone (numpy's `power` rounding past a
             # limit that `**` stays within), their values are the result
             singles = [self.eval_points([pt], None if tangents is None else [tangents[k]],
-                                        second_order) for k, pt in enumerate(points)]
+                                        second_order, series) for k, pt in enumerate(points)]
             if number is None:
                 return np.hstack(singles)
-            return number(*(np.concatenate([getattr(s, name) for s in singles], axis=-1)
-                            for name in number.__slots__))
+            return number(*(np.concatenate([parts_of(s)[k] for s in singles], axis=-1)
+                            for k in range(width)))
         return arrays[0] if number is None else number(*arrays)
 
 
@@ -1115,12 +1221,17 @@ def compare_values(v1, v2, points: Sequence[dict], tol: float, seed: int) -> lis
     shape (rows, len(points)), or anything that broadcasts to it), under the
     relative residual of `equiv_each`; each result carries its largest
     residual and the first point where it occurs."""
-    residuals = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
     results = []
-    for row in residuals:
+    for row in relative_residual(v1, v2):
         residual, point = worst_sample(row, points)
         results.append(EquivResult(residual <= tol, residual, len(points), tol, seed, point))
     return results
+
+
+def relative_residual(v1, v2):
+    """|v1 - v2| / (1 + max(|v1|, |v2|)), elementwise: the residual of
+    `equiv_each` and `compare_values`."""
+    return np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
 
 
 def worst_sample(residuals, points: Sequence[dict]) -> Tuple[float, dict]:

@@ -3,7 +3,10 @@
 An ODE y^(n) = Lambda(x, y, y', ..., y^(n-1)) is carried as its right-hand
 side over the jet variables (x, y, p, q, r[, s]).  The total derivative D
 differentiates along solutions; the prolongation field is D restricted to the
-frozen-x moduli coordinates.
+frozen-x moduli coordinates.  `flow_series` gives the jet variables' Taylor
+series along the solutions through points, the seeds of an
+`Evaluator.eval_points` pass on `Taylor` numbers that yields D^k e / k! at
+the points for every expression e (its degree 1 is the direction of D).
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
+
+import numpy as np
 
 from .expr import (
     EvalError,
@@ -120,14 +125,28 @@ def prolongation(ode: JetOde) -> ProlongationField:
     return ProlongationField(ode, comps)
 
 
-def total_derivative_direction(ode: JetOde, points: Sequence[dict]) -> list:
-    """The direction of D at each point, as `Evaluator.eval_points` takes
-    tangents: x -> 1, y -> p, p -> q, ..., the last coordinate -> rhs.  It is
-    the prolongation field evaluated in one plain pass, so a forward-mode
-    pass seeded with it gives D(e) at the points for every expression e."""
-    vals = Evaluator(prolongation(ode).components).eval_points(points)
+def flow_series(ode: JetOde, points: Sequence[dict], degree: int) -> list:
+    """The Taylor coefficients of degrees 1 .. `degree` of every jet variable
+    along the solution through each point, in powers of x - x0: one mapping
+    per point from a variable to its coefficients, as `Evaluator.eval_points`
+    takes a `Taylor` number's seeds.  A series pass seeded with them gives
+    the series of any expression along the solutions; degree 1 is the
+    direction of the total derivative D.
+
+    x -> (1, 0, ...).  A coordinate's coefficient of degree k + 1 is the next
+    coordinate's of degree k over k + 1, and the last coordinate's is the
+    rhs's of degree k over k + 1.  The rhs's needs the coordinates to degree
+    k only, so `degree` passes of the rhs program, on Taylor numbers of
+    degrees 0 .. degree - 1, give every coefficient."""
     coords = ode.coords
-    return [{"x": 1.0, **dict(zip(coords, col.tolist()))} for col in vals.T]
+    ev = Evaluator([var(c) for c in coords[1:]] + [ode.rhs])
+    x = (1.0,) + (0.0,) * degree
+    series = np.empty((len(coords), degree, len(points)))   # [coordinate, degree - 1, point]
+    for k in range(degree):
+        seeds = [{"x": x[:k], **dict(zip(coords, series[:, :k, i]))} for i in range(len(points))]
+        series[:, k] = ev.eval_points(points, seeds, series=True).coef[k] / (k + 1)
+    return [{"x": x[:degree], **{c: tuple(row.tolist()) for c, row in zip(coords, series[..., i])}}
+            for i in range(len(points))]
 
 
 _BUILTINS = {

@@ -16,14 +16,21 @@ exponents fitted numerically and then certified symbolically.  Q is solved
 linearly.  The residual identities are certified by randomized sampling and
 reported, not fatal: their failure signals an ODE without the structure.
 
-The rows (d(y) and its first n - 1 shifts) are expressions: they feed the
-coefficient letters, the coframe and the metric.  The last shift is needed
-only at the sample points, so it is never built as an expression: one
-forward-mode pass (`Evaluator.eval_points` on `Jet1` numbers, seeded with
-the direction of the total derivative) gives the last row and its total
-derivative there, and `equation_values` forms the n equations from those
-numbers.  Order 4 still builds that shift once, symbolically, because its
-slots are the letters E..H.
+The rows (d(y) and its first n - 1 shifts) come from one function,
+`_frame_rows`, over two kinds of numbers: expressions, with the total
+derivative D as the derivation, and `Taylor` numbers at points, with the
+series derivative.  The solve certifies on numbers.  At its sample points
+one series pass (`Evaluator.eval_points` on `Taylor` numbers, seeded with
+`jet.flow_series`) gives P and Q to degree n - 1 along the solutions;
+`_frame_rows` and `_dyad_shift` on those numbers give row k to degree
+n - k, the last shift to degree 0, and so the n equations at the points
+(`frame_values`).  No expression of a row with the solved Q is built for
+that.  The rows as expressions feed the coefficient letters, the coframe
+and the metric: `PentadData` builds them on first read (the metric, the
+structure tensor and the order-4 symplectic form read them), and it
+certifies the residual identities on first read too.  The Q solve stays
+symbolic: the rows at the constant Q = 0 and Q = 1 and one slot of their
+last shifts.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +49,7 @@ from .expr import (
     Evaluator,
     Expr,
     ONE,
+    Taylor,
     ZERO,
     add,
     compare_values,
@@ -50,122 +59,190 @@ from .expr import (
     mul,
     neg,
     pow_,
+    series_derivative,
     var,
 )
-from .jet import JetOde, prolongation, total_derivative, total_derivative_direction
+from .jet import JetOde, flow_series, prolongation, total_derivative
 
 # log-derivative constants: c * D(P) = P * Lambda_top
 _LOG_DERIV_C = {5: 10, 4: 6}
 
-# index of the coefficient letters in the lower-triangular rows
-_LETTERS_5 = {"A": (3, 0), "B": (3, 1), "C": (3, 2)}
-_LETTERS_4 = {"A": (3, 0), "B": (3, 1), "C": (3, 2), "D": (3, 3)}
+# the coefficient letters: (row, slot) in the rows followed by the last dyad
+# shift, so at order 4, E..H are slots of the last shift
+_LETTERS = {
+    5: {"A": (3, 0), "B": (3, 1), "C": (3, 2),
+        "E": (4, 0), "F": (4, 1), "G": (4, 2), "H": (4, 3)},
+    4: {"A": (3, 0), "B": (3, 1), "C": (3, 2), "D": (3, 3),
+        "E": (4, 0), "F": (4, 1), "G": (4, 2), "H": (4, 3)},
+}
 
 
 class PentadError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class FrameValues:
+    """The frame at sample points, from one series pass along the flow."""
+
+    shifts: np.ndarray      # (n + 1, n, points): d(y), its n - 1 shifts, the last shift
+    equations: np.ndarray   # (n, points): the coefficient equations of `_build_rows`
+
+    @property
+    def lower(self) -> np.ndarray:
+        """L[a][i] at the points: the rows, the values of `PentadData.lower`."""
+        return self.shifts[:-1]
+
+    def coefficients(self) -> dict:
+        """Letters A..H -> their values at the points."""
+        return {name: self.shifts[a, i] for name, (a, i) in _LETTERS[self.shifts.shape[1]].items()}
+
+    def coframe(self) -> np.ndarray:
+        """C[i][a] at the points: L^(-1) by forward substitution, with no
+        LAPACK call."""
+        L = self.lower
+        C = np.zeros_like(L)
+        for i in range(len(L)):
+            for a in range(i + 1):
+                acc = 1.0 if a == i else -sum(L[i, j] * C[j, a] for j in range(a, i))
+                C[i, a] = acc / L[i, i]
+        return C
+
+
+@dataclass(frozen=True, eq=False)
 class PentadData:
-    """Solved frame data: P, Q, coefficient functions, and the change of
-    basis between coordinate differentials and the dyad-induced basis."""
+    """Solved frame data: P and Q, and what is built from them on first
+    read: the change of basis between coordinate differentials and the
+    dyad-induced basis as expressions, and its values and the residual
+    certification at the solve's sample points."""
 
     ode: JetOde
     P: Expr
     Q: Expr
-    coefficients: dict          # letters A..H -> Expr
-    lower: tuple                # L[a][i]: d(coord_a) = sum_i L[a][i] e^i
-    coframe_rows: tuple         # C[i][a]: e^i = sum_a C[i][a] d(coord_a)
-    residual_names: tuple       # residual identities, then the Q and P equations
-    residual_checks: tuple      # EquivResult per name (same order)
+    points: tuple   # the solve's sample points
+    tol: float
+    seed: int
 
     @property
     def n(self) -> int:
         return self.ode.order
 
+    @cached_property
+    def lower(self) -> tuple:
+        """L[a][i]: d(coord_a) = sum_i L[a][i] e^i, as expressions."""
+        return tuple(map(tuple, _frame_rows(self.P, self.Q, self.n, _derivation(self.ode))))
+
+    @cached_property
+    def coframe_rows(self) -> tuple:
+        """C[i][a]: e^i = sum_a C[i][a] d(coord_a), as expressions."""
+        return _invert_lower(self.lower)
+
+    @cached_property
+    def coefficients(self) -> dict:
+        """Letters A..H -> Expr; order 4 builds the last shift for its E..H."""
+        rows = list(self.lower)
+        if self.n == 4:
+            rows.append(_dyad_shift(rows[-1], self.P, self.Q, _derivation(self.ode)))
+        return {name: rows[a][i] for name, (a, i) in _LETTERS[self.n].items()}
+
+    @cached_property
+    def values(self) -> FrameValues:
+        """The frame and the coefficient equations at the sample points."""
+        return frame_values(self.ode, self.P, self.Q, self.points)
+
     @property
-    def frame_cols(self) -> tuple:
-        """F[i][a]: frame vector E_i = sum_a F[i][a] d/d(coord_a); this is
-        the transpose of `lower` (inverse transpose of the coframe)."""
-        n = self.n
-        return tuple(tuple(self.lower[a][i] for a in range(n)) for i in range(n))
+    def residual_names(self) -> tuple:
+        """The residual identities, then the Q and P equations."""
+        return tuple("residual_identity_%d" % (j + 1) for j in range(self.n - 2)) + (
+            "q_equation", "p_equation")
+
+    @cached_property
+    def residual_checks(self) -> tuple:
+        """EquivResult per name of `residual_names` (same order)."""
+        return tuple(compare_values(self.values.equations, 0.0, self.points, self.tol, self.seed))
 
     def residuals_pass(self) -> bool:
         return all(chk.passed for chk in self.residual_checks)
 
 
-def _dyad_shift(row: Sequence[Expr], P: Expr, Q: Expr, ode: JetOde) -> list:
-    """One application of d/dx to a covector written in the e-basis.
+def _derivation(ode: JetOde) -> Callable:
+    """The total derivative D of expressions, the derivation of the rows."""
+    return partial(total_derivative, ode=ode)
+
+
+def _dyad_shift(row: Sequence, P, Q, derive: Callable) -> list:
+    """One application of d/dx to a covector written in the e-basis, whose
+    coefficients `derive` differentiates: expressions with D, `Taylor`
+    numbers with `series_derivative`.
 
     (e^i)' = (i-1) Q e^(i-1) + (n-i) P e^(i+1), so for row = sum c_i e^i the
     new coefficients are D(c_j) + c_(j+1) * j * Q + c_(j-1) * (n-j+1) * P
     (1-based j).
     """
-    return [_shift_slot(row, P, Q, ode, j) for j in range(1, ode.order + 1)]
+    return [_shift_slot(row, P, Q, j, derive) for j in range(1, len(row) + 1)]
 
 
-def _shift_slot(row: Sequence[Expr], P: Expr, Q: Expr, ode: JetOde, j: int) -> Expr:
+def _shift_slot(row: Sequence, P, Q, j: int, derive: Callable):
     """Slot j (1-based) of `_dyad_shift`, built alone."""
-    n = ode.order
-    terms = [total_derivative(row[j - 1], ode)]
+    n = len(row)
+    slot = derive(row[j - 1])
     if j < n:
-        terms.append(mul(Const(j), Q, row[j]))
+        slot = slot + j * Q * row[j]
     if j > 1:
-        terms.append(mul(Const(n - j + 1), P, row[j - 2]))
-    return add(*terms)
+        slot = slot + (n - j + 1) * P * row[j - 2]
+    return slot
 
 
-def _frame_rows(ode: JetOde, P: Expr, Q: Expr) -> list:
+def _frame_rows(P, Q, n: int, derive: Callable) -> list:
     """Rows of the lower-triangular change of basis: d(y) = e^1 and its
-    n - 1 dyad shifts."""
-    rows = [[ONE] + [ZERO] * (ode.order - 1)]
-    for _ in range(ode.order - 1):
-        rows.append(_dyad_shift(rows[-1], P, Q, ode))
+    n - 1 dyad shifts, as expressions for expressions P and Q, as numbers
+    for numbers."""
+    rows = [[ONE] + [ZERO] * (n - 1) if isinstance(P, Expr) else [1.0] + [0.0] * (n - 1)]
+    for _ in range(n - 1):
+        rows.append(_dyad_shift(rows[-1], P, Q, derive))
     return rows
 
 
-def _equation(ode: JetOde, rows: Sequence[Sequence[Expr]], P: Expr, Q: Expr,
-              lam_partials: Sequence[Expr], j: int) -> Expr:
+def _equation(rows: Sequence[Sequence[Expr]], P: Expr, Q: Expr,
+              lam_partials: Sequence[Expr], j: int, derive: Callable) -> Expr:
     """Coefficient equation j (0-based) of the final differentiation,
     lhs_j - sum_k Lambda_k rows[k][j], as an expression; only slot j of the
     last dyad shift is built."""
     rhs = add(*[mul(lam, row[j]) for lam, row in zip(lam_partials, rows)])
-    return add(_shift_slot(rows[-1], P, Q, ode, j + 1), neg(rhs))
+    return add(_shift_slot(rows[-1], P, Q, j + 1, derive), neg(rhs))
 
 
 def _build_rows(ode: JetOde, P: Expr, Q: Expr, lam_partials: Optional[list] = None):
     """Rows of the lower-triangular change of basis, plus the n coefficient
     equations of the final differentiation, all as expressions: the symbolic
-    oracle of `equation_values`."""
-    rows = _frame_rows(ode, P, Q)
+    oracle of `frame_values`."""
+    D = _derivation(ode)
+    rows = _frame_rows(P, Q, ode.order, D)
     if lam_partials is None:
         lam_partials = [diff(ode.rhs, c) for c in ode.coords]
-    return rows, [_equation(ode, rows, P, Q, lam_partials, j) for j in range(ode.order)]
+    return rows, [_equation(rows, P, Q, lam_partials, j, D) for j in range(ode.order)]
 
 
-def equation_values(ode: JetOde, rows: Sequence[Sequence[Expr]], P: Expr, Q: Expr,
-                    lam_partials: Sequence[Expr], points: Sequence[dict]) -> np.ndarray:
-    """The coefficient equations of `_build_rows` at the points, as numbers:
-    an array of shape (n, len(points)).
+def frame_values(ode: JetOde, P: Expr, Q: Expr, points: Sequence[dict]) -> FrameValues:
+    """The rows, the last dyad shift and the coefficient equations of
+    `_build_rows` at the points, as numbers.
 
-    One forward-mode pass over the rows, P, Q and the partials of the rhs,
-    seeded with the direction of the total derivative D, gives the last row
-    and its D at the points; the last dyad shift is then `_dyad_shift`'s
-    formula on those numbers, D(c_j) + j Q c_(j+1) + (n-j+1) P c_(j-1), and
-    equation j is that minus sum_k Lambda_k rows[k][j].  No expression of
-    the last shift is built."""
+    One series pass over P, Q and the partials of the rhs, seeded with the
+    flow's series to degree n - 1, gives P and Q as `Taylor` numbers;
+    `_frame_rows` and `_dyad_shift` on them give the rows and the last
+    shift, and equation j is slot j of that shift minus
+    sum_k Lambda_k rows[k][j].  No expression of a row is built."""
     n = ode.order
-    exprs = [e for row in rows for e in row] + [P, Q] + list(lam_partials)
-    jets = Evaluator(exprs).eval_points(points, total_derivative_direction(ode, points))
-    entries = jets.val[: n * n].reshape(n, n, len(points))
-    Pv, Qv, lam = jets.val[n * n], jets.val[n * n + 1], jets.val[n * n + 2:]
-    last = entries[n - 1]
-    j = np.arange(1, n + 1)[:, None]
-    lhs = jets.der[(n - 1) * n: n * n].copy()
-    lhs[:-1] += j[:-1] * Qv * last[1:]
-    lhs[1:] += (n - j[1:] + 1) * Pv * last[:-1]
-    return lhs - (lam[:, None, :] * entries).sum(axis=0)
+    lam_partials = [diff(ode.rhs, c) for c in ode.coords]
+    series = Evaluator([P, Q] + lam_partials).eval_points(
+        points, flow_series(ode, points, n - 1), series=True)
+    P_t, Q_t = (Taylor(*(c[k] for c in series.coef)) for k in (0, 1))
+    rows = _frame_rows(P_t, Q_t, n, series_derivative)
+    rows.append(_dyad_shift(rows[-1], P_t, Q_t, series_derivative))
+    shifts = np.array([[np.broadcast_to(e.val if type(e) is Taylor else e, len(points))
+                        for e in row] for row in rows])
+    lam = series.val[2:]
+    return FrameValues(shifts, shifts[n] - (lam[:, None, :] * shifts[:n]).sum(axis=0))
 
 
 def _ansatz_basis(ode: JetOde) -> list:
@@ -237,7 +314,8 @@ def _fit_exponents(
 
 
 def solve_pentad(ode: JetOde, samples: int = 50, tol: float = 1e-9, seed: int = 0x5EED) -> PentadData:
-    """Solve for P and Q, build the frame, and check the residual identities."""
+    """Solve for P and Q; the frame and the certification of the residual
+    identities at `samples` points are built from them on first read."""
     n = ode.order
     c = _LOG_DERIV_C[n]
     top = ode.coords[-1]
@@ -254,43 +332,16 @@ def solve_pentad(ode: JetOde, samples: int = 50, tol: float = 1e-9, seed: int = 
     # Q from the next-to-top slot: that equation is affine in Q with no D(Q),
     # so two constant substitutions expose the pivot and the offset.  Only
     # that slot of the last shift is built.
+    D = _derivation(ode)
     lam_partials = [diff(ode.rhs, c) for c in ode.coords]
     q_slot = n - 2  # 0-based index of e^(n-1)
-    eq0, eq1 = (_equation(ode, _frame_rows(ode, P, q), P, q, lam_partials, q_slot)
+    eq0, eq1 = (_equation(_frame_rows(P, q, n, D), P, q, lam_partials, q_slot, D)
                 for q in (ZERO, ONE))
     pivot = add(eq1, neg(eq0))
     if equiv(pivot, ZERO, ode.domain, n=samples, tol=tol, seed=seed).passed:
         raise PentadError(f"zero pivot in the Q equation for {ode.name}")
     Q = div(neg(eq0), pivot)
-
-    rows = _frame_rows(ode, P, Q)
-
-    letters = dict(_LETTERS_5 if n == 5 else _LETTERS_4)
-    coefficients = {name: rows[a][i] for name, (a, i) in letters.items()}
-    if n == 5:
-        coefficients.update({"E": rows[4][0], "F": rows[4][1], "G": rows[4][2], "H": rows[4][3]})
-    else:
-        # order 4 names the slots of the last shift too
-        lhs = _dyad_shift(rows[-1], P, Q, ode)
-        coefficients.update({"E": lhs[0], "F": lhs[1], "G": lhs[2], "H": lhs[3]})
-
-    names = ["residual_identity_%d" % (j + 1) for j in range(n - 2)]
-    names += ["q_equation", "p_equation"]
-    points = ode.domain.draw(samples, seed)
-    values = equation_values(ode, rows, P, Q, lam_partials, points)
-    checks = tuple(compare_values(values, 0.0, points, tol, seed))
-
-    coframe_rows = _invert_lower(rows)
-    return PentadData(
-        ode=ode,
-        P=P,
-        Q=Q,
-        coefficients=coefficients,
-        lower=tuple(tuple(r) for r in rows),
-        coframe_rows=coframe_rows,
-        residual_names=tuple(names),
-        residual_checks=checks,
-    )
+    return PentadData(ode, P, Q, tuple(ode.domain.draw(samples, seed)), tol, seed)
 
 
 def _invert_lower(rows: Sequence[Sequence[Expr]]) -> tuple:

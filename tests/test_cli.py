@@ -309,7 +309,8 @@ def test_radon_f_negative_fractional_base_exit_2():
 
 
 def _count_stages(monkeypatch):
-    counts = {"solve_pentad": 0, "build_G": 0, "second_order": 0}
+    counts = {"solve_pentad": 0, "build_G": 0, "second_order": 0,
+              "frame_builds": 0, "certifications": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -319,13 +320,25 @@ def _count_stages(monkeypatch):
 
     monkeypatch.setattr(pentad, "solve_pentad", counted("solve_pentad", pentad.solve_pentad))
     monkeypatch.setattr(so3, "build_G", counted("build_G", so3.build_G))
+    # the residual certification: one series pass at the solve's points
+    monkeypatch.setattr(pentad, "frame_values",
+                        counted("certifications", pentad.frame_values))
     eval_points = Evaluator.eval_points
 
-    def counted_eval_points(self, points, tangents=None, second_order=False):
+    def counted_eval_points(self, points, tangents=None, second_order=False, series=False):
         counts["second_order"] += second_order
-        return eval_points(self, points, tangents, second_order)
+        return eval_points(self, points, tangents, second_order, series)
 
     monkeypatch.setattr(Evaluator, "eval_points", counted_eval_points)
+    frame_rows = pentad._frame_rows
+
+    def counted_frame_rows(P, Q, n, derive):
+        # the symbolic frame with the solved Q; the Q solve builds rows at
+        # the constants 0 and 1, the certification rows of Taylor numbers
+        counts["frame_builds"] += isinstance(Q, expr.Expr) and not isinstance(Q, Const)
+        return frame_rows(P, Q, n, derive)
+
+    monkeypatch.setattr(pentad, "_frame_rows", counted_frame_rows)
     return counts
 
 
@@ -335,7 +348,8 @@ def test_all_runs_each_stage_once(monkeypatch):
     assert code == 0
     # one second-order pass per batch of curvature points: geom's 20 and
     # the so3 identities' 10
-    assert counts == {"solve_pentad": 1, "build_G": 1, "second_order": 2}
+    assert counts == {"solve_pentad": 1, "build_G": 1, "second_order": 2,
+                      "frame_builds": 1, "certifications": 1}
 
 
 def test_geom_point_reuses_the_session(monkeypatch):
@@ -344,7 +358,25 @@ def test_geom_point_reuses_the_session(monkeypatch):
     assert code == 0
     assert "scalar curvature at point" in text
     # the checks' 20 points, then the point
-    assert counts == {"solve_pentad": 1, "build_G": 0, "second_order": 2}
+    assert counts == {"solve_pentad": 1, "build_G": 0, "second_order": 2,
+                      "frame_builds": 1, "certifications": 0}
+
+
+@pytest.mark.parametrize("command, code, frame_builds, certifications", [
+    ("pentad", 1, 0, 1),
+    ("radon", 0, 1, 0),
+])
+def test_the_symbolic_frame_and_the_certification_are_built_only_when_read(
+        monkeypatch, tmp_path, command, code, frame_builds, certifications):
+    """An order-5 pentad report certifies on numbers and reads no row as an
+    expression; a radon report reads the frame through the metric and
+    certifies nothing."""
+    path = tmp_path / "user.ode"
+    path.write_text("name = user\norder = 5\nrhs = -(7/3)*r^3/q^2 + 5*r*s/q + (2/3)*s^2/r\n")
+    counts = _count_stages(monkeypatch)
+    ode = str(path) if command == "pentad" else "conics5"
+    assert run([command, "--ode", ode, "--json"])[0] == code
+    assert (counts["frame_builds"], counts["certifications"]) == (frame_builds, certifications)
 
 
 def test_no_subcommand_builds_a_symbolic_metric_derivative_table(

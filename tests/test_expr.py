@@ -24,6 +24,7 @@ from odegeom.expr import (
     Prod,
     SampleDomain,
     Sum,
+    Taylor,
     Var,
     add,
     diff,
@@ -42,7 +43,7 @@ from odegeom.expr import (
     worst_sample,
 )
 from odegeom.geom import sample_points
-from odegeom.jet import JetOde, load_ode_file, total_derivative, total_derivative_direction
+from odegeom.jet import JetOde, flow_series, load_ode_file, total_derivative
 from odegeom.pentad import _build_rows, solve_pentad
 from odegeom.radon import COORDS, _condition_rows
 from odegeom.report import CheckRecord
@@ -747,6 +748,12 @@ _POLY_ODE = JetOde("poly", 5, parse("x*s^2 - 3*r*q + y"), DOM)
 _positive_points = st.fixed_dictionaries({name: st.floats(0.25, 2.0) for name in VARIABLES})
 
 
+def _direction(points) -> list:
+    """The direction of D at each point, as `Jet1` tangents: the flow's
+    series of degree 1."""
+    return [{v: c[0] for v, c in t.items()} for t in flow_series(_POLY_ODE, points, 1)]
+
+
 def _derivative_scale(exprs, point, tangent) -> list:
     """Per expression, its derivative along the tangent at the point with
     every term taken by its size: each sum adds the sizes of its terms and
@@ -786,7 +793,7 @@ def _assert_forward_mode_matches(ev, points):
         want = Evaluator([total_derivative(e, _POLY_ODE) for e in ev.exprs]).eval_points(points)
     except EvalError:
         return  # undefined at a point: the error texts are tested below
-    tangents = total_derivative_direction(_POLY_ODE, points)
+    tangents = _direction(points)
     jets = ev.eval_points(points, tangents)
     assert isinstance(jets, Jet1)
     assert jets.val.tobytes() == plain.tobytes()
@@ -819,17 +826,80 @@ def test_forward_mode_errors_name_the_same_point_with_the_same_text(text, bad, m
     ev = Evaluator([parse(text)])
     points = [{"q": 1.5, "r": 1.0}, {"q": bad, "r": 1.0}, {"q": 0.25, "r": 2.0}]
     tangents = [{"q": 1.0, "r": -0.5}, {"q": 2.0}, {"r": 1.0}]
-    # each point's own seeds along two directions, the second its tangent
+    # each point's own seeds along two directions, the second its tangent;
+    # as series, the same pairs are the coefficients of degrees 1 and 2
     seeds = [{v: (1.0, t) for v, t in tangent.items()} for tangent in tangents]
     for k in (slice(None), slice(1, 2)):
         with pytest.raises(EvalError) as plain:
             ev.eval_points(points[k])
-        for tgs, second_order in ((tangents[k], False), (seeds[k], True)):
+        for tgs, second_order, series in ((tangents[k], False, False), (seeds[k], True, False),
+                                          (seeds[k], False, True)):
             with pytest.raises(EvalError) as jet:
-                ev.eval_points(points[k], tgs, second_order)
+                ev.eval_points(points[k], tgs, second_order, series)
             assert str(jet.value) == str(plain.value)
             assert message in str(jet.value)
             assert jet.value.point == plain.value.point == points[1]
+
+
+# -- Taylor numbers along the flow -----------------------------------------
+#
+# Seeded with the flow's series, a Taylor number's coefficient of degree k
+# is D^k of the expression over k!, whose oracle is the iterated symbolic
+# `total_derivative` evaluated at the same points; the value parts must be
+# the plain pass, bit for bit.
+
+
+def _iterated_total_derivatives(exprs, points, degree):
+    """D^k of each expression over k! at the points, k = 1 .. degree: an
+    array (degree, len(exprs), len(points))."""
+    table = [list(exprs)]
+    for _ in range(degree):
+        table.append([total_derivative(e, _POLY_ODE) for e in table[-1]])
+    return np.array([Evaluator(row).eval_points(points) / math.factorial(k)
+                     for k, row in enumerate(table[1:], 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=3),
+       st.lists(_positive_points, min_size=1, max_size=3), st.integers(1, 3))
+def test_taylor_coefficients_are_iterated_total_derivatives_over_factorials(
+        exprs, points, degree):
+    ev = Evaluator(exprs)
+    try:
+        plain = ev.eval_points(points)
+        want = _iterated_total_derivatives(exprs, points, degree)
+    except EvalError:
+        return  # undefined at a point: the error texts are tested above
+    got = ev.eval_points(points, flow_series(_POLY_ODE, points, degree), series=True)
+    assert isinstance(got, Taylor) and len(got.coef) == degree + 1
+    assert got.val.tobytes() == plain.tobytes()
+    for k in range(degree):
+        assert np.all(np.abs(got.coef[k + 1] - want[k]) <= 1e-9 * (1.0 + np.abs(want[k])))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_zero_base_under_a_square_at_a_flow_point(count):
+    # (q - 1)^2 is a product, so its series at q = 1 divides by nothing
+    e = parse("(q - 1)^2 + r")
+    points = [{"x": 0.5, "y": 1.0, "p": -0.5, "q": 1.0, "r": 0.75, "s": -1.25},
+              {"x": 0.0, "y": 2.0, "p": 0.5, "q": 1.5, "r": 1.0, "s": 0.5}][:count]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Evaluator([e]).eval_points(points, flow_series(_POLY_ODE, points, 4), series=True)
+    want = _iterated_total_derivatives([e], points, 4)
+    assert got.val.tolist() == [[0.75, 1.25][:count]]
+    assert np.all(np.abs(np.array(got.coef[1:]) - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def test_taylor_values_and_degree_1_are_those_of_the_plain_and_jet1_passes():
+    # the degree-1 case is Jet1's first-order pass, up to the rounding of
+    # its power rule, and the values are the plain pass, bit for bit
+    ev = Evaluator([parse("q^(1/2)*r^3 - s/q^2 + (x*p - y)^(1/3)")])
+    points = [{"x": 0.5, "y": -1.0, "p": 0.25, "q": 1.5, "r": 0.5, "s": 0.75}] * 2
+    got = ev.eval_points(points, flow_series(_POLY_ODE, points, 1), series=True)
+    jets = ev.eval_points(points, _direction(points))
+    assert got.val.tobytes() == jets.val.tobytes() == ev.eval_points(points).tobytes()
+    assert np.allclose(got.coef[1], jets.der, rtol=1e-14, atol=0.0)
 
 
 # -- second-order forward mode: Jet2 numbers in the same loop ---------------
@@ -852,7 +922,7 @@ def _seeds(tangents):
        st.lists(_positive_points | _points, min_size=1, max_size=4))
 def test_second_order_values_are_the_plain_pass_and_gradients_the_first_order_pass(exprs, points):
     ev = Evaluator(exprs)
-    tangents = total_derivative_direction(_POLY_ODE, points)
+    tangents = _direction(points)
     try:
         plain = ev.eval_points(points)
         first = ev.eval_points(points, tangents)

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from odegeom.expr import add, equiv, evaluate, mul, parse, var
-from odegeom.jet import JetError, JetOde, builtin, load_ode_file, prolongation, total_derivative
+from odegeom.jet import (JetError, JetOde, builtin, flow_series, load_ode_file, prolongation,
+                         total_derivative)
 from odegeom.radon import integrate_ode
 
 
@@ -90,6 +92,33 @@ def test_five_fold_total_derivative_along_solution(conics5):
     ds_dx = (up["s"] - dn["s"]) / (2 * h)
     pt = dict(jet, x=0.0)
     assert ds_dx == pytest.approx(evaluate(e, pt), rel=1e-6)
+
+
+def test_flow_series_of_gn5_is_the_taylor_series_of_a_closed_form_solution(gn5):
+    # y = 1 + x^2 + (1 + x)^(3/2) solves y^(5) = (5/3) (y^(4))^2 / y^(3);
+    # its Taylor coefficients at x = 0 are binomial, and those of the k-th
+    # derivative are y_(j+k) (j+k)!/j!
+    degree = 6
+    y, binom = [], 1.0
+    for j in range(degree + 5):
+        y.append(binom + (j == 0) + (j == 2))
+        binom *= (1.5 - j) / (j + 1)
+    coords = ("y", "p", "q", "r", "s")
+    point = {"x": 0.0, **{c: y[k] * math.factorial(k) for k, c in enumerate(coords)}}
+    got = flow_series(gn5, [point], degree)[0]
+    assert got["x"] == (1.0,) + (0.0,) * (degree - 1)
+    for k, c in enumerate(coords):
+        want = [y[j + k] * math.factorial(j + k) / math.factorial(j) for j in range(1, degree + 1)]
+        assert got[c] == pytest.approx(want, rel=1e-14, abs=0.0), c
+
+
+def test_flow_series_of_degree_0_and_1(conics5):
+    point = {"x": 0.25, "y": 1.0, "p": 0.3, "q": 2.0, "r": 0.1, "s": -0.2}
+    assert flow_series(conics5, [point], 0) == [{c: () for c in conics5.jet_vars}]
+    # degree 1 is the direction of the total derivative
+    got = flow_series(conics5, [point, point], 1)
+    want = {"x": 1.0, "y": 0.3, "p": 2.0, "q": 0.1, "r": -0.2, "s": evaluate(conics5.rhs, point)}
+    assert got == [{c: (v,) for c, v in want.items()}] * 2
 
 
 def test_ode_definition_file(tmp_path):

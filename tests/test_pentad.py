@@ -9,9 +9,9 @@ from odegeom.expr import (
     ZERO,
     Const,
     Evaluator,
+    Taylor,
     add,
     compare_values,
-    diff,
     equiv,
     equiv_each,
     mul,
@@ -21,7 +21,7 @@ from odegeom.jet import JetOde, builtin, load_ode_file
 from odegeom.pentad import (
     PentadError,
     _build_rows,
-    equation_values,
+    frame_values,
     solve_pentad,
     symplectic,
     symplectic_closure_components,
@@ -146,12 +146,13 @@ def test_coframe_matches_catalog_conics5(pd_conics5, conics5):
 
 
 def test_frame_is_lower_transpose(pd_gn5):
-    F = pd_gn5.frame_cols
-    # last frame vector: 24 P^4 d/ds only
+    # the frame vector E_i = sum_a L[a][i] d/d(coord_a); the last one is
+    # 24 P^4 d/ds only
+    E4 = [row[4] for row in pd_gn5.lower]
     dom = pd_gn5.ode.domain
-    assert equiv(F[4][4], parse("24*r^(4/3)"), dom).passed
+    assert equiv(E4[4], parse("24*r^(4/3)"), dom).passed
     for a in range(4):
-        assert F[4][a] is ZERO or equiv(F[4][a], ZERO, dom).passed
+        assert E4[a] is ZERO or equiv(E4[a], ZERO, dom).passed
 
 
 def test_symplectic_requires_order4(pd_conics5):
@@ -218,11 +219,15 @@ def any_pd(request, tmp_path, conics5):
 def test_numeric_equations_match_the_symbolic_last_shift(any_pd):
     ode = any_pd.ode
     points = ode.domain.draw(50, DEFAULT_SEED)
-    equations = _build_rows(ode, any_pd.P, any_pd.Q)[1]
-    lam = [diff(ode.rhs, c) for c in ode.coords]
-    got = equation_values(ode, any_pd.lower, any_pd.P, any_pd.Q, lam, points)
+    rows, equations = _build_rows(ode, any_pd.P, any_pd.Q)
+    # the frame built on first read is the eager build, node for node
+    assert all(a is b for got, want in zip(any_pd.lower, rows) for a, b in zip(got, want))
+    got = frame_values(ode, any_pd.P, any_pd.Q, points)
     want = Evaluator(equations).eval_points(points)
-    assert all(res.passed for res in compare_values(got, want, points, 1e-9, DEFAULT_SEED))
+    assert all(res.passed for res in compare_values(got.equations, want, points, 1e-9, DEFAULT_SEED))
+    want_rows = Evaluator([e for row in rows for e in row]).eval_points(points)
+    assert all(res.passed for res in compare_values(
+        got.lower.reshape(ode.order ** 2, -1), want_rows, points, 1e-12, DEFAULT_SEED))
     symbolic = equiv_each([(e, ZERO) for e in equations], ode.domain)
     assert [c.passed for c in any_pd.residual_checks] == [c.passed for c in symbolic]
     if ode.name == "bad":
@@ -230,18 +235,35 @@ def test_numeric_equations_match_the_symbolic_last_shift(any_pd):
 
 
 def test_order5_solve_builds_no_symbolic_last_shift(monkeypatch, tmp_path):
-    shifts = []
+    shifts, jet1_passes = [], []
     real = pentad._dyad_shift
 
-    def counted(row, P, Q, ode):
-        shifts.append(isinstance(Q, Const))
-        return real(row, P, Q, ode)
+    def counted(row, P, Q, derive):
+        shifts.append("Taylor" if isinstance(Q, Taylor) else "Const" if isinstance(Q, Const)
+                      else "Expr")
+        return real(row, P, Q, derive)
+
+    eval_points = Evaluator.eval_points
+
+    def recorded(self, points, tangents=None, second_order=False, series=False):
+        jet1_passes.append(tangents is not None and not (second_order or series))
+        return eval_points(self, points, tangents, second_order, series)
 
     monkeypatch.setattr(pentad, "_dyad_shift", counted)
+    monkeypatch.setattr(Evaluator, "eval_points", recorded)
     for ode in (builtin("conics5"), _seeded_user_ode(tmp_path)):
+        n = ode.order
         shifts.clear()
-        solve_pentad(ode)
-        # the rows at Q = 0, at Q = 1 and at the solved Q: n - 1 shifts each,
-        # and none of the three builds a whole last shift
-        assert shifts.count(False) == ode.order - 1, ode.name
-        assert shifts.count(True) == 2 * (ode.order - 1), ode.name
+        pd = solve_pentad(ode)
+        # the rows at Q = 0 and at Q = 1: n - 1 shifts each, and neither
+        # builds a whole last shift
+        assert shifts == ["Const"] * 2 * (n - 1), ode.name
+        shifts.clear()
+        assert len(pd.residual_checks) == n
+        # the certification: the n - 1 shifts of the rows and the last
+        # shift, all on Taylor numbers, and no first-order pass
+        assert shifts == ["Taylor"] * n, ode.name
+        assert not any(jet1_passes), ode.name
+        shifts.clear()
+        pd.lower
+        assert shifts == ["Expr"] * (n - 1), ode.name
