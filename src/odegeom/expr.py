@@ -23,7 +23,8 @@ treat an expression as a DAG and are iterative.
 `Evaluator` compiles expressions into a flat slot program, and
 `eval_points` is the one loop that runs it: on Python floats at a lone point
 (cheaper, and rounded as Python's `**` rounds), on numpy arrays for a larger
-batch.  Every error names the first point that fails.  The loop is written
+batch, whose points it takes as mappings or as one float column per
+variable.  Every error names the first point that fails.  The loop is written
 with the arithmetic operators only, so the number type is pluggable: given a
 tangent per variable, it runs on `Jet1` numbers (first-order forward mode,
 Griewank & Walther, *Evaluating Derivatives*, ch. 3); given seeds along
@@ -770,6 +771,8 @@ _OP_CONST, _OP_VAR, _OP_NEG, _OP_SUM, _OP_PROD, _OP_IPOW, _OP_FPOW = range(7)
 # the slots after the program hold the identities 0.0 and 1.0, with which a
 # sum or product of fewer than two operands is padded
 _ZERO_SLOT, _ONE_SLOT = -2, -1
+# the floating-point error state of a lone point's float pass
+_UNCHANGED = contextlib.nullcontext()
 
 
 class Jet1:
@@ -997,23 +1000,34 @@ class Evaluator:
                 raise TypeError(f"unknown node {type(node).__name__}")
         self._prog = prog
         self._outs = [slot[e] for e in self.exprs]
+        self._variables = [a for op, a, _, _ in prog if op == _OP_VAR]
 
-    def eval_points(self, points: Sequence[Mapping[str, float]],
+    def eval_points(self, points: Union[Sequence[Mapping[str, float]], Mapping[str, np.ndarray]],
                     tangents: Optional[Sequence[Mapping]] = None, second_order: bool = False,
                     series: bool = False):
         """Values of the expressions at the points: an array of shape
         (n_exprs, n_points).
 
+        The points are a sequence of mappings, one per point from a variable
+        to its value, or columns: one mapping from each variable to a 1-D
+        float array of its values at all points, every column of one length.
+        A sequence becomes columns here, so the loop reads one
+        representation; a caller that holds arrays passes them as columns
+        and builds no per-point mapping.  The two forms give bitwise the
+        same values and the same errors.
+
         One loop serves every batch.  At a lone point the values are Python
         floats, at more points numpy arrays (a constant stays a float), and
         the same operations run either way.  Floats keep a lone point cheap:
         on the 1,728-slot first-order metric table, arrays over two points
-        take about nine times as long as floats at one.  They also keep its
-        values those of Python's `**`: numpy's `power` is not correctly
-        rounded on every platform (with AVX-512, `x**-2` differs from
-        Python's in the last bit for about one input in twenty).  A sum is
-        `t0 + t1 + ...` and a product `f0 * f1 * ...`, in place on the fresh
-        array of a batch.
+        take about nine times as long as floats at one, and a plain lone
+        point returns its floats as they are, without the packing a number
+        type needs.  They also keep its values those of Python's `**`:
+        numpy's `power` is not correctly rounded on every platform (with
+        AVX-512, `x**-2` differs from Python's in the last bit for about one
+        input in twenty).  A sum is `t0 + t1 + ...` and a product
+        `f0 * f1 * ...`, in place on the fresh array of a batch; a column is
+        read, never written.
 
         With `tangents`, one mapping per point from a variable to its
         tangent component (a variable left out has tangent 0), the loop runs
@@ -1029,14 +1043,36 @@ class Evaluator:
         values (bitwise those of the plain pass) and the coefficients of
         degrees 1 .. d of the expressions along the direction.
 
-        Raises `EvalError` naming the first point that fails: a negative
-        base under a fractional exponent, a zero or non-finite base under a
-        negative exponent (both tested on the value part), a missing
-        variable or a non-finite value or derivative.  A batch in which a
-        point fails runs again point by point, each point with its own
-        tangent, so its error is that of the first point that fails alone.
+        Raises `EvalError` naming the first point that fails, as a mapping:
+        a negative base under a fractional exponent, a zero or non-finite
+        base under a negative exponent (both tested on the value part), a
+        missing variable or a non-finite value or derivative.  A batch in
+        which a point fails runs again point by point, each point with its
+        own tangent, so its error is that of the first point that fails
+        alone.
         """
-        lone = len(points) == 1
+        if isinstance(points, Mapping):
+            given = {a: np.asarray(c, dtype=float) for a, c in points.items()}
+            count = len(next(iter(given.values()), ()))
+            if any(c.shape != (count,) for c in given.values()):
+                raise ValueError("point columns must be 1-D arrays of one length")
+
+            def point(k: int) -> dict:
+                return {a: float(c[k]) for a, c in given.items()}
+
+            lone = count == 1
+            columns = {a: float(c[0]) for a, c in given.items()} if lone else given
+        else:
+            count, point = len(points), points.__getitem__
+            lone = count == 1
+            # a variable some point lacks has no column; the loop raises there
+            columns = {}
+            for a in self._variables:
+                try:
+                    columns[a] = (float(points[0][a]) if lone
+                                  else np.array([float(pt[a]) for pt in points]))
+                except KeyError:
+                    pass
         number = (None if tangents is None else Jet2 if second_order
                   else Taylor if series else Jet1)
         # the directions of a Jet2's seeds, or a Taylor number's degree
@@ -1051,7 +1087,7 @@ class Evaluator:
             # floats raise where numpy arrays (a batch, a Jet2's derivative
             # parts) give a non-finite value, rejected with the outputs
             silent = not lone or number is Jet2
-            with np.errstate(all="ignore") if silent else contextlib.nullcontext():
+            with np.errstate(all="ignore") if silent else _UNCHANGED:
                 for i, (op, a, b, c) in enumerate(self._prog):
                     # the most frequent operations first
                     if op == _OP_PROD:
@@ -1068,9 +1104,9 @@ class Evaluator:
                         v = -vals[a]
                     elif op == _OP_VAR:
                         try:
-                            v = float(points[0][a]) if lone else np.array([float(pt[a]) for pt in points])
+                            v = columns[a]
                         except KeyError:
-                            raise EvalError(f"missing variable {a!r}", points[0]) from None
+                            raise EvalError(f"missing variable {a!r}", point(0)) from None
                         if number is Jet1:
                             v = Jet1(v, float(tangents[0].get(a, 0.0)) if lone
                                      else np.array([float(t.get(a, 0.0)) for t in tangents]))
@@ -1083,7 +1119,7 @@ class Evaluator:
                             none = (0.0,) * dims
                             v = Taylor(v, *(tuple(map(float, tangents[0].get(a, none))) if lone
                                             else np.array([t.get(a, none) for t in tangents],
-                                                          dtype=float).reshape(len(points), dims).T))
+                                                          dtype=float).reshape(count, dims).T))
                     else:
                         base = vals[a]
                         x = base.val if type(base) is number else base
@@ -1094,10 +1130,10 @@ class Evaluator:
                         if lone:
                             if op == _OP_FPOW and x < 0.0:
                                 raise EvalError(
-                                    f"negative base {x!r} under fractional exponent {b}", points[0])
+                                    f"negative base {x!r} under fractional exponent {b}", point(0))
                             if b < 0 and (x == 0.0 or not math.isfinite(x)):
                                 raise EvalError(
-                                    "zero or non-finite base under a negative exponent", points[0])
+                                    "zero or non-finite base under a negative exponent", point(0))
                         elif (op == _OP_FPOW and np.any(x < 0.0)
                               or b < 0 and not np.all(np.isfinite(x) & (x != 0.0))):
                             raise EvalError("a point of the batch fails")
@@ -1107,6 +1143,11 @@ class Evaluator:
                             v = math.inf  # a float overflowed; rejected with the outputs
                     vals[i] = v
             outs = [vals[o] for o in self._outs]
+            if lone and number is None:
+                # the outputs are Python floats already
+                if not all(map(math.isfinite, outs)):
+                    raise EvalError("non-finite value during evaluation", point(0))
+                return np.array(outs, dtype=float).reshape(len(outs), 1)
             if number is None:
                 parts = [outs]
             else:
@@ -1115,14 +1156,14 @@ class Evaluator:
                 parts = [[parts_of(v)[k] if type(v) is number else v if k == 0 else 0.0
                           for v in outs] for k in range(width)]
             # a Jet2's gradient and Hessian lead with 1 and 2 direction axes
-            arrays = [np.empty((dims,) * (k if number is Jet2 else 0) + (len(outs), len(points)))
+            arrays = [np.empty((dims,) * (k if number is Jet2 else 0) + (len(outs), count))
                       for k in range(len(parts))]
             for out, part in zip(arrays, parts):
                 for i, v in enumerate(part):
                     out[..., i, 0 if lone else slice(None)] = v
             if not all(np.isfinite(out).all() for out in arrays):
                 if lone:
-                    raise EvalError("non-finite value during evaluation", points[0])
+                    raise EvalError("non-finite value during evaluation", point(0))
                 raise EvalError("a point of the batch fails")
         except EvalError:
             if lone:
@@ -1130,8 +1171,8 @@ class Evaluator:
             # point by point, the first point that fails raises its own
             # error; should none fail alone (numpy's `power` rounding past a
             # limit that `**` stays within), their values are the result
-            singles = [self.eval_points([pt], None if tangents is None else [tangents[k]],
-                                        second_order, series) for k, pt in enumerate(points)]
+            singles = [self.eval_points([point(k)], None if tangents is None else [tangents[k]],
+                                        second_order, series) for k in range(count)]
             if number is None:
                 return np.hstack(singles)
             return number(*(np.concatenate([parts_of(s)[k] for s in singles], axis=-1)

@@ -18,17 +18,19 @@ jets: the minors from one Laplace expansion run on `expr.Jet2` numbers
 s); Fike & Alonso, AIAA 2011-886), the branch at every jet's Gauss nodes in
 one numpy pass (its square and cube roots, divisions and choice of root are
 functions over those numbers here), f at all the nodes in one `eval_points`
-pass and each jet's weighted sums.  `radon_derivatives` carries the five coordinate directions
-and gets F with its exact gradient and Hessian; `radon_F_batch` and
-`radon_F` carry none and evaluate f alone, which gives bitwise the same F
-(no value depends on the directions carried, nor on the batch).  The branch
-does not depend on the conic's scale, so the minors need no normalisation;
-`conic_from_jet` and `conic_jet` are the batch of one, with the minors made
-unit and sign-fixed.  Each jet is validated inside the path, by array tests
-over the batch, and the first bad jet raises the error it raises alone; at
-a jet the caller did not give (a finite-difference stencil jet, a companion
-of a lone point, the jet carried to a shifted base point) the error names
-that jet and its role.
+pass over the nodes' x and y columns, and each jet's weighted sums.
+`radon_derivatives` carries the five coordinate directions and gets F with
+its exact gradient and Hessian; `radon_F_batch` and `radon_F` carry none
+and evaluate f alone, which gives bitwise the same F (no value depends on
+the directions carried, nor on the batch).  A lone jet carrying none takes
+its conditions and minors on Python floats, on the batch's Laplace plan.
+The branch does not depend on the conic's scale, so the minors need no
+normalisation; `conic_from_jet` and `conic_jet` are the batch of one, with
+the minors made unit and sign-fixed.  Each jet is validated inside the
+path, by array tests over the batch, and the first bad jet raises the error
+it raises alone; at a jet the caller did not give (a finite-difference
+stencil jet, a companion of a lone point, the jet carried to a shifted base
+point) the error names that jet and its role.
 
 The second-order operator pair is then applied with each point's geometry
 (one batch over the points) and the eigenvalue content extracted: a
@@ -36,8 +38,8 @@ per-point least-squares lambda, and (mu, c) regressed across points from
 laplacian(F) = mu * (F + c).  Central differences of F remain only as an
 independent cross-check of those derivatives (`numerics_checks`).  They
 come from 22 stencils of 20 jets that share about half their jets, so each
-distinct jet is evaluated once, in batches of at most 20 (about 11 per
-call), which bounds the per-point dicts alive at once.
+distinct jet is evaluated once: the 215-231 distinct jets of a point run in
+the fewest batches of at most 115, two for nearly every point.
 
 The Gauss-Legendre rule (`_gauss`) is computed by Newton's method on the
 three-term Legendre recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35
@@ -159,7 +161,8 @@ _ERROR_EXPONENT = -1 / 5
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm of a 1-D real vector, without its dispatch
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -262,10 +265,12 @@ def integrate_ode(
     ev = Evaluator([ode.rhs])
 
     def rhs(x, u):
-        point = dict(zip(coords, u))
+        point = dict(zip(coords, u.tolist()))
         point["x"] = x
-        lam = ev.eval_points([point])[0, 0]
-        return np.asarray(list(u[1:]) + [lam], dtype=float)
+        du = np.empty(len(coords))
+        du[:-1] = u[1:]
+        du[-1] = ev.eval_points([point])[0, 0]
+        return du
 
     y0 = np.asarray([jet0[c] for c in coords], dtype=float)
     y1 = _rk45(rhs, float(x0), y0, float(x1), tol, tol * 1e-2)
@@ -391,7 +396,22 @@ def _laplace_plan(zeros: Tuple[Tuple[bool, ...], ...]):
     return steps, [plan(0, tuple(c for c in range(6) if c != k)) for k in range(6)]
 
 
-def _signed_minors(rows: list) -> list:
+def _plain_zeros(rows: list) -> Tuple[Tuple[bool, ...], ...]:
+    """Where the entries of a matrix are a plain zero (an int or float 0)."""
+    return tuple(tuple(isinstance(entry, (int, float)) and entry == 0 for entry in row)
+                 for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _structural_zeros(x0: float) -> Tuple[Tuple[bool, ...], ...]:
+    """The plain zeros of the jet conditions at base point x0 whatever the
+    jet: those of `_condition_rows` over coordinates that are numbers of no
+    point (empty `Jet2` numbers)."""
+    none = Jet2(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)))
+    return _plain_zeros(_condition_rows(x0, *[none] * 5))
+
+
+def _signed_minors(rows: list, zeros: Optional[Tuple[Tuple[bool, ...], ...]] = None) -> list:
     """The six signed 5x5 minors of a 5x6 matrix, in any number type that
     `_condition_rows` takes (floats, `Jet2` numbers, expressions).
 
@@ -399,11 +419,10 @@ def _signed_minors(rows: list) -> list:
     null vector of the matrix (expanding the 6x6 determinant with a repeated
     row): for the jet conditions, the conic through the jet, up to scale.
     The Laplace expansion (`_laplace_plan`) is planned once per pattern of
-    entries that are a plain zero, which it skips; a minor all of whose
-    terms are skipped is 0.
+    zero entries, which it skips: `zeros` if given, else the entries that
+    are a plain zero.  A minor all of whose terms are skipped is 0.
     """
-    steps, minors = _laplace_plan(tuple(
-        tuple(isinstance(entry, (int, float)) and entry == 0 for entry in row) for row in rows))
+    steps, minors = _laplace_plan(_plain_zeros(rows) if zeros is None else zeros)
     dets: list = []
     for terms in steps:
         total = None
@@ -449,12 +468,21 @@ def _conic_fwd(jets: Sequence[Dict[str, float]], x0: float,
     """
     coords = np.array([[float(jet[c]) for c in COORDS] for jet in jets]).reshape(-1, 5)
     count, unit = len(coords), np.eye(dims, 5)
-    variables = [Jet2(coords[:, k], np.repeat(unit[:, k:k + 1], count, axis=1),
-                      np.zeros((dims, dims, count))) for k in range(5)]
     matrix = np.empty((count, 5, 6))
     with np.errstate(all="ignore"):
-        rows = _condition_rows(x0, *variables)
-        minors = _signed_minors(rows)
+        if count == 1 and not dims:
+            # a lone jet's values on Python floats, which numpy's one-element
+            # arrays would round alike at several times the cost; the plan
+            # skips the batch's zeros only, never a coordinate that is 0.0
+            rows = _condition_rows(x0, *coords[0].tolist())
+            none = np.zeros((0, 1))
+            minors = [Jet2(np.array([float(k)]), none, none[None])
+                      for k in _signed_minors(rows, _structural_zeros(x0))]
+        else:
+            rows = _condition_rows(x0, *(
+                Jet2(coords[:, k], np.repeat(unit[:, k:k + 1], count, axis=1),
+                     np.zeros((dims, dims, count))) for k in range(5)))
+            minors = _signed_minors(rows)
         for i, row in enumerate(rows):
             for k, entry in enumerate(row):
                 matrix[:, i, k] = entry.val if isinstance(entry, Jet2) else entry
@@ -506,6 +534,8 @@ def _branch(conic: Sequence[Jet2], branches: np.ndarray, xs: np.ndarray, n: int)
         # qf/c has phi_y = -sign(B) sqrt(disc), C/qf has +sign(B) sqrt(disc)
         y = _where(sign_B != branches, _div(qf, c), _div(C, qf))
         fy = B + 2 * c * y
+        # done with: each is an array over all nodes, many for a large batch
+        del B, C, sign_B, qf
         p = _div(-(2 * xs * a + 2 * b * y + 2 * d), fy)
         q = _div(-(2 * a + 4 * b * p + 2 * c * p * p), fy)
         scale = np.sqrt(sum(k.val * k.val for k in conic))
@@ -562,11 +592,12 @@ def _q_sign_error(xs: Sequence[float], qs: Sequence[float]) -> str:
 class _Branch:
     """The branch of each jet's conic at the Gauss nodes of one contour, as
     forward-mode numbers over the jets' nodes, rows jet-major: y, the real
-    cube root of q, the (x, y) node points, and the scaled weights (N,)."""
+    cube root of q, the (x, y) node points as the columns `eval_points`
+    takes, and the scaled weights (N,)."""
 
     y: Jet2
     cbrt_q: Jet2
-    nodes: List[Dict[str, float]]
+    nodes: Dict[str, np.ndarray]
     weights: np.ndarray
 
 
@@ -583,39 +614,44 @@ def _branch_fwd(cfg: RadonConfig, jets: Sequence[Dict[str, float]],
     minors, branches, _, checks = _conic_fwd(jets, cfg.x0, dims)
     xs, weights, half = _nodes(cfg, order)
     count, n = len(branches), len(xs)
-    rows = np.repeat(np.arange(count), n)
     xs = np.tile(xs, count)
     (y, _, q, _), at_nodes = _branch(
-        [Jet2(k.val[rows], k.grad[:, rows], k.hess[..., rows]) for k in minors],
-        branches[rows], xs, n)
+        [Jet2(*(np.repeat(part, n, axis=-1) for part in (k.val, k.grad, k.hess))) for k in minors],
+        np.repeat(branches, n), xs, n)
     qs = q.val.reshape(count, n)
     checks += [at_nodes, ((qs > 0).all(axis=1) | (qs < 0).all(axis=1),
                           lambda j: _q_sign_error(xs[j * n:(j + 1) * n].tolist(), qs[j].tolist()))]
     _raise_first(checks)
-    nodes = [{"x": x, "y": yv} for x, yv in zip(xs.tolist(), y.val.tolist())]
-    return _Branch(y, _cbrt(q), nodes, half * weights)
+    return _Branch(y, _cbrt(q), {"x": xs, "y": y.val}, half * weights)
 
 
 def _transform_derivatives(cfg: RadonConfig,
                            br: _Branch) -> List[Tuple[float, np.ndarray, np.ndarray]]:
     """F with its gradient and Hessian over the branch's directions at each
     jet of the branch: f at every node from one `eval_points` pass (with
-    f_y and f_yy when there are directions), then each jet's weighted sums."""
+    f_y and f_yy when there are directions), then each jet's weighted sums.
+    With no directions the sums are tested for finiteness at once, and each
+    jet's gradient and Hessian are empty."""
     w, n, dims = br.weights, len(br.weights), len(br.y.grad)
-    if dims:
-        f, f_y, f_yy = cfg.f_jet_evaluator.eval_points(br.nodes)
-        integrand = br.y.chain(f, lambda: (f_y, f_yy)) * br.cbrt_q
-    else:
-        integrand = br.cbrt_q * cfg.f_evaluator.eval_points(br.nodes)[0]
+    if not dims:
+        integrand = br.cbrt_q.val * cfg.f_evaluator.eval_points(br.nodes)[0]
+        values = [w @ row for row in integrand.reshape(-1, n)]
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise RadonError("the transform or its derivatives are not finite",
+                             int(np.argmin(finite)))
+        none = np.zeros(0), np.zeros((0, 0))
+        return [(float(value), *none) for value in values]
+    f, f_y, f_yy = cfg.f_jet_evaluator.eval_points(br.nodes)
+    integrand = br.y.chain(f, lambda: (f_y, f_yy)) * br.cbrt_q
     out = []
-    for j, start in enumerate(range(0, len(br.nodes), n)):
+    for j, start in enumerate(range(0, len(br.y.val), n)):
         at = slice(start, start + n)
-        value, grad, hess = w @ integrand.val[at], np.zeros(0), np.zeros((0, 0))
-        if dims:
-            # node-major and contiguous: the layout picks the BLAS kernel that
-            # sums, and so its rounding
-            grad = w @ np.ascontiguousarray(integrand.grad[:, at].T)
-            hess = np.tensordot(w, np.moveaxis(integrand.hess[..., at], -1, 0), axes=1)
+        value = w @ integrand.val[at]
+        # node-major and contiguous: the layout picks the BLAS kernel that
+        # sums, and so its rounding
+        grad = w @ np.ascontiguousarray(integrand.grad[:, at].T)
+        hess = np.tensordot(w, np.moveaxis(integrand.hess[..., at], -1, 0), axes=1)
         if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
             raise RadonError("the transform or its derivatives are not finite", j)
         out.append((float(value), grad, hess))
@@ -674,7 +710,10 @@ def _fd_combine(values: Sequence, h: float) -> np.ndarray:
     return np.array(rows)
 
 
-_FD_BATCH = 20   # jets per quadrature batch; bounds the per-node point dicts alive at once
+# jets per quadrature batch at most: up to 230 distinct jets of a point's
+# stencils (215-231 over 200 benchmark points) run in two batches, whose
+# arrays stay below the peak memory of the rest of a radon report
+_FD_BATCH = 115
 _JET_KEY = struct.Struct("5d")
 
 
@@ -888,20 +927,22 @@ def _fd_derivatives(cfg: RadonConfig,
     Hessian as differences of gradients at step h (`_fd_combine` over
     `_fd_stencil`), with each distinct jet of the 22 stencils evaluated once.
 
-    The distinct jets run in batches of `_FD_BATCH` in order of first
-    appearance; a jet's value does not depend on its batch, so the results
-    are bitwise those of one batch per stencil.  When a batch raises, the
-    stencils are evaluated one batch each, in order, so the error is the one
-    the first stencil holding a bad jet raises.
+    The distinct jets run in order of first appearance, in the fewest
+    batches of at most `_FD_BATCH`, of sizes that differ by one at most; a
+    jet's value does not depend on its batch, so the results are bitwise
+    those of one batch per stencil.  When a batch raises, the stencils are
+    evaluated one batch each, in order, so the error is the one the first
+    stencil holding a bad jet raises.
     """
     h = cfg.h
     outer = [(jet, h), (jet, h / 2)] + [(Xs, h) for Xs in _fd_stencil(jet, h)]
     at, distinct = _distinct_jets(_fd_stencil(X, step) for X, step in outer)
+    batches = -(-len(distinct) // _FD_BATCH)
+    bounds = [k * len(distinct) // batches for k in range(batches + 1)]
     try:
         values = []
-        for start in range(0, len(distinct), _FD_BATCH):
-            values.extend(radon_F_batch(
-                cfg, [dict(zip(COORDS, key)) for key in distinct[start:start + _FD_BATCH]]))
+        for lo, hi in zip(bounds, bounds[1:]):
+            values.extend(radon_F_batch(cfg, [dict(zip(COORDS, key)) for key in distinct[lo:hi]]))
     except (RadonError, ExprError):
         for X, step in outer:
             stencil = _fd_stencil(X, step)

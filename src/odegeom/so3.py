@@ -2,8 +2,9 @@
 
 The tensor is built once and exactly: moduli-space frame indices are
 symmetric 4-index spinors over a 2-dimensional space, and the structure
-tensor is the six-epsilon contraction of three such blocks, evaluated in
-exact rational arithmetic over the nonzero spinor components, then
+tensor is the six-epsilon contraction of three such blocks, evaluated
+exactly over the nonzero spinor components (on integer numerators over one
+common denominator, with `Fraction`s made of the results only), then
 symmetrised.  Its frame components are rational constants; coordinate
 components follow by coframe substitution on first use
 (`GTensor.coord_lower`), since only the symbolic checks read them: the
@@ -126,44 +127,37 @@ def _spinor_frame() -> List[dict]:
     return frame
 
 
-def _spinor_frame_data():
-    """Frame vectors as symmetric 4-spinors, the induced constant metric, and
-    the structure-tensor frame components.  Computed once, exactly."""
+def _spinor_contractions() -> Tuple[int, List[List[int]], List[List[List[int]]]]:
+    """The induced constant metric and the unsymmetrised structure tensor
+    on integer numerators: (den, khat, ghat), with den the common
+    denominator of the frame vectors' components, khat's numerators over
+    den^2 and ghat's over den^3.  Integers keep the contractions exact and
+    cheap; `Fraction`s are made of the results only."""
     frame = _spinor_frame()
+    den = math.lcm(*(v.denominator for vec in frame for v in vec.values()))
+    frame = [{idx: v.numerator * (den // v.denominator) for idx, v in vec.items()}
+             for vec in frame]
+
+    # eps(X, 1-X) is +1 for X = 0 and -1 for X = 1, and every other pairing
+    # vanishes, so only the nonzero entries of the left frame are visited
 
     # induced metric on frame indices: four eps pairings
-    sign_patterns2 = list(itertools.product(((0, 1, Fraction(1)), (1, 0, Fraction(-1))), repeat=4))
-    khat = [[Fraction(0)] * 5 for _ in range(5)]
+    khat = [[0] * 5 for _ in range(5)]
     for i in range(5):
         for j in range(5):
-            total = Fraction(0)
-            for pat in sign_patterns2:
-                sgn = Fraction(1)
-                left = []
-                right = []
-                for a, b, s in pat:
-                    sgn *= s
-                    left.append(a)
-                    right.append(b)
-                vi = frame[i].get(tuple(left), Fraction(0))
-                if vi == 0:
-                    continue
-                vj = frame[j].get(tuple(right), Fraction(0))
-                if vj == 0:
-                    continue
-                total += sgn * vi * vj
-            khat[i][j] = total
+            for idx, vi in frame[i].items():
+                vj = frame[j].get(tuple(1 - a for a in idx))
+                if vj is not None:
+                    khat[i][j] += -vi * vj if sum(idx) % 2 else vi * vj
 
     # structure tensor: eps pairings (A,E)(B,F) between slots 1-2,
-    # (G,P)(H,Q) between 2-3, (C,R)(D,S) between 1-3.  eps(X, 1-X) is +1 for
-    # X = 0 and -1 for X = 1, and every other pairing vanishes, so only the
-    # nonzero entries of frame i and frame j are visited: they fix E, F and
-    # every index of the third slot.
-    ghat = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
+    # (G,P)(H,Q) between 2-3, (C,R)(D,S) between 1-3.  The nonzero entries
+    # of frame i and frame j fix E, F and every index of the third slot.
+    ghat = [[[0] * 5 for _ in range(5)] for _ in range(5)]
     for i in range(5):
         for j in range(5):
             for k in range(5):
-                total = Fraction(0)
+                total = 0
                 for (A, B, C, D), vi in frame[i].items():
                     for (E, F, G, H), vj in frame[j].items():
                         if E != 1 - A or F != 1 - B:
@@ -174,18 +168,22 @@ def _spinor_frame_data():
                         term = vi * vj * vk
                         total += -term if (A + B + G + H + C + D) % 2 else term
                 ghat[i][j][k] = total
+    return den, khat, ghat
 
-    # full symmetrisation over the three moduli slots
-    ghat_sym = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
-    for i in range(5):
-        for j in range(5):
-            for k in range(5):
-                acc = Fraction(0)
-                for perm in itertools.permutations((i, j, k)):
-                    acc += ghat[perm[0]][perm[1]][perm[2]]
-                ghat_sym[i][j][k] = acc / 6
 
-    return khat, ghat, ghat_sym
+def _spinor_frame_data():
+    """The induced constant metric and the structure-tensor frame
+    components of the spinor frame, as `Fraction`s: (khat, ghat, ghat_sym),
+    ghat_sym the full symmetrisation of ghat over the three moduli slots.
+    Computed exactly, from `_spinor_contractions`."""
+    den, khat, ghat = _spinor_contractions()
+    return (
+        [[Fraction(v, den ** 2) for v in row] for row in khat],
+        [[[Fraction(v, den ** 3) for v in row] for row in blk] for blk in ghat],
+        [[[Fraction(sum(ghat[p][q][r] for p, q, r in itertools.permutations((i, j, k))),
+                    6 * den ** 3)
+           for k in range(5)] for j in range(5)] for i in range(5)],
+    )
 
 
 _SPINOR_CACHE: Optional[tuple] = None
@@ -263,11 +261,8 @@ def build_G(pd: PentadData, m: MetricField) -> GTensor:
     khat_ok = all(
         khat[i][j] == _K_PAIRING.get((i, j), Fraction(0)) for i in range(5) for j in range(5)
     )
-    raw_sym = all(
-        ghat_raw[i][j][k] == ghat_raw[p][q][r]
-        for i in range(5) for j in range(5) for k in range(5)
-        for (p, q, r) in itertools.permutations((i, j, k))
-    )
+    # exactly symmetric if and only if it equals its full symmetrisation
+    raw_sym = ghat_raw == ghat
 
     return GTensor(
         m=m,

@@ -728,6 +728,98 @@ def test_an_overflowing_batch_raises_without_a_warning():
     assert exc.value.point == {"q": 1e300}
 
 
+def _as_columns(points):
+    return {name: np.array([pt[name] for pt in points]) for name in points[0]}
+
+
+def _parts(result) -> list:
+    """The arrays of an `eval_points` result: the values alone, or every
+    part of a forward-mode number."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    return list(result.coef) if isinstance(result, Taylor) else [
+        getattr(result, part) for part in type(result).__slots__]
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# each point's tangent for Jet1, seeds along two directions for Jet2 and
+# coefficients of degrees 1 and 2 for Taylor numbers
+_KINDS = {
+    "plain": (lambda k: None, False, False),
+    "jet1": (lambda k: {"q": 1.0 + k, "s": -0.5}, False, False),
+    "jet2": (lambda k: {"q": (1.0, 0.25 * k), "x": (0.0, 1.0)}, True, False),
+    "taylor": (lambda k: {"q": (1.0, 0.25 * k), "s": (-0.5, 2.0)}, False, True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_points_as_columns_are_the_points_as_mappings_bit_for_bit(kind):
+    tangent, second_order, series = _KINDS[kind]
+    ev = Evaluator([parse("x*y^2 - p^(1/2)/q"), parse("(q - 1)^(-2) + s^3"), parse("3")])
+    rng = random.Random(7)
+    points = [{v: rng.uniform(1.5, 3.0) for v in VARIABLES} for _ in range(5)]
+    for batch in (points, points[:1]):
+        tangents = None if kind == "plain" else [tangent(k) for k in range(len(batch))]
+        want = ev.eval_points(batch, tangents, second_order, series)
+        got = ev.eval_points(_as_columns(batch), tangents, second_order, series)
+        assert type(got) is type(want)
+        assert all(_same_bits(g, w) for g, w in zip(_parts(got), _parts(want), strict=True))
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_points_as_columns_fail_at_the_point_the_mappings_fail(kind):
+    tangent, second_order, series = _KINDS[kind]
+    ev = Evaluator([parse("x*y^2 - p^(1/2)/q"), parse("(q - 1)^(-2) + s^3")])
+    points = [{v: 2.0 + 0.1 * k for v in VARIABLES} for k in range(4)]
+    points[1]["p"], points[2]["q"] = 0.5, 1.0
+    points[3]["p"] = -1.0
+    for batch in (points, points[2:3]):
+        tangents = None if kind == "plain" else [tangent(k) for k in range(len(batch))]
+        with pytest.raises(EvalError) as mappings:
+            ev.eval_points(batch, tangents, second_order, series)
+        with pytest.raises(EvalError) as columns:
+            ev.eval_points(_as_columns(batch), tangents, second_order, series)
+        assert str(columns.value) == str(mappings.value)
+        assert columns.value.point == mappings.value.point == points[2]
+        assert "zero or non-finite base under a negative exponent" in str(columns.value)
+
+
+def test_point_columns_must_be_one_dimensional_and_of_one_length():
+    ev = Evaluator([parse("q + r")])
+    with pytest.raises(ValueError):
+        ev.eval_points({"q": np.ones(3), "r": np.ones(2)})
+    with pytest.raises(ValueError):
+        ev.eval_points({"q": np.ones((1, 3)), "r": np.ones((1, 3))})
+    with pytest.raises(EvalError) as exc:
+        ev.eval_points({"q": np.ones(3)})
+    assert str(exc.value) == "missing variable 'r' at point {'q': 1.0}"
+
+
+@pytest.mark.parametrize("text, point, message", [
+    ("q*q + r", {"q": 1e200, "r": 1.0}, "non-finite value during evaluation"),
+    ("q^1000 + r", {"q": 10.0, "r": 1.0}, "non-finite value during evaluation"),
+    ("(q - 1)^(-1) + r", {"q": 1.0, "r": 1.0}, "zero or non-finite base under a negative exponent"),
+    ("q^(1/2) + r", {"q": -4.0, "r": 1.0}, "negative base -4.0 under fractional exponent 0.5"),
+], ids=["overflowing-product", "overflowing-power", "zero-base", "negative-base"])
+def test_a_lone_plain_point_keeps_the_error_texts(text, point, message):
+    ev = Evaluator([parse(text)])
+    for points in ([point], _as_columns([point])):
+        with pytest.raises(EvalError) as exc:
+            ev.eval_points(points)
+        assert str(exc.value) == f"{message} at point {point}"
+        assert exc.value.point == point
+
+
+def test_a_lone_plain_point_returns_its_floats():
+    ev = Evaluator([parse("q^(-2) + r"), parse("3"), var("q")])
+    values = ev.eval_points([{"q": 0.1, "r": 2.0}])
+    assert values.shape == (3, 1) and values.dtype == np.float64
+    assert values[:, 0].tolist() == [0.1 ** -2 + 2.0, 3.0, 0.1]
+
+
 def test_a_directly_built_sum_or_product_of_one_operand_evaluates():
     q = var("q")
     ev = Evaluator([Sum((q,)), Prod((q,)), Sum((Neg(q),)), Prod((Sum((q,)),))])

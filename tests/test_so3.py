@@ -108,6 +108,28 @@ def test_closed_form_basis_spinors_match_the_definition(monkeypatch):
     assert so3._spinor_frame_data() == data
 
 
+def test_frame_tables_made_of_integer_numerators_are_exact_fractions(monkeypatch):
+    # a frame with a common denominator 3 scales khat by 9 and ghat by 27
+    frame = so3._spinor_frame()
+    thirds = [{idx: v / 3 for idx, v in vec.items()} for vec in frame]
+    khat, ghat_raw, ghat = spinor_frame_data()
+    monkeypatch.setattr(so3, "_spinor_frame", lambda: thirds)
+    k3, raw3, sym3 = so3._spinor_frame_data()
+    assert k3 == [[v / 9 for v in row] for row in khat]
+    assert raw3 == [[[v / 27 for v in row] for row in blk] for blk in ghat_raw]
+    assert sym3 == [[[v / 27 for v in row] for row in blk] for blk in ghat]
+    assert raw3 == _dense_six_epsilon_contraction(thirds)
+
+
+def test_raw_symmetry_fails_on_an_asymmetric_contraction(monkeypatch, pd_conics5, metric_conics5):
+    khat, ghat_raw, ghat = spinor_frame_data()
+    assert build_G(pd_conics5, metric_conics5).ghat_raw_symmetric
+    asymmetric = [[row[:] for row in blk] for blk in ghat_raw]
+    asymmetric[0][2][4] += 1
+    monkeypatch.setattr(so3, "_SPINOR_CACHE", (khat, asymmetric, ghat))
+    assert not build_G(pd_conics5, metric_conics5).ghat_raw_symmetric
+
+
 def test_coordinate_components_are_built_on_first_use():
     session = cli.Session(builtin("conics5"), DEFAULT_SAMPLES, DEFAULT_REL_TOL, DEFAULT_SEED)
     report = cli.radon_suite(session)
