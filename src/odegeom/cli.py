@@ -29,18 +29,15 @@ from .expr import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     Evaluator,
-    ExprError,
-    ParseError,
+    InputError,
     ZERO,
     parse,
-    relative_residual,
 )
-from .jet import JetError, JetOde, builtin, builtin_names, resolve_ode
-from .pentad import PentadError
-from .report import CheckRecord, CheckReport, check_identities
+from .jet import JetOde, builtin, builtin_names, resolve_ode
+from .report import CheckRecord, CheckReport, check_identities, values_check
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
 
 
@@ -141,16 +138,6 @@ def _frame_at_samples(pd: pentad.PentadData) -> tuple:
     return L, dict(zip(pd.coefficients, vals[2 * n * n:])), C
 
 
-def _values_check(name: str, got, expected: Sequence, s: Session) -> CheckRecord:
-    """One check of values at the solve's sample points against the
-    expected expressions evaluated there, under the residual of
-    `compare_values`."""
-    points = s.pd.points
-    want = Evaluator(list(expected)).eval_points(points)
-    return CheckRecord.from_residual(name, relative_residual(np.array(got), want).T, s.tol,
-                                     len(points), s.seed, points=points)
-
-
 def pentad_suite(s: Session) -> CheckReport:
     report = CheckReport()
     ode, pd = s.ode, s.pd
@@ -164,25 +151,23 @@ def pentad_suite(s: Session) -> CheckReport:
                                     [(pd.P, catalog.expr(cat["P"]))], *sampling))
         report.add(check_identities("Q_matches_expected",
                                     [(pd.Q, catalog.expr(cat["Q"]))], *sampling))
-        report.add(_values_check(
+        report.add(values_check(
             "coefficients_match_expected",
-            [letters[letter] for letter in cat["coefficients"]],
-            [catalog.expr(text) for text in cat["coefficients"].values()], s))
+            np.transpose([letters[letter] for letter in cat["coefficients"]]),
+            [catalog.expr(text) for text in cat["coefficients"].values()], pd))
         if "coframe" in cat:
             ref = catalog.matrix(cat["coframe"])
-            report.add(_values_check(
-                "coframe_matches_expected", coframe.reshape(n * n, -1),
-                [ref[i][a] for i in range(n) for a in range(n)], s))
+            report.add(values_check(
+                "coframe_matches_expected", np.moveaxis(coframe, -1, 0),
+                [ref[i][a] for i in range(n) for a in range(n)], pd))
 
     for name, chk in zip(pd.residual_names, pd.residual_checks):
         report.add(CheckRecord.from_equiv(name, chk))
 
     # sum_a C[i][a] L[a][j] against the identity, at each point
     product = (coframe[:, :, None] * lower[None]).sum(axis=1)
-    report.add(CheckRecord.from_residual(
-        "coframe_frame_inverse_identity",
-        np.moveaxis(relative_residual(product, np.eye(n)[:, :, None]), -1, 0),
-        s.tol, len(pd.points), s.seed, points=pd.points))
+    report.add(values_check("coframe_frame_inverse_identity", np.moveaxis(product, -1, 0),
+                            np.eye(n), pd))
 
     if n == 4:
         form = pentad.symplectic(pd)
@@ -216,14 +201,17 @@ def geom_suite(s: Session) -> CheckReport:
         )
     report = CheckReport()
     m = s.metric
-    report.extend(geom.metric_pairing_check(m, samples=s.samples, tol=s.tol, seed=s.seed))
+    cf = geom.connection_forms(s.pd) if s.ode.name == "conics5" else None
     report.extend(geom.curvature_checks(m, seed=s.seed))
-    report.extend(geom.structure_checks(m, samples=s.samples, tol=s.tol, seed=s.seed))
-    if s.ode.name == "conics5":
-        cf = geom.connection_forms(s.pd)
+    if cf is not None:
         report.extend(geom.connection_checks(cf, m, samples=s.samples, tol=s.tol, seed=s.seed))
-        report.extend(geom.integrability_check(cf, m, samples=s.samples, tol=s.tol,
-                                               seed=s.seed))
+    # the rows at the solve's sample points come last (structure_checks ends
+    # with them): `frame_at` keeps one batch, so they share one frame pass
+    # with each other and with the so3 suite's
+    report.extend(geom.structure_checks(m))
+    report.extend(geom.metric_pairing_check(m))
+    if cf is not None:
+        report.extend(geom.integrability_check(cf, m))
     return report
 
 
@@ -236,7 +224,7 @@ def so3_suite(s: Session) -> CheckReport:
     report = CheckReport()
     G = s.G
     report.extend(so3.frame_constant_checks(G))
-    report.extend(so3.trace_checks_symbolic(G, samples=s.samples, tol=s.tol, seed=s.seed))
+    report.extend(so3.trace_checks(G))
     report.extend(so3.g_identities(G, seed=s.seed))
     report.extend(so3.expansion_check(G, s.metric, seed=s.seed))
     return report
@@ -351,8 +339,7 @@ def run(argv: Sequence[str]) -> tuple:
             if session.ode.name == "conics5":
                 report.extend(so3_suite(session).checks)
                 report.extend(radon_suite(session).checks)
-    except (UsageError, JetError, ParseError, ExprError, PentadError,
-            geom.GeomError, so3.So3Error, radon.RadonError) as exc:
+    except InputError as exc:
         return 2, f"error: {exc}"
 
     if args.json:

@@ -90,7 +90,12 @@ Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
 
 
-class ExprError(Exception):
+class InputError(Exception):
+    """Base class of the errors that invalid input raises, anywhere in the
+    pipeline; the command line reports one and exits 2."""
+
+
+class ExprError(InputError):
     """Base class for expression errors."""
 
 

@@ -1,29 +1,30 @@
 """Metric, curvature, and spinor connection on the order-5 moduli space.
 
-The covariant metric is assembled from the coframe with the constant pairing
-(2, -8, 6) on (e1.e5, e2.e4, e3.e3); the contravariant metric is its symbolic
-adjugate/determinant inverse.  An independent second route pairs the
-lower-triangular rows directly with the inverse constant pairing; agreement
-of the two routes (and of both with the catalogued matrices) is part of the
-verification surface.
+The metric exists only at points.  With C the coframe and K the constant
+pairing (2, -8, 6) on (e1.e5, e2.e4, e3.e3), halved, g = C^T K C and its
+inverse is taken in numpy.  An independent second route pairs the
+lower-triangular rows L = C^-1 directly with the inverse pairing,
+g^-1 = L K^-1 L^T.  The checks compare the two routes, and both with the
+catalogued matrices, at the solve's sample points.
 
 Curvature is numeric at points, and every metric derivative entering it is
 exact; nothing is finite-differenced.  Conventions: Gamma^c_ab standard
 Levi-Civita, R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma Gamma,
 Ricci_cb = R^a_cab, R = g^cb Ricci_cb.
 
-No metric derivative is a symbolic table.  `MetricField.frame_at` runs the
-25-entry coframe program once over a batch of points on `expr.Jet1`
+No metric entry or derivative is an expression.  `MetricField.frame_at`
+runs the 25-entry coframe program once over a batch of points on `expr.Jet1`
 numbers, each point once per coordinate with a unit tangent, and so gets the
 coframe C and its partials dC exactly (forward mode; Griewank & Walther,
-Evaluating Derivatives, 2008).  With K the frame pairing, g = C^T K C and
-d_c g = (d_c C)^T K C plus its transpose; the inverse and the Christoffel
-symbols follow in numpy.  The last batch is kept, so `christoffel_at`,
-`derivatives_at` and `so3.GTensor.lower_at` on the same points share one
+Evaluating Derivatives, 2008).  Then d_c g = (d_c C)^T K C plus its
+transpose; the inverse and the Christoffel symbols follow in numpy.  The
+last batch is kept, so `christoffel_at`, `derivatives_at`,
+`x_derivative_at` and `so3.GTensor.lower_at` on the same points share one
 pass.  Only curvature needs second derivatives: `derivatives_at` runs the
 program once more on `expr.Jet2` numbers seeded with the five unit
 directions, and d_e d_c g = (d_e d_c C)^T K C + (d_e C)^T K (d_c C) plus
-its transpose.
+its transpose.  Only a coframe that holds x has d_x g != 0, from one more
+pass along x (`x_derivative_at`).
 """
 
 from __future__ import annotations
@@ -43,70 +44,38 @@ from .expr import (
     DEFAULT_SEED,
     Evaluator,
     Expr,
-    ONE,
+    InputError,
     ZERO,
     add,
     diff,
     div,
+    free_variables,
     mul,
     neg,
     pow_,
 )
 from .jet import JetOde, prolongation, total_derivative
 from .pentad import PentadData
-from .report import CheckRecord, check_identities
+from .report import CheckRecord, check_identities, values_check
 
 # frame pairing constants for g = 2 e1.e5 - 8 e2.e4 + 6 e3.e3
 _K_LOWER = {(0, 4): Fraction(1), (4, 0): Fraction(1),
             (1, 3): Fraction(-4), (3, 1): Fraction(-4),
             (2, 2): Fraction(6)}
-_K_UPPER = {(0, 4): Fraction(1), (4, 0): Fraction(1),
-            (1, 3): Fraction(-1, 4), (3, 1): Fraction(-1, 4),
-            (2, 2): Fraction(1, 6)}
 _K = np.array([[float(_K_LOWER.get((i, j), 0)) for j in range(5)] for i in range(5)])
+# its inverse: the pairing is anti-diagonal, so each entry inverts alone
+_K_UPPER = np.array([[float(1 / _K_LOWER[i, j]) if (i, j) in _K_LOWER else 0.0
+                      for j in range(5)] for i in range(5)])
 
 
-class GeomError(Exception):
+class GeomError(InputError):
     pass
 
 
-def _pairing(rows_a: Sequence[Expr], rows_b: Sequence[Expr], k: Dict) -> Expr:
-    terms = []
-    for (i, j), c in k.items():
-        terms.append(mul(Const(c), rows_a[i], rows_b[j]))
-    return add(*terms)
-
-
-def _sym_minor(g, rows: tuple, cols: tuple, memo: dict) -> Expr:
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    if len(rows) == 1:
-        res = g[rows[0]][cols[0]]
-    else:
-        r0 = rows[0]
-        rest = rows[1:]
-        terms = []
-        for k, c in enumerate(cols):
-            sub = _sym_minor(g, rest, cols[:k] + cols[k + 1:], memo)
-            term = mul(g[r0][c], sub)
-            terms.append(term if k % 2 == 0 else neg(term))
-        res = add(*terms)
-    memo[key] = res
-    return res
-
-
-def _symmetric(entry) -> tuple:
-    """The symmetric 5x5 table whose entries on and above the diagonal are
-    entry(a, b)."""
-    upper = {(a, b): entry(a, b) for a in range(5) for b in range(a, 5)}
-    return tuple(tuple(upper[min(a, b), max(a, b)] for b in range(5)) for a in range(5))
-
-
 class MetricField:
-    """Covariant/contravariant metric over the moduli coordinates: symbolic
-    tables built on first use, and the numeric geometry at a batch of points
-    (`frame_at`, `derivatives_at`)."""
+    """The metric over the moduli coordinates, numeric at a batch of points
+    (`frame_at`, `derivatives_at`, `x_derivative_at`), from the coframe
+    program."""
 
     def __init__(self, pd: PentadData):
         if pd.n != 5:
@@ -115,38 +84,6 @@ class MetricField:
         self.ode = pd.ode
         self.coords = pd.ode.coords
         self._frame: Optional[tuple] = None   # (points key, FrameAtPoints)
-
-    @cached_property
-    def g_lower(self) -> tuple:
-        """g_ab from the coframe rows and the frame pairing; built on first
-        use, since the numeric geometry reads the coframe program alone."""
-        C = self.pd.coframe_rows
-        return _symmetric(lambda a, b: _pairing([row[a] for row in C], [row[b] for row in C],
-                                                _K_LOWER))
-
-    @cached_property
-    def g_upper(self) -> tuple:
-        """g^ab as the adjugate of g_ab over its determinant; built on first
-        use."""
-        memo: dict = {}
-        idx = tuple(range(5))
-        inv_det = pow_(_sym_minor(self.g_lower, idx, idx, memo), Fraction(-1))
-
-        def entry(a, b):
-            rows = tuple(i for i in idx if i != b)
-            cols = tuple(j for j in idx if j != a)
-            cofactor = mul(_sym_minor(self.g_lower, rows, cols, memo), inv_det)
-            return neg(cofactor) if (a + b) % 2 else cofactor
-
-        return _symmetric(entry)
-
-    # -- second construction route ------------------------------------------
-
-    def contravariant_from_pairing(self) -> tuple:
-        """g(dX^a, dX^b) obtained by pairing the differentiated rows of d(y)
-        directly, the repeated-differentiation route."""
-        L = self.pd.lower
-        return _symmetric(lambda a, b: _pairing(L[a], L[b], _K_UPPER))
 
     # -- numeric evaluation ----------------------------------------------------
 
@@ -195,6 +132,17 @@ class MetricField:
         X = (np.swapaxes(ddC, 3, 4) @ (_K @ fr.C)[:, None, None]
              + np.swapaxes(fr.dC, 2, 3)[:, :, None] @ (_K @ fr.dC)[:, None])
         return fr.g, fr.dg, X + np.swapaxes(X, 3, 4), fr.g_inv
+
+    def x_derivative_at(self, points: Sequence[Dict[str, float]]) -> np.ndarray:
+        """d_x g_ab at a batch of points (leading point axis), at fixed
+        moduli coordinates: zero unless the coframe holds x, else from one
+        forward-mode pass over the coframe program along x."""
+        count = len(points)
+        if not any("x" in free_variables(e) for e in self._coframe_ev.exprs):
+            return np.zeros((count, 5, 5))
+        dxC = self._coframe_ev.eval_points(points, [{"x": 1.0}] * count).der
+        X = dxC.reshape(5, 5, count).transpose(2, 1, 0) @ (_K @ self.frame_at(points).C)
+        return X + np.swapaxes(X, 1, 2)
 
     def christoffel_at(self, points: Sequence[Dict[str, float]]):
         """(g, dg, g_inv, gamma) at a batch of points from `frame_at`, each
@@ -281,29 +229,23 @@ def sample_points(ode: JetOde, count: int, seed: int = DEFAULT_SEED) -> List[Dic
 # check suites
 
 
-def metric_pairing_check(
-    m: MetricField,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_REL_TOL,
-    seed: int = DEFAULT_SEED,
-) -> List[CheckRecord]:
-    """Verify the repeated-differentiation route: route agreement, the
-    P-expressed pairings, and (for built-ins) the catalogued matrices."""
-    sampling = (m.ode.domain, samples, tol, seed)
-    checks: List[CheckRecord] = []
-    n = 5
-    upper_half = [(a, b) for a in range(n) for b in range(a, n)]
-    route2 = m.contravariant_from_pairing()
+def metric_pairing_check(m: MetricField) -> List[CheckRecord]:
+    """Verify the repeated-differentiation route at the solve's sample
+    points: route agreement, the P-expressed pairings, and (for built-ins)
+    the catalogued matrices."""
+    pd = m.pd
+    fr = m.frame_at(pd.points)
+    # route 2: g^-1 = L K^-1 L^T, the rows paired with the inverse pairing
+    L = Evaluator([e for row in pd.lower for e in row]).eval_points(pd.points)
+    L = L.T.reshape(-1, 5, 5)
+    route2 = L @ _K_UPPER @ np.swapaxes(L, 1, 2)
+    checks = [values_check("metric_routes_agree", fr.g_inv, route2, pd,
+                           "coframe pairing + inversion vs direct row pairing")]
 
-    checks.append(check_identities(
-        "metric_routes_agree",
-        [(m.g_upper[a][b], route2[a][b]) for a, b in upper_half],
-        *sampling, "coframe pairing + inversion vs direct row pairing"))
-
-    P, Q = m.pd.P, m.pd.Q
+    P, Q = pd.P, pd.Q
     Pp = total_derivative(P, m.ode)
     P4 = pow_(P, 4)
-    coeffs = m.pd.coefficients
+    coeffs = pd.coefficients
     expected = {
         (0, 0): ZERO,
         (0, 1): ZERO,
@@ -320,27 +262,21 @@ def metric_pairing_check(
         (2, 4): add(mul(Const(96), pow_(P, 5), Q), neg(mul(Pp, coeffs["H"])),
                     mul(Const(2), pow_(P, 2), coeffs["G"])),
     }
-    checks.append(check_identities(
-        "metric_differentiation_chain",
-        [(m.g_upper[a][b], e) for (a, b), e in expected.items()],
-        *sampling, "g(d.,d.) entries in terms of P, P', Q and the recurrence letters"))
+    rows, cols = zip(*expected)
+    checks.append(values_check(
+        "metric_differentiation_chain", fr.g_inv[:, rows, cols], list(expected.values()), pd,
+        "g(d.,d.) entries in terms of P, P', Q and the recurrence letters"))
 
     cat = catalog.for_ode(m.ode.name)
     if cat and "metric_upper" in cat:
-        for key, table, texts in (
-            ("metric_upper_matches_expected", m.g_upper, cat["metric_upper"]),
-            ("metric_lower_matches_expected", m.g_lower, cat["metric_lower"]),
+        for key, values, texts in (
+            ("metric_upper_matches_expected", fr.g_inv, cat["metric_upper"]),
+            ("metric_lower_matches_expected", fr.g, cat["metric_lower"]),
         ):
             ref = catalog.matrix(texts)
-            checks.append(check_identities(
-                key, [(table[a][b], ref[a][b]) for a, b in upper_half], *sampling))
+            checks.append(values_check(key, values, [e for row in ref for e in row], pd))
 
-    checks.append(check_identities(
-        "metric_inverse_identity",
-        [(add(*[mul(m.g_lower[a][c], m.g_upper[c][b]) for c in range(n)]),
-          ONE if a == b else ZERO)
-         for a in range(n) for b in range(n)],
-        *sampling))
+    checks.append(values_check("metric_inverse_identity", fr.g @ route2, np.eye(5), pd))
     return checks
 
 
@@ -400,35 +336,11 @@ def curvature_checks(
     return checks
 
 
-def structure_checks(
-    m: MetricField,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_REL_TOL,
-    seed: int = DEFAULT_SEED,
-) -> List[CheckRecord]:
+def structure_checks(m: MetricField) -> List[CheckRecord]:
     """Flow invariance, first integral, harmonicity, signature."""
-    ode = m.ode
-    sampling = (ode.domain, samples, tol, seed)
-    coords = ode.coords
-    n = 5
-    V = prolongation(ode).components
+    ode, pd = m.ode, m.pd
+    seed = pd.seed
     checks: List[CheckRecord] = []
-
-    lie = []
-    for a in range(n):
-        for b in range(a, n):
-            terms = [diff(m.g_lower[a][b], "x")]
-            for c in range(n):
-                terms.append(mul(V[c], diff(m.g_lower[a][b], coords[c])))
-                terms.append(mul(m.g_lower[c][b], diff(V[c], coords[a])))
-                terms.append(mul(m.g_lower[a][c], diff(V[c], coords[b])))
-            lie.append((add(*terms), ZERO))
-    checks.append(check_identities("killing_prolongation", lie, *sampling,
-                                   "Lie derivative of g along the shift field vanishes"))
-
-    checks.append(check_identities(
-        "first_integral_gyy", [(total_derivative(m.g_lower[0][0], ode), ZERO)], *sampling,
-        "g_yy is constant along solutions"))
 
     cat = catalog.for_ode(ode.name) or {}
     harmonic_pts = sample_points(ode, 10, seed) if cat.get("harmonic") else []
@@ -448,6 +360,22 @@ def structure_checks(
         "signature_split_3_2", "pass" if split_ok else "fail",
         0.0, 0.0, len(pts), seed + 1,
         "eigenvalues of g split 3 positive / 2 negative at sample points"))
+
+    # the shift field V^c and dV[k, a, c] = d_a V^c, from one forward-mode
+    # pass (each point once per coordinate, seeded with the unit tangent)
+    n, count = 5, len(pd.points)
+    jets = Evaluator(list(prolongation(ode).components)).eval_points(
+        [pt for pt in pd.points for _ in range(n)], [{c: 1.0} for c in ode.coords] * count)
+    V = jets.val.reshape(n, count, n)[..., 0].T
+    dV = jets.der.reshape(n, count, n).transpose(1, 2, 0)
+    fr = m.frame_at(pd.points)
+    # d_x g_ab + V^c d_c g_ab: the derivative of g_ab along the solutions
+    along = m.x_derivative_at(pd.points) + np.einsum("kc,kcab->kab", V, fr.dg)
+    lie = along + np.einsum("kcb,kac->kab", fr.g, dV) + np.einsum("kac,kbc->kab", fr.g, dV)
+    checks.append(values_check("killing_prolongation", lie, 0.0, pd,
+                               "Lie derivative of g along the shift field vanishes"))
+    checks.append(values_check("first_integral_gyy", along[:, 0, 0], 0.0, pd,
+                               "g_yy is constant along solutions"))
     return checks
 
 
@@ -550,19 +478,13 @@ def connection_checks(
     return checks
 
 
-def integrability_check(
-    cf: ConnectionForms,
-    m: MetricField,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_REL_TOL,
-    seed: int = DEFAULT_SEED,
-) -> List[CheckRecord]:
+def integrability_check(cf: ConnectionForms, m: MetricField) -> List[CheckRecord]:
     """The constant-y surfaces: chi has no dq/dr/ds components and the
     conormal dy is null."""
-    sampling = (cf.pd.ode.domain, samples, tol, seed)
+    pd = m.pd
     return [
-        check_identities("chi_spans_dy_dp_only",
-                         [(comp, ZERO) for comp in cf.chi[2:]], *sampling),
-        check_identities("null_surface_gyy_upper", [(m.g_upper[0][0], ZERO)], *sampling,
-                         "constant-y surfaces are null"),
+        check_identities("chi_spans_dy_dp_only", [(comp, ZERO) for comp in cf.chi[2:]],
+                         pd.ode.domain, len(pd.points), pd.tol, pd.seed),
+        values_check("null_surface_gyy_upper", m.frame_at(pd.points).g_inv[:, 0, 0], 0.0, pd,
+                     "constant-y surfaces are null"),
     ]

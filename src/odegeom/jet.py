@@ -21,6 +21,7 @@ from .expr import (
     EvalError,
     Evaluator,
     Expr,
+    InputError,
     Pow,
     SampleDomain,
     Var,
@@ -38,7 +39,7 @@ JET_VARS_5 = ("x", "y", "p", "q", "r", "s")
 JET_VARS_4 = ("x", "y", "p", "q", "r")
 
 
-class JetError(Exception):
+class JetError(InputError):
     pass
 
 

@@ -48,6 +48,7 @@ from .expr import (
     EvalError,
     Evaluator,
     Expr,
+    InputError,
     ONE,
     Taylor,
     ZERO,
@@ -77,7 +78,7 @@ _LETTERS = {
 }
 
 
-class PentadError(Exception):
+class PentadError(InputError):
     pass
 
 

@@ -62,7 +62,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .expr import Evaluator, Expr, ExprError, Jet2, diff, free_variables, parse
+from .expr import Evaluator, Expr, ExprError, InputError, Jet2, diff, free_variables, parse
 from .geom import MetricField
 from .jet import JetOde
 from .report import CheckRecord
@@ -71,7 +71,7 @@ from .so3 import GTensor, hor_operator, mu_lambda
 COORDS = ("y", "p", "q", "r", "s")
 
 
-class RadonError(Exception):
+class RadonError(InputError):
     """`jet`: the index in its batch of the jet the error is about, if any."""
 
     def __init__(self, message: str, jet: Optional[int] = None):

@@ -6,7 +6,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
-from .expr import DEFAULT_SEED, EquivResult, Expr, SampleDomain, equiv_all, worst_sample
+import numpy as np
+
+from .expr import (
+    DEFAULT_SEED,
+    EquivResult,
+    Evaluator,
+    Expr,
+    SampleDomain,
+    equiv_all,
+    relative_residual,
+    worst_sample,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -91,6 +102,19 @@ def check_identities(
     certified by `equiv_all` on one shared sample set."""
     res = equiv_all(pairs, dom, n=samples, tol=tol, seed=seed)
     return CheckRecord.from_equiv(name, res, notes)
+
+
+def values_check(name: str, got, want, pd, notes: str = "") -> CheckRecord:
+    """One check of values at the solve's sample points `pd.points` against
+    the wanted ones, under the residual of `compare_values` and the solve's
+    tolerance and seed.  got has the point as its first axis; want is an
+    array that broadcasts against it, or a list of expressions, one per
+    value of a point in order, evaluated at the points."""
+    points = pd.points
+    if isinstance(want, list):
+        want = Evaluator(want).eval_points(points).T.reshape(np.shape(got))
+    return CheckRecord.from_residual(name, relative_residual(got, want), pd.tol, len(points),
+                                     pd.seed, notes, points=points)
 
 
 @dataclass

@@ -5,15 +5,15 @@ symmetric 4-index spinors over a 2-dimensional space, and the structure
 tensor is the six-epsilon contraction of three such blocks, evaluated
 exactly over the nonzero spinor components (on integer numerators over one
 common denominator, with `Fraction`s made of the results only), then
-symmetrised.  Its frame components are rational constants; coordinate
-components follow by coframe substitution on first use
-(`GTensor.coord_lower`), since only the symbolic checks read them: the
-numeric checks and the operator pair contract the frame components with
-the coframe of the metric's forward-mode pass (`GTensor.lower_at`).
-Everything the tensor is supposed to satisfy (trace-freeness, the quartic
-normalisation, parallelism, the curvature contractions, and the printed
-coordinate expansion of the associated second-order operator) is
-checked numerically at sample points against the curvature machinery.
+symmetrised.  Its frame components are rational constants.  Its coordinate
+components exist only at points: `GTensor.lower_at` contracts the frame
+components with the coframe of the metric's forward-mode pass, and
+`GTensor.derivative_at` with its first-order jets; no coordinate component
+is an expression.  Everything the tensor is supposed to satisfy
+(trace-freeness, the quartic normalisation, parallelism, the curvature
+contractions, and the printed coordinate expansion of the associated
+second-order operator) is checked numerically at sample points against the
+metric and curvature machinery.
 """
 
 from __future__ import annotations
@@ -28,22 +28,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import catalog
-from .expr import (
-    Const,
-    DEFAULT_REL_TOL,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    Evaluator,
-    ZERO,
-    add,
-    mul,
-)
+from .expr import DEFAULT_SEED, Evaluator, InputError
 from .geom import _K_LOWER as _K_PAIRING, MetricField, _point_max, curvature, sample_points
 from .pentad import PentadData
-from .report import CheckRecord, check_identities
+from .report import CheckRecord, values_check
 
 
-class So3Error(Exception):
+class So3Error(InputError):
     pass
 
 
@@ -201,35 +192,14 @@ def spinor_frame_data():
 
 @dataclass
 class GTensor:
-    """Frame components (exact rationals) and coordinate components of the
-    structure tensor, tied to the metric it is compatible with."""
+    """Frame components (exact rationals) of the structure tensor, and its
+    coordinate components at points, tied to the metric it is compatible
+    with."""
 
     m: MetricField
     ghat: tuple                  # 5x5x5 Fractions, totally symmetric
     ghat_raw_symmetric: bool     # was the unsymmetrised contraction already symmetric
     khat_matches_pairing: bool   # induced constant metric equals the frame pairing
-
-    @cached_property
-    def coord_lower(self) -> tuple:
-        """5x5x5 Exprs: G_abc over the moduli coordinates, by coframe
-        substitution.  Built on first use: only the symbolic so3 checks read
-        it, the operator pair takes the numeric `lower_at`."""
-        C = self.m.pd.coframe_rows
-        n = 5
-        coord = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    terms = []
-                    for i in range(n):
-                        for j in range(n):
-                            for k in range(n):
-                                v = self.ghat[i][j][k]
-                                if v == 0:
-                                    continue
-                                terms.append(mul(Const(v), C[i][a], C[j][b], C[k][c]))
-                    coord[a][b][c] = add(*terms) if terms else ZERO
-        return tuple(tuple(tuple(row) for row in blk) for blk in coord)
 
     @cached_property
     def ghat_np(self) -> np.ndarray:
@@ -327,21 +297,11 @@ def frame_constant_checks(G: GTensor) -> List[CheckRecord]:
     return checks
 
 
-def trace_checks_symbolic(
-    G: GTensor,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_REL_TOL,
-    seed: int = DEFAULT_SEED,
-) -> List[CheckRecord]:
-    """g^ab G_abc = 0 as coordinate identities."""
-    m = G.m
-    contractions = [
-        (add(*[mul(m.g_upper[a][b], G.coord_lower[a][b][c])
-               for a in range(5) for b in range(5)]), ZERO)
-        for c in range(5)
-    ]
-    return [check_identities("gtensor_trace_free_coordinates", contractions,
-                             m.ode.domain, samples, tol, seed)]
+def trace_checks(G: GTensor) -> List[CheckRecord]:
+    """g^ab G_abc = 0 in coordinates, at the solve's sample points."""
+    pd = G.m.pd
+    trace = np.einsum("kab,kabc->kc", G.m.frame_at(pd.points).g_inv, G.lower_at(pd.points))
+    return [values_check("gtensor_trace_free_coordinates", trace, 0.0, pd)]
 
 
 def _perm(T: np.ndarray, *axes: int) -> np.ndarray:

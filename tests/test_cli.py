@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from odegeom import expr, pentad, so3
+from odegeom import expr, jet, pentad, so3
 from odegeom.cli import Session, geom_suite, main, pentad_suite, radon_suite, run, so3_suite
 from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, Const, Evaluator
 from odegeom.jet import builtin, load_ode_file
@@ -380,20 +380,30 @@ def test_the_symbolic_frame_and_the_certification_are_built_only_when_read(
 
 
 def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
-        monkeypatch, metric_conics5, metric_gn5):
-    """Every metric derivative a report uses comes from the forward-mode
-    passes over the coframe program: no report compiles a partial of a
-    metric entry for evaluation, nor differentiates one again."""
+        monkeypatch, metric_conics5, metric_gn5, symbolic_g_lower):
+    """Every metric value a report uses comes from the forward-mode passes
+    over the coframe program: no report differentiates a metric entry, by
+    `diff` or `total_derivative`, nor compiles one or a partial of one for
+    evaluation."""
     differentiated, compiled = [], []
-    diff = expr.diff
+    diff, total_derivative = expr.diff, jet.total_derivative
 
     def recorded_diff(e, v):
         differentiated.append(e)
         return diff(e, v)
 
+    def recorded_total_derivative(e, ode):
+        differentiated.append(e)
+        return total_derivative(e, ode)
+
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "odegeom" and getattr(module, "diff", None) is diff:
-            monkeypatch.setattr(module, "diff", recorded_diff)
+        if name.split(".")[0] != "odegeom":
+            continue
+        for attr, fn, recorded in (("diff", diff, recorded_diff),
+                                   ("total_derivative", total_derivative,
+                                    recorded_total_derivative)):
+            if getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, recorded)
     init = Evaluator.__init__
 
     def recorded_init(self, exprs):
@@ -406,11 +416,50 @@ def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
         assert run(argv)[0] == 0
     assert differentiated and compiled
     for m in (metric_conics5, metric_gn5):
-        # nodes are interned: a partial built in a report is this very node
-        partials = {diff(e, c) for row in m.g_lower for e in row for c in m.coords}
+        # nodes are interned: an entry or a partial built in a report is
+        # this very node.  g_03 and g_04 are the coframe entries C[4][3] and
+        # C[4][4], which the coframe program compiles.
+        entries = {e for row in symbolic_g_lower(m) for e in row if not isinstance(e, Const)}
+        partials = {diff(e, c) for e in entries for c in m.coords}
         partials = {p for p in partials if not isinstance(p, Const)}
-        assert not partials & set(compiled)
-        assert not partials & set(differentiated)
+        coframe = {e for row in m.pd.coframe_rows for e in row}
+        assert not (entries - coframe | partials) & set(compiled)
+        assert not (entries | partials) & set(differentiated)
+
+
+# (file name, rhs, parent-code residuals of killing_prolongation and
+# first_integral_gyy): the constant -41/9 breaks the conics structure, and
+# x*r puts x into the coframe, so d_x g enters both rows
+_GEOM_CONTROLS = (
+    ("minus41.ode", "-(41/9)*r^3/q^2 + 5*r*s/q", 0.9893316662000922, 0.8699012772643892),
+    ("xdep.ode", "-(40/9)*r^3/q^2 + 5*r*s/q + x*r", 0.976745638767162, 0.976745638767162),
+)
+
+
+@pytest.mark.parametrize("filename, rhs, killing, gyy", _GEOM_CONTROLS,
+                         ids=[c[0] for c in _GEOM_CONTROLS])
+def test_geom_negative_controls_fail_the_flow_rows(tmp_path, filename, rhs, killing, gyy):
+    path = tmp_path / filename
+    path.write_text(f"name = control\norder = 5\nrhs = {rhs}\n")
+    code, text = run(["geom", "--ode", str(path), "--json"])
+    assert code == 1
+    rows = {row["name"]: row for row in json.loads(text)}
+    assert sorted(n for n, row in rows.items() if row["status"] != "pass") == [
+        "first_integral_gyy", "killing_prolongation"]
+    assert rows["killing_prolongation"]["max_residual"] == pytest.approx(killing, rel=1e-9)
+    assert rows["first_integral_gyy"]["max_residual"] == pytest.approx(gyy, rel=1e-9)
+
+
+def test_every_input_error_is_an_input_error():
+    # the command line catches InputError alone, and exits 2 on one
+    from odegeom import geom, radon
+    from odegeom.cli import UsageError
+    from odegeom.expr import ExprError, InputError, ParseError
+    from odegeom.jet import JetError
+    from odegeom.pentad import PentadError
+    for cls in (UsageError, JetError, ParseError, ExprError, PentadError, geom.GeomError,
+                so3.So3Error, radon.RadonError):
+        assert issubclass(cls, InputError), cls.__name__
 
 
 def test_radon_error_at_a_jet_the_user_did_not_give_names_it(capsys):

@@ -19,6 +19,7 @@ from odegeom.expr import (
     neg,
     parse,
     pow_,
+    relative_residual,
     var,
 )
 from odegeom.geom import (
@@ -46,33 +47,40 @@ def test_metric_requires_order5(pd_conics4):
         metric_from_frame(pd_conics4)
 
 
-def test_metric_upper_entries_conics5(metric_conics5, conics5):
-    dom = conics5.domain
-    g = metric_conics5.g_upper
-    assert equiv(g[2][2], parse("24*q^2"), dom).passed
-    assert equiv(g[3][3], parse("56*r^2 - 24*q*s"), dom).passed
-    assert equiv(g[0][4], parse("24*q^2"), dom).passed
-    assert equiv(g[0][0], ZERO, dom).passed
+def _assert_upper_entries(m, entries):
+    """g^ab at 50 sample points against the expressions of entries, a map
+    from (a, b) to text, under the residual of `equiv`."""
+    points = sample_points(m.ode, 50, DEFAULT_SEED)
+    g_inv = m.frame_at(points).g_inv
+    for (a, b), text in entries.items():
+        want = Evaluator([parse(text)]).eval_points(points)[0]
+        assert np.max(relative_residual(g_inv[:, a, b], want)) <= 1e-9, (a, b)
+
+
+def test_metric_upper_entries_conics5(metric_conics5):
+    _assert_upper_entries(metric_conics5, {(2, 2): "24*q^2", (3, 3): "56*r^2 - 24*q*s",
+                                           (0, 4): "24*q^2", (0, 0): "0"})
 
 
 def test_metric_upper_antidiagonal_at_unit_point(metric_conics5):
     point = {"q": 1.0, "r": 0.0, "s": 0.0, "y": 0.3, "p": 0.7, "x": 0.0}
-    flat = [metric_conics5.g_upper[a][b] for a in range(5) for b in range(5)]
-    vals = Evaluator(flat).eval_points([point]).reshape(5, 5)
+    [vals] = metric_conics5.frame_at([point]).g_inv
     expected = np.zeros((5, 5))
     for i, v in enumerate([24.0, -24.0, 24.0, -24.0, 24.0]):
         expected[i, 4 - i] = v
     assert np.max(np.abs(vals - expected)) < 1e-9
 
 
-def test_metric_upper_entry_gn5(metric_gn5, gn5):
-    assert equiv(metric_gn5.g_upper[4][4], parse("(40/3)*r^(-8/3)*s^4"), gn5.domain).passed
-    assert equiv(metric_gn5.g_upper[1][4], parse("-48*r^(1/3)*s"), gn5.domain).passed
+def test_metric_upper_entry_gn5(metric_gn5):
+    _assert_upper_entries(metric_gn5, {(4, 4): "(40/3)*r^(-8/3)*s^4",
+                                       (1, 4): "-48*r^(1/3)*s"})
 
 
-def test_equiv_all_matches_per_pair_equiv_on_metric_routes(metric_conics5, conics5):
-    route2 = metric_conics5.contravariant_from_pairing()
-    pairs = [(metric_conics5.g_upper[a][b], route2[a][b]) for a in range(5) for b in range(a, 5)]
+def test_equiv_all_matches_per_pair_equiv_on_metric_routes(
+        metric_conics5, conics5, symbolic_g_lower):
+    g = symbolic_g_lower(metric_conics5)
+    ref = catalog.matrix(catalog.for_ode("conics5")["metric_lower"])
+    pairs = [(g[a][b], ref[a][b]) for a in range(5) for b in range(a, 5)]
     singles = [equiv(e1, e2, conics5.domain) for e1, e2 in pairs]
     joint = equiv_all(pairs, conics5.domain)
     assert joint.max_residual == max(r.max_residual for r in singles)
@@ -120,9 +128,9 @@ def test_structure_checks_gn5(metric_gn5):
     _all_pass(structure_checks(metric_gn5))
 
 
-def test_first_integral_matches_catalog(metric_conics5, conics5):
+def test_first_integral_matches_catalog(metric_conics5, conics5, symbolic_g_lower):
     ref = catalog.expr(catalog.for_ode("conics5")["first_integral"])
-    assert equiv(metric_conics5.g_lower[0][0], ref, conics5.domain).passed
+    assert equiv(symbolic_g_lower(metric_conics5)[0][0], ref, conics5.domain).passed
 
 
 @pytest.fixture(scope="module")
@@ -214,19 +222,6 @@ def test_second_order_metric_matches_the_symbolic_table(metric, request, symboli
     # g, dg and g_inv are those of the first-order pass
     fr = m.frame_at(pts)
     assert (g is fr.g) and (dg is fr.dg) and (g_inv is fr.g_inv)
-
-
-def test_radon_suite_never_builds_the_symbolic_first_order_table(monkeypatch, conics5):
-    from odegeom import cli
-    from odegeom.geom import MetricField
-
-    def refuse(self):
-        raise AssertionError("symbolic metric built")
-
-    # without the symbolic metric, no table of its derivatives can be built
-    monkeypatch.setattr(MetricField, "g_lower", property(refuse))
-    report = cli.radon_suite(cli.Session(conics5, 50, 1e-9, 0x5EED))
-    assert report.checks and report.passed()
 
 
 def test_radon_report_runs_the_coframe_program_once_per_batch(monkeypatch, conics5):

@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odegeom import catalog, cli, so3
-from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, evaluate
+from odegeom import catalog, so3
+from odegeom.expr import DEFAULT_SEED, evaluate
 from odegeom.geom import sample_points
-from odegeom.jet import builtin
 from odegeom.so3 import (
     So3Error,
     _K_PAIRING,
@@ -21,7 +20,7 @@ from odegeom.so3 import (
     hor_operator,
     mu_lambda,
     spinor_frame_data,
-    trace_checks_symbolic,
+    trace_checks,
 )
 
 
@@ -130,17 +129,6 @@ def test_raw_symmetry_fails_on_an_asymmetric_contraction(monkeypatch, pd_conics5
     assert not build_G(pd_conics5, metric_conics5).ghat_raw_symmetric
 
 
-def test_coordinate_components_are_built_on_first_use():
-    session = cli.Session(builtin("conics5"), DEFAULT_SAMPLES, DEFAULT_REL_TOL, DEFAULT_SEED)
-    report = cli.radon_suite(session)
-    assert report.passed()
-    G = session.G
-    # the radon suite reads only ghat_np and lower_at
-    assert "coord_lower" not in G.__dict__
-    table = G.coord_lower
-    assert G.__dict__["coord_lower"] is table
-
-
 def test_requires_conics5(pd_gn5, metric_gn5):
     with pytest.raises(So3Error):
         build_G(pd_gn5, metric_gn5)
@@ -174,7 +162,7 @@ def test_sparse_frame_contractions_match_the_dense_loops(gtensor):
 
 
 def test_trace_free_coordinates(gtensor):
-    _all_pass(trace_checks_symbolic(gtensor))
+    _all_pass(trace_checks(gtensor))
 
 
 def test_identities(gtensor):
