@@ -28,9 +28,7 @@ from .expr import (
     DEFAULT_REL_TOL,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
-    Evaluator,
     InputError,
-    ZERO,
     parse,
 )
 from .jet import JetOde, builtin, builtin_names, resolve_ode
@@ -122,29 +120,14 @@ class Session:
         return so3.build_G(self.pd, self.metric)
 
 
-def _frame_at_samples(pd: pentad.PentadData) -> tuple:
-    """(L, letters, C): the rows, the coefficient letters and the coframe at
-    the solve's sample points.  Order 5 takes them from the numbers of the
-    residual certification, the coframe by forward substitution; order 4
-    evaluates the symbolic frame there, which its symplectic form is built
-    from, so that its checks certify that frame."""
-    if pd.n == 5:
-        v = pd.values
-        return v.lower, v.coefficients(), v.coframe()
-    n = pd.n
-    vals = Evaluator([e for row in pd.lower + pd.coframe_rows for e in row]
-                     + list(pd.coefficients.values())).eval_points(pd.points)
-    L, C = vals[:2 * n * n].reshape(2, n, n, -1)
-    return L, dict(zip(pd.coefficients, vals[2 * n * n:])), C
-
-
 def pentad_suite(s: Session) -> CheckReport:
     report = CheckReport()
     ode, pd = s.ode, s.pd
     n = ode.order
     sampling = (ode.domain, s.samples, s.tol, s.seed)
     cat = catalog.for_ode(ode.name)
-    lower, letters, coframe = _frame_at_samples(pd)
+    v = pd.values
+    lower, letters, coframe = v.lower, v.coefficients(), v.coframe()
 
     if cat:
         report.add(check_identities(catalog.p_check_name(ode.name),
@@ -170,26 +153,18 @@ def pentad_suite(s: Session) -> CheckReport:
                             np.eye(n), pd))
 
     if n == 4:
-        form = pentad.symplectic(pd)
+        omega, volume, closure, base_point = pentad.symplectic_at(pd)
         if cat and "symplectic" in cat:
-            coords = ode.coords
-            report.add(check_identities(
-                "symplectic_matches_expected",
-                [(form.matrix[coords.index(ca)][coords.index(cb)], catalog.expr(text))
-                 for (ca, cb), text in cat["symplectic"].items()],
-                *sampling))
-            report.add(check_identities(
-                "symplectic_wedge_square",
-                [(pentad.symplectic_volume_ratio(form), catalog.expr(cat["symplectic_volume"]))],
-                *sampling, "coefficient of the coordinate 4-volume"))
-        report.add(check_identities(
-            "symplectic_closed",
-            [(comp, ZERO) for _, comp in pentad.symplectic_closure_components(form)],
-            *sampling))
-        report.add(check_identities(
-            "symplectic_base_point_independent",
-            [(comp, ZERO) for _, comp in pentad.symplectic_x_invariance_components(form)],
-            *sampling))
+            rows, cols = zip(*((ode.coords.index(ca), ode.coords.index(cb))
+                               for ca, cb in cat["symplectic"]))
+            report.add(values_check(
+                "symplectic_matches_expected", omega[:, rows, cols],
+                [catalog.expr(text) for text in cat["symplectic"].values()], pd))
+            report.add(values_check(
+                "symplectic_wedge_square", volume, [catalog.expr(cat["symplectic_volume"])], pd,
+                "coefficient of the coordinate 4-volume"))
+        report.add(values_check("symplectic_closed", closure, 0.0, pd))
+        report.add(values_check("symplectic_base_point_independent", base_point, 0.0, pd))
     return report
 
 

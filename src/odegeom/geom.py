@@ -13,25 +13,24 @@ Levi-Civita, R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma Gamma,
 Ricci_cb = R^a_cab, R = g^cb Ricci_cb.
 
 No metric entry or derivative is an expression.  `MetricField.frame_at`
-runs the 25-entry coframe program once over a batch of points on `expr.Jet1`
-numbers, each point once per coordinate with a unit tangent, and so gets the
-coframe C and its partials dC exactly (forward mode; Griewank & Walther,
-Evaluating Derivatives, 2008).  Then d_c g = (d_c C)^T K C plus its
-transpose; the inverse and the Christoffel symbols follow in numpy.  The
-last batch is kept, so `christoffel_at`, `derivatives_at`,
-`x_derivative_at` and `so3.GTensor.lower_at` on the same points share one
+reads the coframe C and its partials dC from the one forward-mode pass of
+the solved frame over a batch of points (`pentad.PentadData.coframe_at`,
+on `expr.Jet1` numbers; Griewank & Walther, Evaluating Derivatives, 2008),
+the pass the order-4 two-form reads too.  Then d_c g = (d_c C)^T K C plus
+its transpose (`pentad.paired_at`); the inverse and the Christoffel symbols
+follow in numpy.  The last batch is kept, so `christoffel_at`,
+`derivatives_at` and `so3.GTensor.lower_at` on the same points share one
 pass.  Only curvature needs second derivatives: `derivatives_at` runs the
-program once more on `expr.Jet2` numbers seeded with the five unit
+coframe program once more on `expr.Jet2` numbers seeded with the five unit
 directions, and d_e d_c g = (d_e d_c C)^T K C + (d_e C)^T K (d_c C) plus
-its transpose.  Only a coframe that holds x has d_x g != 0, from one more
-pass along x (`x_derivative_at`).
+its transpose.  Only a coframe that holds x has d_x g != 0; the pass then
+runs each point once more along x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -49,13 +48,12 @@ from .expr import (
     add,
     diff,
     div,
-    free_variables,
     mul,
     neg,
     pow_,
 )
-from .jet import JetOde, prolongation, total_derivative
-from .pentad import PentadData
+from .jet import JetOde, total_derivative
+from .pentad import PentadData, along_flow, paired_at
 from .report import CheckRecord, check_identities, values_check
 
 # frame pairing constants for g = 2 e1.e5 - 8 e2.e4 + 6 e3.e3
@@ -74,8 +72,8 @@ class GeomError(InputError):
 
 class MetricField:
     """The metric over the moduli coordinates, numeric at a batch of points
-    (`frame_at`, `derivatives_at`, `x_derivative_at`), from the coframe
-    program."""
+    (`frame_at`, `derivatives_at`), from the coframe pass of the solved
+    frame (`PentadData.coframe_at`)."""
 
     def __init__(self, pd: PentadData):
         if pd.n != 5:
@@ -83,40 +81,25 @@ class MetricField:
         self.pd = pd
         self.ode = pd.ode
         self.coords = pd.ode.coords
-        self._frame: Optional[tuple] = None   # (points key, FrameAtPoints)
+        self._frame: Optional[tuple] = None   # (coframe batch, FrameAtPoints)
 
     # -- numeric evaluation ----------------------------------------------------
 
-    @cached_property
-    def _coframe_ev(self) -> Evaluator:
-        C = self.pd.coframe_rows
-        return Evaluator([C[i][a] for i in range(5) for a in range(5)])
-
     def frame_at(self, points: Sequence[Dict[str, float]]) -> "FrameAtPoints":
         """Coframe, metric and Christoffel symbols at a batch of points, from
-        one forward-mode pass over the coframe program (each point once per
-        coordinate, seeded with the unit tangent).  The last batch is kept,
-        so the callers that read the same points share the pass."""
-        key = tuple(tuple(sorted(pt.items())) for pt in points)
-        if self._frame is not None and self._frame[0] == key:
+        the coframe pass of `PentadData.coframe_at`: g = C^T K C and its
+        partials.  The frame of the last batch is kept with its pass, so the
+        callers that read the same points share both."""
+        coframe = self.pd.coframe_at(points)
+        if self._frame is not None and self._frame[0] is coframe:
             return self._frame[1]
-        n, count = 5, len(points)
-        tangents = [{c: 1.0} for c in self.coords]
-        jets = self._coframe_ev.eval_points([pt for pt in points for _ in range(n)],
-                                            tangents * count)
-        # rows are the entries C[i][a], columns the points, coordinate-minor
-        C = jets.val.reshape(n, n, count, n)[..., 0].transpose(2, 0, 1)
-        dC = jets.der.reshape(n, n, count, n).transpose(2, 3, 0, 1)
-        KC = _K @ C
-        CtKC = np.swapaxes(C, 1, 2) @ KC
-        g = 0.5 * (CtKC + np.swapaxes(CtKC, 1, 2))
-        X = np.swapaxes(dC, 2, 3) @ KC[:, None]
-        dg = X + np.swapaxes(X, 2, 3)
+        g, dg, dxg = paired_at(coframe, _K)
         g_inv = np.linalg.inv(g)
-        frame = FrameAtPoints(C, dC, g, dg, g_inv, _christoffel(g_inv, dg))
+        frame = FrameAtPoints(*coframe[:2], g, dg, dxg, g_inv, _christoffel(g_inv, dg))
         for arr in vars(frame).values():
-            arr.flags.writeable = False  # shared by every reader of the batch
-        self._frame = (key, frame)
+            if arr is not None:
+                arr.flags.writeable = False  # shared by every reader of the batch
+        self._frame = (coframe, frame)
         return frame
 
     def derivatives_at(self, points: Sequence[Dict[str, float]]):
@@ -127,22 +110,12 @@ class MetricField:
         fr = self.frame_at(points)
         n, count = 5, len(points)
         seeds = dict(zip(self.coords, np.eye(n)))
-        hess = self._coframe_ev.eval_points(points, [seeds] * count, second_order=True).hess
+        hess = self.pd.coframe_program.eval_points(points, [seeds] * count,
+                                                   second_order=True).hess
         ddC = np.moveaxis(hess.reshape(n, n, n, n, count), -1, 0)   # [k, e, c, i, a]
         X = (np.swapaxes(ddC, 3, 4) @ (_K @ fr.C)[:, None, None]
              + np.swapaxes(fr.dC, 2, 3)[:, :, None] @ (_K @ fr.dC)[:, None])
         return fr.g, fr.dg, X + np.swapaxes(X, 3, 4), fr.g_inv
-
-    def x_derivative_at(self, points: Sequence[Dict[str, float]]) -> np.ndarray:
-        """d_x g_ab at a batch of points (leading point axis), at fixed
-        moduli coordinates: zero unless the coframe holds x, else from one
-        forward-mode pass over the coframe program along x."""
-        count = len(points)
-        if not any("x" in free_variables(e) for e in self._coframe_ev.exprs):
-            return np.zeros((count, 5, 5))
-        dxC = self._coframe_ev.eval_points(points, [{"x": 1.0}] * count).der
-        X = dxC.reshape(5, 5, count).transpose(2, 1, 0) @ (_K @ self.frame_at(points).C)
-        return X + np.swapaxes(X, 1, 2)
 
     def christoffel_at(self, points: Sequence[Dict[str, float]]):
         """(g, dg, g_inv, gamma) at a batch of points from `frame_at`, each
@@ -155,12 +128,15 @@ class MetricField:
 class FrameAtPoints:
     """First-order geometry at a batch of points, leading axis the point:
     C[k, i, a] the coframe, dC[k, c, i, a] = d_c C_ia, the metric g, its
-    partials dg[k, c, a, b], g_inv and gamma[k, d, a, b] = Gamma^d_ab."""
+    partials dg[k, c, a, b], dxg[k, a, b] = d_x g_ab at fixed coordinates
+    (None unless the coframe holds x), g_inv and gamma[k, d, a, b] =
+    Gamma^d_ab."""
 
     C: np.ndarray
     dC: np.ndarray
     g: np.ndarray
     dg: np.ndarray
+    dxg: Optional[np.ndarray]
     g_inv: np.ndarray
     gamma: np.ndarray
 
@@ -361,17 +337,9 @@ def structure_checks(m: MetricField) -> List[CheckRecord]:
         0.0, 0.0, len(pts), seed + 1,
         "eigenvalues of g split 3 positive / 2 negative at sample points"))
 
-    # the shift field V^c and dV[k, a, c] = d_a V^c, from one forward-mode
-    # pass (each point once per coordinate, seeded with the unit tangent)
-    n, count = 5, len(pd.points)
-    jets = Evaluator(list(prolongation(ode).components)).eval_points(
-        [pt for pt in pd.points for _ in range(n)], [{c: 1.0} for c in ode.coords] * count)
-    V = jets.val.reshape(n, count, n)[..., 0].T
-    dV = jets.der.reshape(n, count, n).transpose(1, 2, 0)
+    # g_ab along the solutions, and its Lie derivative along the shift field
     fr = m.frame_at(pd.points)
-    # d_x g_ab + V^c d_c g_ab: the derivative of g_ab along the solutions
-    along = m.x_derivative_at(pd.points) + np.einsum("kc,kcab->kab", V, fr.dg)
-    lie = along + np.einsum("kcb,kac->kab", fr.g, dV) + np.einsum("kac,kbc->kab", fr.g, dV)
+    along, lie = along_flow(pd, fr.g, fr.dg, fr.dxg)
     checks.append(values_check("killing_prolongation", lie, 0.0, pd,
                                "Lie derivative of g along the shift field vanishes"))
     checks.append(values_check("first_integral_gyy", along[:, 0, 0], 0.0, pd,

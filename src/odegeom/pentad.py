@@ -25,18 +25,25 @@ one series pass (`Evaluator.eval_points` on `Taylor` numbers, seeded with
 `_frame_rows` and `_dyad_shift` on those numbers give row k to degree
 n - k, the last shift to degree 0, and so the n equations at the points
 (`frame_values`).  No expression of a row with the solved Q is built for
-that.  The rows as expressions feed the coefficient letters, the coframe
-and the metric: `PentadData` builds them on first read (the metric, the
-structure tensor and the order-4 symplectic form read them), and it
-certifies the residual identities on first read too.  The Q solve stays
-symbolic: the rows at the constant Q = 0 and Q = 1 and one slot of their
-last shifts.
+that.  The rows as expressions feed the coefficient letters and the
+coframe program: `PentadData` builds them on first read, and it certifies
+the residual identities on first read too.  The Q solve stays symbolic: the
+rows at the constant Q = 0 and Q = 1 and one slot of their last shifts.
+
+Both orders have one frame-at-points path: `PentadData.coframe_at` gets
+the coframe C and its partials exactly from one forward-mode pass of the
+coframe program on `expr.Jet1` numbers, and `paired_at` turns a constant
+pairing M into C^T M C and its partials: at order 5 the metric (geom), at
+order 4 the two-form omega = e^1 ^ e^4 - 3 e^2 ^ e^3 (`symplectic_at`).
+Its closure and base-point independence (d_x omega + L_V omega = 0, the
+expression of the metric's Killing row, `along_flow`) are checked on
+those values; no entry of omega is an expression.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -57,6 +64,7 @@ from .expr import (
     diff,
     div,
     equiv,
+    free_variables,
     mul,
     neg,
     pow_,
@@ -115,7 +123,8 @@ class PentadData:
     """Solved frame data: P and Q, and what is built from them on first
     read: the change of basis between coordinate differentials and the
     dyad-induced basis as expressions, and its values and the residual
-    certification at the solve's sample points."""
+    certification at the solve's sample points; and the coframe with its
+    partials at any batch of points (`coframe_at`)."""
 
     ode: JetOde
     P: Expr
@@ -123,6 +132,8 @@ class PentadData:
     points: tuple   # the solve's sample points
     tol: float
     seed: int
+    # the last batch of `coframe_at`: (points key, (C, dC, dxC))
+    _coframe_batch: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -137,6 +148,38 @@ class PentadData:
     def coframe_rows(self) -> tuple:
         """C[i][a]: e^i = sum_a C[i][a] d(coord_a), as expressions."""
         return _invert_lower(self.lower)
+
+    @cached_property
+    def coframe_program(self) -> Evaluator:
+        """The n * n coframe entries C[i][a], row-major, compiled once: the
+        program of every forward-mode pass at points."""
+        return Evaluator([e for row in self.coframe_rows for e in row])
+
+    def coframe_at(self, points: Sequence[dict]) -> tuple:
+        """(C, dC, dxC) at a batch of points, leading axis the point: the
+        coframe C[k, i, a], dC[k, c, i, a] = d_c C_ia over the coordinates
+        and dxC[k, i, a] = d_x C_ia at fixed coordinates, None unless the
+        coframe holds x.  One forward-mode pass over the coframe program
+        gives them: each point once per coordinate, seeded with the unit
+        tangent, and once more along x when the coframe holds x.  The last
+        batch is kept, so the readers of the same points share the pass."""
+        key = tuple(tuple(sorted(pt.items())) for pt in points)
+        if self._coframe_batch and self._coframe_batch[0] == key:
+            return self._coframe_batch[1]
+        n, count = self.n, len(points)
+        tangents = [{c: 1.0} for c in self.ode.coords]
+        if any("x" in free_variables(e) for e in self.coframe_program.exprs):
+            tangents.append({"x": 1.0})
+        d = len(tangents)
+        jets = self.coframe_program.eval_points([pt for pt in points for _ in range(d)],
+                                                tangents * count)
+        # rows are the entries C[i][a], columns the points, tangent-minor
+        C = jets.val.reshape(n, n, count, d)[..., 0].transpose(2, 0, 1)
+        der = jets.der.reshape(n, n, count, d).transpose(2, 3, 0, 1)
+        for arr in (C, der):
+            arr.flags.writeable = False  # shared by every reader of the batch
+        self._coframe_batch[:] = (key, (C, der[:, :n], der[:, n] if d > n else None))
+        return self._coframe_batch[1]
 
     @cached_property
     def coefficients(self) -> dict:
@@ -360,77 +403,72 @@ def _invert_lower(rows: Sequence[Sequence[Expr]]) -> tuple:
     return tuple(tuple(r) for r in C)
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Antisymmetric matrix of the two-form on the order-4 moduli space."""
-
-    pd: PentadData
-    matrix: tuple  # n x n Exprs, antisymmetric by construction
+# ---------------------------------------------------------------------------
+# constant pairings of the coframe at points
 
 
-def symplectic(pd: PentadData) -> SymplecticForm:
-    """The closed two-form e^1 ^ e^4 - 3 e^2 ^ e^3 in coordinates."""
+def paired_at(coframe: tuple, M: np.ndarray, combine=np.add) -> tuple:
+    """(t, dt, dxt) for t = C^T M C at the points of a `coframe_at` batch,
+    M a constant pairing, symmetric (combine np.add) or antisymmetric
+    (np.subtract): t[k, a, b], dt[k, c, a, b] = (d_c C^T M C + C^T M d_c C)_ab
+    and dxt[k, a, b] = d_x t_ab, None when dxC is.  Each combines X and its
+    transpose (X = C^T M C, d C^T M C), so t is exactly symmetric or
+    antisymmetric."""
+    C, dC, dxC = coframe
+    MC = M @ C
+    X = np.swapaxes(C, 1, 2) @ MC
+    t = 0.5 * combine(X, np.swapaxes(X, 1, 2))
+    X = np.swapaxes(dC, 2, 3) @ MC[:, None]
+    dt = combine(X, np.swapaxes(X, 2, 3))
+    if dxC is None:
+        return t, dt, None
+    X = np.swapaxes(dxC, 1, 2) @ MC
+    return t, dt, combine(X, np.swapaxes(X, 1, 2))
+
+
+def along_flow(pd: PentadData, t: np.ndarray, dt: np.ndarray,
+               dxt: Optional[np.ndarray]) -> tuple:
+    """(along, lie) for a two-tensor t at the solve's sample points, with
+    its partials dt and dxt as `paired_at` gives them: the derivative along
+    the solutions, along = d_x t_ab + V^c d_c t_ab, and d_x t plus the Lie
+    derivative of t along the prolongation field V, lie = along + t_cb d_a V^c
+    + t_ac d_b V^c.  V and d_a V^c come from one forward-mode pass of the
+    field (each point once per coordinate, seeded with the unit tangent)."""
+    n, count = pd.n, len(pd.points)
+    jets = Evaluator(list(prolongation(pd.ode).components)).eval_points(
+        [pt for pt in pd.points for _ in range(n)], [{c: 1.0} for c in pd.ode.coords] * count)
+    V = jets.val.reshape(n, count, n)[..., 0].T
+    dV = jets.der.reshape(n, count, n).transpose(1, 2, 0)   # [k, a, c] = d_a V^c
+    along = np.einsum("kc,kcab->kab", V, dt)
+    if dxt is not None:
+        along = dxt + along
+    lie = along + np.einsum("kcb,kac->kab", t, dV) + np.einsum("kac,kbc->kab", t, dV)
+    return along, lie
+
+
+# ---------------------------------------------------------------------------
+# the closed two-form of the order-4 moduli space
+
+# omega = e^1 ^ e^4 - 3 e^2 ^ e^3 = C^T J C: the constant antisymmetric pairing
+_J = np.array([[0.0, 0.0, 0.0, 1.0],
+               [0.0, 0.0, -3.0, 0.0],
+               [0.0, 3.0, 0.0, 0.0],
+               [-1.0, 0.0, 0.0, 0.0]])
+
+
+def symplectic_at(pd: PentadData) -> tuple:
+    """(omega, volume, closure, base_point) at the solve's sample points,
+    leading axis the point, from the coframe pass: omega[k, a, b] = C^T J C
+    over the coordinates; the coefficient of the coordinate 4-volume in
+    omega ^ omega; the four components of d omega (coordinates a < b < c),
+    with d_c omega = d_c C^T J C + C^T J d_c C; and the six of
+    d_x omega + L_V omega (a < b), V the prolongation field.  The last two
+    vanish when omega is closed and does not depend on the base point."""
     if pd.n != 4:
         raise PentadError("the symplectic form is an order-4 construction")
-    C = pd.coframe_rows
-    n = 4
-    mat = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            entry = add(
-                mul(C[0][a], C[3][b]),
-                neg(mul(C[0][b], C[3][a])),
-                mul(Const(-3), C[1][a], C[2][b]),
-                mul(Const(3), C[1][b], C[2][a]),
-            )
-            mat[a][b] = entry
-            mat[b][a] = neg(entry)
-    return SymplecticForm(pd, tuple(tuple(r) for r in mat))
-
-
-def symplectic_closure_components(form: SymplecticForm) -> list:
-    """The four independent components of the exterior derivative."""
-    coords = form.pd.ode.coords
-    out = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            for c in range(b + 1, 4):
-                comp = add(
-                    diff(form.matrix[b][c], coords[a]),
-                    neg(diff(form.matrix[a][c], coords[b])),
-                    diff(form.matrix[a][b], coords[c]),
-                )
-                out.append(((coords[a], coords[b], coords[c]), comp))
-    return out
-
-
-def symplectic_volume_ratio(form: SymplecticForm) -> Expr:
-    """Coefficient of the 4-volume in the wedge square: 2(O_01 O_23 - O_02 O_13 + O_03 O_12)."""
-    m = form.matrix
-    return mul(
-        Const(2),
-        add(
-            mul(m[0][1], m[2][3]),
-            neg(mul(m[0][2], m[1][3])),
-            mul(m[0][3], m[1][2]),
-        ),
-    )
-
-
-def symplectic_x_invariance_components(form: SymplecticForm) -> list:
-    """Residuals of d/dx O_ab + (Lie_V O)_ab for the prolongation field V;
-    identically zero expressions certify that the form does not depend on the
-    base-point choice."""
-    ode = form.pd.ode
-    coords = ode.coords
-    V = prolongation(ode).components
-    out = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            terms = [diff(form.matrix[a][b], "x")]
-            for cidx, ccoord in enumerate(coords):
-                terms.append(mul(V[cidx], diff(form.matrix[a][b], ccoord)))
-                terms.append(mul(form.matrix[cidx][b], diff(V[cidx], coords[a])))
-                terms.append(mul(form.matrix[a][cidx], diff(V[cidx], coords[b])))
-            out.append(((coords[a], coords[b]), add(*terms)))
-    return out
+    w, dw, dxw = paired_at(pd.coframe_at(pd.points), _J, np.subtract)
+    volume = 2.0 * (w[:, 0, 1] * w[:, 2, 3] - w[:, 0, 2] * w[:, 1, 3] + w[:, 0, 3] * w[:, 1, 2])
+    a, b, c = np.array(list(itertools.combinations(range(4), 3))).T
+    closure = dw[:, a, b, c] - dw[:, b, a, c] + dw[:, c, a, b]
+    upper = np.triu_indices(4, 1)
+    return w, volume, closure, along_flow(pd, w, dw, dxw)[1][:, upper[0], upper[1]]

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
-from odegeom.expr import Const, add, diff, mul
+from odegeom.expr import ZERO, Const, add, diff, mul, neg
 from odegeom.geom import _K_LOWER, metric_from_frame
-from odegeom.jet import builtin
+from odegeom.jet import builtin, prolongation
 from odegeom.pentad import solve_pentad
 from odegeom.so3 import build_G
 
@@ -73,6 +75,46 @@ def symbolic_metric_tables():
         dg = [diff(e, c) for c in m.coords for e in g]
         return g, dg, [diff(d, c) for c in m.coords for d in dg]
     return tables
+
+
+def _symbolic_two_form(pd, j12=-3):
+    """omega = e^1 ^ e^4 + j12 e^2 ^ e^3 of an order-4 frame as expressions
+    (the closed two-form at j12 = -3):
+    the antisymmetric matrix over the coordinates; the four components of
+    d omega (coordinates a < b < c); the coefficient of the coordinate
+    4-volume in omega ^ omega; and the six components of d_x omega + L_V
+    omega (a < b), V the prolongation field."""
+    C, coords = pd.coframe_rows, pd.ode.coords
+    mat = [[ZERO] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            entry = add(mul(C[0][a], C[3][b]), neg(mul(C[0][b], C[3][a])),
+                        mul(Const(j12), C[1][a], C[2][b]), mul(Const(-j12), C[1][b], C[2][a]))
+            mat[a][b], mat[b][a] = entry, neg(entry)
+    closure = [add(diff(mat[b][c], coords[a]), neg(diff(mat[a][c], coords[b])),
+                   diff(mat[a][b], coords[c]))
+               for a in range(4) for b in range(a + 1, 4) for c in range(b + 1, 4)]
+    volume = mul(Const(2), add(mul(mat[0][1], mat[2][3]), neg(mul(mat[0][2], mat[1][3])),
+                               mul(mat[0][3], mat[1][2])))
+    V = prolongation(pd.ode).components
+    x_invariance = []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            terms = [diff(mat[a][b], "x")]
+            for c, coord in enumerate(coords):
+                terms += [mul(V[c], diff(mat[a][b], coord)),
+                          mul(mat[c][b], diff(V[c], coords[a])),
+                          mul(mat[a][c], diff(V[c], coords[b]))]
+            x_invariance.append(add(*terms))
+    return SimpleNamespace(matrix=mat, closure=closure, volume=volume, x_invariance=x_invariance)
+
+
+@pytest.fixture(scope="session")
+def symbolic_two_form():
+    """For an order-4 frame: its two-form and the closure, volume and
+    x-invariance components as expressions, the oracle of the numeric
+    symplectic rows; the program builds no symbolic two-form."""
+    return _symbolic_two_form
 
 
 @pytest.fixture(scope="session")

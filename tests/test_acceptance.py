@@ -21,13 +21,7 @@ from odegeom.geom import (
     structure_checks,
 )
 from odegeom.jet import JetOde, builtin
-from odegeom.pentad import (
-    solve_pentad,
-    symplectic,
-    symplectic_closure_components,
-    symplectic_volume_ratio,
-    symplectic_x_invariance_components,
-)
+from odegeom.pentad import solve_pentad
 from odegeom.radon import (
     RadonConfig,
     _fd_gradient,
@@ -169,26 +163,22 @@ def test_criterion_09_radon_verification(gtensor, metric_conics5):
             f"({elapsed:.1f}s) " + (d or lam_note))
 
 
-def test_criterion_10_symplectic_form(pd_conics4, conics4):
+def test_criterion_10_symplectic_form(pd_conics4, conics4, symbolic_two_form):
     t0 = time.perf_counter()
-    form = symplectic(pd_conics4)
+    form = symbolic_two_form(pd_conics4)
     dom = conics4.domain
     coords = conics4.coords
     ok = True
     for (ca, cb), text in catalog.for_ode("conics4")["symplectic"].items():
         a, b = coords.index(ca), coords.index(cb)
         ok = ok and equiv(form.matrix[a][b], catalog.expr(text), dom).passed
-    ok = ok and all(
-        equiv(c, ZERO, dom).passed for _, c in symplectic_closure_components(form)
-    )
+    ok = ok and all(equiv(c, ZERO, dom).passed for c in form.closure)
     ok = ok and equiv(
-        symplectic_volume_ratio(form),
+        form.volume,
         catalog.expr(catalog.for_ode("conics4")["symplectic_volume"]),
         dom,
     ).passed
-    ok = ok and all(
-        equiv(c, ZERO, dom).passed for _, c in symplectic_x_invariance_components(form)
-    )
+    ok = ok and all(equiv(c, ZERO, dom).passed for c in form.x_invariance)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
     _report(10, "two-form: printed entries, closure, wedge square, base point", ok,

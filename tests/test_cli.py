@@ -380,12 +380,14 @@ def test_the_symbolic_frame_and_the_certification_are_built_only_when_read(
 
 
 def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
-        monkeypatch, metric_conics5, metric_gn5, symbolic_g_lower):
+        monkeypatch, metric_conics5, metric_gn5, pd_conics4, symbolic_g_lower, symbolic_two_form):
     """Every metric value a report uses comes from the forward-mode passes
     over the coframe program: no report differentiates a metric entry, by
     `diff` or `total_derivative`, nor compiles one or a partial of one for
-    evaluation."""
-    differentiated, compiled = [], []
+    evaluation.  The order-4 pentad report takes its two-form from the same
+    passes: it builds no entry of the form or partial of one, and runs no
+    plain pass over the rows."""
+    differentiated, compiled, plain = [], [], []
     diff, total_derivative = expr.diff, jet.total_derivative
 
     def recorded_diff(e, v):
@@ -404,13 +406,19 @@ def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
                                     recorded_total_derivative)):
             if getattr(module, attr, None) is fn:
                 monkeypatch.setattr(module, attr, recorded)
-    init = Evaluator.__init__
+    init, eval_points = Evaluator.__init__, Evaluator.eval_points
 
     def recorded_init(self, exprs):
         init(self, exprs)
         compiled.extend(self.exprs)
 
+    def recorded_eval_points(self, points, tangents=None, second_order=False, series=False):
+        if tangents is None:
+            plain.extend(self.exprs)
+        return eval_points(self, points, tangents, second_order, series)
+
     monkeypatch.setattr(Evaluator, "__init__", recorded_init)
+    monkeypatch.setattr(Evaluator, "eval_points", recorded_eval_points)
     for argv in (["all", "--ode", "conics5"], ["all", "--ode", "gn5"],
                  ["geom", "--ode", "gn5", "--point", "y=1,p=0.5,q=1.5,r=0.7,s=0.3"]):
         assert run(argv)[0] == 0
@@ -425,6 +433,32 @@ def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
         coframe = {e for row in m.pd.coframe_rows for e in row}
         assert not (entries - coframe | partials) & set(compiled)
         assert not (entries | partials) & set(differentiated)
+
+    # every node the order-4 report builds or looks up passes `_interned`
+    built = []
+    interned = expr._interned
+
+    def recorded_interned(cls, key, children, **fields):
+        node = interned(cls, key, children, **fields)
+        built.append(node)
+        return node
+
+    monkeypatch.setattr(expr, "_interned", recorded_interned)
+    for log in (differentiated, compiled, plain):
+        log.clear()
+    assert run(["pentad", "--ode", "conics4"])[0] == 0
+    monkeypatch.setattr(expr, "_interned", interned)
+    assert built and compiled and plain
+    form = symbolic_two_form(pd_conics4)
+    entries = {e for row in form.matrix for e in row if not isinstance(e, Const)}
+    partials = {diff(e, c) for e in entries for c in ("x",) + pd_conics4.ode.coords}
+    partials = {p for p in partials if not isinstance(p, Const)}
+    # omega_yr is C[3][3], an entry of the coframe program
+    coframe = {e for row in pd_conics4.coframe_rows for e in row}
+    assert entries & coframe and not (entries - coframe | partials) & set(built)
+    assert not (entries | partials) & set(differentiated)
+    rows = {e for row in pd_conics4.lower for e in row if not isinstance(e, Const)}
+    assert rows and not rows & set(plain)
 
 
 # (file name, rhs, parent-code residuals of killing_prolongation and

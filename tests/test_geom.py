@@ -244,7 +244,7 @@ def test_radon_report_runs_the_coframe_program_once_per_batch(monkeypatch, conic
     monkeypatch.setattr(radon, "verify_system", counted_verify_system)
     session = cli.Session(conics5, 50, 1e-9, 0x5EED)
     assert cli.radon_suite(session).passed()
-    coframe = session.metric._coframe_ev
+    coframe = session.pd.coframe_program
     assert len(verify_calls) == 1
     assert [tangents for ev, tangents in calls if ev is coframe] == [True]
 

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from odegeom import catalog, pentad
+from odegeom import catalog, cli, pentad
 from odegeom.expr import (
     DEFAULT_SEED,
     ZERO,
@@ -16,6 +18,7 @@ from odegeom.expr import (
     equiv_each,
     mul,
     parse,
+    relative_residual,
 )
 from odegeom.jet import JetOde, builtin, load_ode_file
 from odegeom.pentad import (
@@ -23,10 +26,7 @@ from odegeom.pentad import (
     _build_rows,
     frame_values,
     solve_pentad,
-    symplectic,
-    symplectic_closure_components,
-    symplectic_volume_ratio,
-    symplectic_x_invariance_components,
+    symplectic_at,
 )
 
 W = "(x*p - y)"
@@ -157,12 +157,12 @@ def test_frame_is_lower_transpose(pd_gn5):
 
 def test_symplectic_requires_order4(pd_conics5):
     with pytest.raises(PentadError):
-        symplectic(pd_conics5)
+        symplectic_at(pd_conics5)
 
 
 @pytest.fixture(scope="module")
-def omega(pd_conics4):
-    return symplectic(pd_conics4)
+def omega(pd_conics4, symbolic_two_form):
+    return symbolic_two_form(pd_conics4)
 
 
 def test_symplectic_matches_catalog(omega, conics4):
@@ -174,23 +174,80 @@ def test_symplectic_matches_catalog(omega, conics4):
 
 
 def test_symplectic_closed(omega, conics4):
-    for _, comp in symplectic_closure_components(omega):
+    for comp in omega.closure:
         assert equiv(comp, ZERO, conics4.domain).passed
 
 
 def test_symplectic_wedge_square(omega, conics4):
     ref = catalog.expr(catalog.for_ode("conics4")["symplectic_volume"])
-    assert equiv(symplectic_volume_ratio(omega), ref, conics4.domain).passed
+    assert equiv(omega.volume, ref, conics4.domain).passed
 
 
 def test_symplectic_base_point_independence(omega, conics4):
-    for _, comp in symplectic_x_invariance_components(omega):
+    for comp in omega.x_invariance:
         assert equiv(comp, ZERO, conics4.domain).passed
 
 
-def test_antisymmetry_exact(omega):
+def test_antisymmetry_exact(omega, pd_conics4):
+    w = symplectic_at(pd_conics4)[0]
+    assert np.array_equal(w, -np.swapaxes(w, 1, 2))
     for a in range(4):
         assert omega.matrix[a][a] is ZERO
+        assert not w[:, a, a].any()
+
+
+def _order4_user_ode(tmp_path):
+    """An order-4 equation with no catalogue entry; its first residual
+    identity fails, its two-form is closed."""
+    path = tmp_path / "user4.ode"
+    path.write_text("name = user4\norder = 4\nrhs = (5/4)*r^2/q\n")
+    return load_ode_file(path)
+
+
+def _two_form_against_the_oracle(pd, oracle):
+    """The numeric omega, volume, closure and base-point arrays at the
+    solve's points, and the oracle's values there, each pair as
+    (got, want) with the point on the first axis."""
+    omega, volume, closure, base_point = symplectic_at(pd)
+    want = Evaluator([e for row in oracle.matrix for e in row] + [oracle.volume]
+                     + oracle.closure + oracle.x_invariance).eval_points(pd.points).T
+    return [(omega, want[:, :16].reshape(-1, 4, 4)), (volume, want[:, 16]),
+            (closure, want[:, 17:21]), (base_point, want[:, 21:])]
+
+
+@pytest.mark.parametrize("ode_name", ["conics4", "user4"])
+def test_numeric_two_form_matches_the_symbolic_oracle(
+        ode_name, pd_conics4, tmp_path, symbolic_two_form):
+    pd = pd_conics4 if ode_name == "conics4" else solve_pentad(_order4_user_ode(tmp_path))
+    for got, want in _two_form_against_the_oracle(pd, symbolic_two_form(pd)):
+        assert got.shape == want.shape
+        assert np.max(relative_residual(got, want)) <= 1e-12
+
+
+def test_perturbed_pairing_fails_the_symplectic_rows_as_the_oracle_does(
+        monkeypatch, pd_conics4, symbolic_two_form):
+    # J_12 = -2 for -3: omega = e^1 ^ e^4 - 2 e^2 ^ e^3 is neither closed
+    # nor the catalogued form, and the numeric arrays still agree with the
+    # oracle's, now far from 0
+    J = pentad._J.copy()
+    J[1, 2], J[2, 1] = -2.0, 2.0
+    monkeypatch.setattr(pentad, "_J", J)
+    oracle = symbolic_two_form(pd_conics4, j12=-2)
+    pairs = _two_form_against_the_oracle(pd_conics4, oracle)
+    for got, want in pairs:
+        assert np.max(relative_residual(got, want)) <= 1e-12
+    code, text = cli.run(["pentad", "--ode", "conics4", "--json"])
+    assert code == 1
+    rows = {row["name"]: row for row in json.loads(text)}
+    assert sorted(n for n, row in rows.items() if row["status"] != "pass") == [
+        "symplectic_base_point_independent", "symplectic_closed",
+        "symplectic_matches_expected", "symplectic_wedge_square"]
+    # each residual row reports the oracle's largest residual against 0
+    for name, (_, want) in (("symplectic_closed", pairs[2]),
+                            ("symplectic_base_point_independent", pairs[3])):
+        ref = np.max(relative_residual(want, 0.0))
+        assert ref > 0.1
+        assert rows[name]["max_residual"] == pytest.approx(ref, rel=1e-9)
 
 
 # -- the coefficient equations in numbers, against the symbolic last shift --
