@@ -32,7 +32,7 @@ from .expr import (
     parse,
 )
 from .jet import JetOde, builtin, builtin_names, resolve_ode
-from .report import CheckRecord, CheckReport, check_identities, values_check
+from .report import CheckReport, values_check
 
 
 class UsageError(InputError):
@@ -99,7 +99,9 @@ def _sample_count(text: str) -> int:
 class Session:
     """One equation and the run settings.  Each pipeline stage (the solved
     frame, the metric, the structure tensor) is computed on first use and
-    then shared by every suite of the run."""
+    then shared by every suite of the run.  The solved frame carries the
+    sample points, tolerance and seed, and every sampled row reads them
+    from it."""
 
     ode: JetOde
     samples: int
@@ -124,16 +126,14 @@ def pentad_suite(s: Session) -> CheckReport:
     report = CheckReport()
     ode, pd = s.ode, s.pd
     n = ode.order
-    sampling = (ode.domain, s.samples, s.tol, s.seed)
     cat = catalog.for_ode(ode.name)
     v = pd.values
     lower, letters, coframe = v.lower, v.coefficients(), v.coframe()
 
     if cat:
-        report.add(check_identities(catalog.p_check_name(ode.name),
-                                    [(pd.P, catalog.expr(cat["P"]))], *sampling))
-        report.add(check_identities("Q_matches_expected",
-                                    [(pd.Q, catalog.expr(cat["Q"]))], *sampling))
+        report.add(values_check(catalog.p_check_name(ode.name), [pd.P],
+                                [catalog.expr(cat["P"])], pd))
+        report.add(values_check("Q_matches_expected", [pd.Q], [catalog.expr(cat["Q"])], pd))
         report.add(values_check(
             "coefficients_match_expected",
             np.transpose([letters[letter] for letter in cat["coefficients"]]),
@@ -144,8 +144,8 @@ def pentad_suite(s: Session) -> CheckReport:
                 "coframe_matches_expected", np.moveaxis(coframe, -1, 0),
                 [ref[i][a] for i in range(n) for a in range(n)], pd))
 
-    for name, chk in zip(pd.residual_names, pd.residual_checks):
-        report.add(CheckRecord.from_equiv(name, chk))
+    for name, equation in zip(pd.residual_names, v.equations):
+        report.add(values_check(name, equation, 0.0, pd))
 
     # sum_a C[i][a] L[a][j] against the identity, at each point
     product = (coframe[:, :, None] * lower[None]).sum(axis=1)
@@ -177,9 +177,9 @@ def geom_suite(s: Session) -> CheckReport:
     report = CheckReport()
     m = s.metric
     cf = geom.connection_forms(s.pd) if s.ode.name == "conics5" else None
-    report.extend(geom.curvature_checks(m, seed=s.seed))
+    report.extend(geom.curvature_checks(m))
     if cf is not None:
-        report.extend(geom.connection_checks(cf, m, samples=s.samples, tol=s.tol, seed=s.seed))
+        report.extend(geom.connection_checks(cf, m))
     # the rows at the solve's sample points come last (structure_checks ends
     # with them): `frame_at` keeps one batch, so they share one frame pass
     # with each other and with the so3 suite's
@@ -200,8 +200,8 @@ def so3_suite(s: Session) -> CheckReport:
     G = s.G
     report.extend(so3.frame_constant_checks(G))
     report.extend(so3.trace_checks(G))
-    report.extend(so3.g_identities(G, seed=s.seed))
-    report.extend(so3.expansion_check(G, s.metric, seed=s.seed))
+    report.extend(so3.g_identities(G))
+    report.extend(so3.expansion_check(G, s.metric))
     return report
 
 

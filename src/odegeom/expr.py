@@ -8,7 +8,10 @@ positive.  `equiv_each` is the one identity test: it compiles every pair it
 is given into one `Evaluator`, evaluates them in one vectorised pass over a
 shared sample set and returns one result per pair, each pair still a
 separate test with its own residual; `equiv_all` (all pairs of one check)
-and `equiv` (one pair) reduce its results.  Constructors only do cheap local
+and `equiv` (one pair) reduce its results.  They decide the solve (the
+exponent fit, the Q pivot) and match a file to a built-in; a report's rows
+are made by `report.values_check` at the solve's points, under the same
+`relative_residual`.  Constructors only do cheap local
 folding (constants, neutral elements, nested sums/products) to keep trees
 small.
 
@@ -1259,24 +1262,16 @@ def equiv_each(
         raise ExprError("equiv_all needs at least one pair")
     points = dom.draw(n, seed)
     vals = Evaluator(exprs).eval_points(points)
-    return compare_values(vals[0::2], vals[1::2], points, tol, seed)
-
-
-def compare_values(v1, v2, points: Sequence[dict], tol: float, seed: int) -> list:
-    """One `EquivResult` per row of v1 against the same row of v2 (arrays of
-    shape (rows, len(points)), or anything that broadcasts to it), under the
-    relative residual of `equiv_each`; each result carries its largest
-    residual and the first point where it occurs."""
     results = []
-    for row in relative_residual(v1, v2):
+    for row in relative_residual(vals[0::2], vals[1::2]):
         residual, point = worst_sample(row, points)
-        results.append(EquivResult(residual <= tol, residual, len(points), tol, seed, point))
+        results.append(EquivResult(residual <= tol, residual, n, tol, seed, point))
     return results
 
 
 def relative_residual(v1, v2):
     """|v1 - v2| / (1 + max(|v1|, |v2|)), elementwise: the residual of
-    `equiv_each` and `compare_values`."""
+    `equiv_each` and of `report.values_check`."""
     return np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
 
 

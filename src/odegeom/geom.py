@@ -38,9 +38,6 @@ import numpy as np
 from . import catalog
 from .expr import (
     Const,
-    DEFAULT_REL_TOL,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     Evaluator,
     Expr,
     InputError,
@@ -52,9 +49,9 @@ from .expr import (
     neg,
     pow_,
 )
-from .jet import JetOde, total_derivative
+from .jet import total_derivative
 from .pentad import PentadData, along_flow, paired_at
-from .report import CheckRecord, check_identities, values_check
+from .report import CheckRecord, values_check
 
 # frame pairing constants for g = 2 e1.e5 - 8 e2.e4 + 6 e3.e3
 _K_LOWER = {(0, 4): Fraction(1), (4, 0): Fraction(1),
@@ -197,10 +194,6 @@ def curvature(m: MetricField, points: Sequence[Dict[str, float]]) -> CurvatureAt
     return CurvatureAtPoints(g, g_inv, gamma, riemann, ricci, scalar)
 
 
-def sample_points(ode: JetOde, count: int, seed: int = DEFAULT_SEED) -> List[Dict[str, float]]:
-    return ode.domain.draw(count, seed)
-
-
 # ---------------------------------------------------------------------------
 # check suites
 
@@ -259,12 +252,12 @@ def metric_pairing_check(m: MetricField) -> List[CheckRecord]:
 def curvature_checks(
     m: MetricField,
     points: Optional[Sequence[Dict[str, float]]] = None,
-    count: int = 20,
-    seed: int = DEFAULT_SEED,
 ) -> List[CheckRecord]:
-    """Riemann symmetries and the scalar/Einstein facts expected per ODE."""
+    """Riemann symmetries and the scalar/Einstein facts expected per ODE, at
+    the points, by default 20 drawn with the solve's seed."""
+    seed = m.pd.seed
     if points is None:
-        points = sample_points(m.ode, count, seed)
+        points = m.ode.domain.draw(20, seed)
     checks: List[CheckRecord] = []
     sym_tol = 1e-9
     cat = catalog.for_ode(m.ode.name) or {}
@@ -319,8 +312,8 @@ def structure_checks(m: MetricField) -> List[CheckRecord]:
     checks: List[CheckRecord] = []
 
     cat = catalog.for_ode(ode.name) or {}
-    harmonic_pts = sample_points(ode, 10, seed) if cat.get("harmonic") else []
-    pts = sample_points(ode, 5, seed + 1)
+    harmonic_pts = ode.domain.draw(10, seed) if cat.get("harmonic") else []
+    pts = ode.domain.draw(5, seed + 1)
     g, _, g_inv, gamma = m.christoffel_at(harmonic_pts + pts)
     h = len(harmonic_pts)
     if h:
@@ -398,33 +391,27 @@ def connection_checks(
     cf: ConnectionForms,
     m: MetricField,
     points: Optional[Sequence[Dict[str, float]]] = None,
-    count: int = 20,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_REL_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> List[CheckRecord]:
-    """Catalogued scalars plus the frame compatibility laws.
+    """Catalogued scalars, at the solve's sample points, plus the frame
+    compatibility laws, at the points, by default 20 drawn with the solve's
+    seed.
 
     For e^i = o^m iota^(4-m) the extended derivative rules give
     nabla_a e^i_b = (2m-4) phi_a e^i_b + m psi_a e^(i-1)_b
                     + (4-m) chi_a e^(i+1)_b,
     checked against the numeric Levi-Civita derivative of the coframe.
     """
-    ode = cf.pd.ode
-    sampling = (ode.domain, samples, tol, seed)
-    checks: List[CheckRecord] = []
-    cat = catalog.for_ode(ode.name)
-    conn = cat["connection"]
-
-    for name, built in (("delta", cf.delta), ("gamma", cf.gamma), ("alpha", cf.alpha)):
-        checks.append(check_identities(f"connection_{name}_expected",
-                                       [(built, catalog.expr(conn[name]))], *sampling))
-    checks.append(check_identities(
-        "connection_psi_expected",
-        [(comp, catalog.expr(text)) for comp, text in zip(cf.psi, conn["psi"])], *sampling))
+    pd = cf.pd
+    ode, seed = pd.ode, pd.seed
+    conn = catalog.for_ode(ode.name)["connection"]
+    checks = [values_check(f"connection_{name}_expected", [built],
+                           [catalog.expr(conn[name])], pd)
+              for name, built in (("delta", cf.delta), ("gamma", cf.gamma), ("alpha", cf.alpha))]
+    checks.append(values_check("connection_psi_expected", list(cf.psi),
+                               [catalog.expr(text) for text in conn["psi"]], pd))
 
     if points is None:
-        points = sample_points(ode, count, seed)
+        points = ode.domain.draw(20, seed)
     n = 5
     fr = m.frame_at(points)
     forms = Evaluator(list(cf.phi) + list(cf.psi) + list(cf.chi)).eval_points(points)
@@ -451,8 +438,7 @@ def integrability_check(cf: ConnectionForms, m: MetricField) -> List[CheckRecord
     conormal dy is null."""
     pd = m.pd
     return [
-        check_identities("chi_spans_dy_dp_only", [(comp, ZERO) for comp in cf.chi[2:]],
-                         pd.ode.domain, len(pd.points), pd.tol, pd.seed),
+        values_check("chi_spans_dy_dp_only", list(cf.chi[2:]), 0.0, pd),
         values_check("null_surface_gyy_upper", m.frame_at(pd.points).g_inv[:, 0, 0], 0.0, pd,
                      "constant-y surfaces are null"),
     ]

@@ -25,10 +25,11 @@ one series pass (`Evaluator.eval_points` on `Taylor` numbers, seeded with
 `_frame_rows` and `_dyad_shift` on those numbers give row k to degree
 n - k, the last shift to degree 0, and so the n equations at the points
 (`frame_values`).  No expression of a row with the solved Q is built for
-that.  The rows as expressions feed the coefficient letters and the
-coframe program: `PentadData` builds them on first read, and it certifies
-the residual identities on first read too.  The Q solve stays symbolic: the
-rows at the constant Q = 0 and Q = 1 and one slot of their last shifts.
+that.  The rows as expressions feed the coefficient letters (order 5) and
+the coframe program: `PentadData` builds them on first read, and the
+equations' values on first read too; the pentad suite reports each as a row
+against 0 (`report.values_check`).  The Q solve stays symbolic: the rows at
+the constant Q = 0 and Q = 1 and one slot of their last shifts.
 
 Both orders have one frame-at-points path: `PentadData.coframe_at` gets
 the coframe C and its partials exactly from one forward-mode pass of the
@@ -60,7 +61,6 @@ from .expr import (
     Taylor,
     ZERO,
     add,
-    compare_values,
     diff,
     div,
     equiv,
@@ -120,10 +120,11 @@ class FrameValues:
 
 @dataclass(frozen=True, eq=False)
 class PentadData:
-    """Solved frame data: P and Q, and what is built from them on first
-    read: the change of basis between coordinate differentials and the
-    dyad-induced basis as expressions, and its values and the residual
-    certification at the solve's sample points; and the coframe with its
+    """Solved frame data: P and Q, the sample points, tolerance and seed
+    that every sampled row of a report reads, and what is built from P and
+    Q on first read: the change of basis between coordinate differentials
+    and the dyad-induced basis as expressions, and its values and the
+    coefficient equations at the sample points; and the coframe with its
     partials at any batch of points (`coframe_at`)."""
 
     ode: JetOde
@@ -183,11 +184,12 @@ class PentadData:
 
     @cached_property
     def coefficients(self) -> dict:
-        """Letters A..H -> Expr; order 4 builds the last shift for its E..H."""
-        rows = list(self.lower)
-        if self.n == 4:
-            rows.append(_dyad_shift(rows[-1], self.P, self.Q, _derivation(self.ode)))
-        return {name: rows[a][i] for name, (a, i) in _LETTERS[self.n].items()}
+        """Letters A..H -> Expr, at order 5, where all are slots of the rows;
+        at order 4, E..H are slots of the last shift, which only `values`
+        holds."""
+        if self.n != 5:
+            raise PentadError("the symbolic coefficient letters are built at order 5")
+        return {name: self.lower[a][i] for name, (a, i) in _LETTERS[5].items()}
 
     @cached_property
     def values(self) -> FrameValues:
@@ -196,17 +198,10 @@ class PentadData:
 
     @property
     def residual_names(self) -> tuple:
-        """The residual identities, then the Q and P equations."""
+        """The names of the rows of `values.equations`: the residual
+        identities, then the Q and P equations."""
         return tuple("residual_identity_%d" % (j + 1) for j in range(self.n - 2)) + (
             "q_equation", "p_equation")
-
-    @cached_property
-    def residual_checks(self) -> tuple:
-        """EquivResult per name of `residual_names` (same order)."""
-        return tuple(compare_values(self.values.equations, 0.0, self.points, self.tol, self.seed))
-
-    def residuals_pass(self) -> bool:
-        return all(chk.passed for chk in self.residual_checks)
 
 
 def _derivation(ode: JetOde) -> Callable:
@@ -358,8 +353,8 @@ def _fit_exponents(
 
 
 def solve_pentad(ode: JetOde, samples: int = 50, tol: float = 1e-9, seed: int = 0x5EED) -> PentadData:
-    """Solve for P and Q; the frame and the certification of the residual
-    identities at `samples` points are built from them on first read."""
+    """Solve for P and Q; the frame and the coefficient equations at
+    `samples` points are built from them on first read."""
     n = ode.order
     c = _LOG_DERIV_C[n]
     top = ode.coords[-1]

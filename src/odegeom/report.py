@@ -4,20 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .expr import (
-    DEFAULT_SEED,
-    EquivResult,
-    Evaluator,
-    Expr,
-    SampleDomain,
-    equiv_all,
-    relative_residual,
-    worst_sample,
-)
+from .expr import DEFAULT_SEED, Evaluator, relative_residual, worst_sample
 
 PASS = "pass"
 FAIL = "fail"
@@ -36,19 +27,6 @@ class CheckRecord:
     # the sample point of the largest residual, for a run to explain a
     # failing check; never rendered, so the report text does not change
     worst_point: dict = field(default_factory=dict, compare=False)
-
-    @staticmethod
-    def from_equiv(name: str, res: EquivResult, notes: str = "") -> "CheckRecord":
-        return CheckRecord(
-            name=name,
-            status=PASS if res.passed else FAIL,
-            max_residual=res.max_residual,
-            tolerance=res.tolerance,
-            samples=res.samples,
-            seed=res.seed,
-            notes=notes,
-            worst_point=res.worst_point,
-        )
 
     @staticmethod
     def from_residual(
@@ -89,28 +67,16 @@ class CheckRecord:
         )
 
 
-def check_identities(
-    name: str,
-    pairs: Iterable[Tuple[Expr, Expr]],
-    dom: SampleDomain,
-    samples: int,
-    tol: float,
-    seed: int,
-    notes: str = "",
-) -> CheckRecord:
-    """One named check: every (e1, e2) in pairs is an identity on dom,
-    certified by `equiv_all` on one shared sample set."""
-    res = equiv_all(pairs, dom, n=samples, tol=tol, seed=seed)
-    return CheckRecord.from_equiv(name, res, notes)
-
-
 def values_check(name: str, got, want, pd, notes: str = "") -> CheckRecord:
-    """One check of values at the solve's sample points `pd.points` against
-    the wanted ones, under the residual of `compare_values` and the solve's
-    tolerance and seed.  got has the point as its first axis; want is an
-    array that broadcasts against it, or a list of expressions, one per
-    value of a point in order, evaluated at the points."""
+    """The one check of values at the solve's sample points `pd.points`:
+    got against want under `relative_residual`, with the solve's tolerance
+    and seed, reduced by `worst_sample`.  Either side is an array with the
+    point as its first axis (want may be anything that broadcasts against
+    got, such as 0.0 or an identity matrix), or a list of expressions, one
+    per value of a point in order, evaluated at the points."""
     points = pd.points
+    if isinstance(got, list):
+        got = Evaluator(got).eval_points(points).T
     if isinstance(want, list):
         want = Evaluator(want).eval_points(points).T.reshape(np.shape(got))
     return CheckRecord.from_residual(name, relative_residual(got, want), pd.tol, len(points),

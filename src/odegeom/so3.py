@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import catalog
 from .expr import DEFAULT_SEED, Evaluator, InputError
-from .geom import _K_LOWER as _K_PAIRING, MetricField, _point_max, curvature, sample_points
+from .geom import _K_LOWER as _K_PAIRING, MetricField, _point_max, curvature
 from .pentad import PentadData
 from .report import CheckRecord, values_check
 
@@ -162,11 +162,12 @@ def _spinor_contractions() -> Tuple[int, List[List[int]], List[List[List[int]]]]
     return den, khat, ghat
 
 
-def _spinor_frame_data():
+@lru_cache(maxsize=None)
+def spinor_frame_data():
     """The induced constant metric and the structure-tensor frame
     components of the spinor frame, as `Fraction`s: (khat, ghat, ghat_sym),
     ghat_sym the full symmetrisation of ghat over the three moduli slots.
-    Computed exactly, from `_spinor_contractions`."""
+    Computed exactly, from `_spinor_contractions`, once per process."""
     den, khat, ghat = _spinor_contractions()
     return (
         [[Fraction(v, den ** 2) for v in row] for row in khat],
@@ -175,16 +176,6 @@ def _spinor_frame_data():
                     6 * den ** 3)
            for k in range(5)] for j in range(5)] for i in range(5)],
     )
-
-
-_SPINOR_CACHE: Optional[tuple] = None
-
-
-def spinor_frame_data():
-    global _SPINOR_CACHE
-    if _SPINOR_CACHE is None:
-        _SPINOR_CACHE = _spinor_frame_data()
-    return _SPINOR_CACHE
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +311,14 @@ def _sym_last3(T: np.ndarray) -> np.ndarray:
 def g_identities(
     G: GTensor,
     points: Optional[Sequence[Dict[str, float]]] = None,
-    count: int = 10,
-    seed: int = DEFAULT_SEED,
-    tol: float = 1e-8,
 ) -> List[CheckRecord]:
     """The compatibility identities tying the structure tensor to the metric
-    and curvature, at random points, each an array expression over the
-    leading point axis."""
+    and curvature, at the points, by default 10 drawn with the solve's
+    seed, each an array expression over the leading point axis."""
     m = G.m
+    seed, tol = m.pd.seed, 1e-8
     if points is None:
-        points = sample_points(m.ode, count, seed)
+        points = m.ode.domain.draw(10, seed)
 
     cv = curvature(m, points)
     g, ginv, R4 = cv.g, cv.g_inv, cv.riemann
@@ -446,14 +435,11 @@ def mu_lambda(lam: float, scalar_curvature: float) -> float:
 def expansion_check(
     G: GTensor,
     m: MetricField,
-    n_fields: int = 20,
     points: Optional[Sequence[Dict[str, float]]] = None,
-    count: int = 10,
-    seed: int = DEFAULT_SEED,
-    tol: float = 1e-8,
 ) -> List[CheckRecord]:
     """Printed coordinate rows of the operator vs the tensorial value, for
-    random quadratic test fields.
+    20 random quadratic test fields at each point, the points by default 10
+    drawn with the solve's seed.
 
     The catalogued rows use the coordinate second partials plus one gradient
     term per row; the coefficient tagged `lambda:` stands for the equation's
@@ -461,9 +447,9 @@ def expansion_check(
     derivative-of-top-coordinate shorthand, and the one the tensorial
     operator confirms).
     """
-    ode = m.ode
+    ode, seed, n_fields = m.ode, m.pd.seed, 20
     if points is None:
-        points = sample_points(ode, count, seed)
+        points = ode.domain.draw(10, seed)
     rows = catalog.for_ode("conics5")["operator_rows"]
     coords = ode.coords
 
@@ -503,7 +489,7 @@ def expansion_check(
             i, j = coords.index(pair[0]), coords.index(pair[1])
             printed = printed + coeff[(c, pair)][:, None] * H[..., i, j]
         records.append(CheckRecord.from_residual(
-            f"operator_row_{c}", np.abs(printed - v[..., ci]) / scale, tol, len(points), seed,
+            f"operator_row_{c}", np.abs(printed - v[..., ci]) / scale, 1e-8, len(points), seed,
             notes="top-coordinate-derivative coefficient read as the equation rhs"
             if c == "y" else "", points=points))
     return records

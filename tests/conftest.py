@@ -5,7 +5,8 @@ import pytest
 from odegeom.expr import ZERO, Const, add, diff, mul, neg
 from odegeom.geom import _K_LOWER, metric_from_frame
 from odegeom.jet import builtin, prolongation
-from odegeom.pentad import solve_pentad
+from odegeom.pentad import _LETTERS, _derivation, _dyad_shift, solve_pentad
+from odegeom.report import values_check
 from odegeom.so3 import build_G
 
 
@@ -115,6 +116,31 @@ def symbolic_two_form():
     x-invariance components as expressions, the oracle of the numeric
     symplectic rows; the program builds no symbolic two-form."""
     return _symbolic_two_form
+
+
+def _symbolic_letters(pd):
+    """The coefficient letters A..H of a frame as expressions; at order 4,
+    E..H are slots of the last dyad shift, built here by D."""
+    rows = list(pd.lower)
+    if pd.n == 4:
+        rows.append(_dyad_shift(rows[-1], pd.P, pd.Q, _derivation(pd.ode)))
+    return {name: rows[a][i] for name, (a, i) in _LETTERS[pd.n].items()}
+
+
+@pytest.fixture(scope="session")
+def symbolic_letters():
+    """For a frame of either order: its letters as expressions, the oracle
+    of the values at the points; the program builds the symbolic letters at
+    order 5 only."""
+    return _symbolic_letters
+
+
+@pytest.fixture(scope="session")
+def residual_rows():
+    """For a frame: the report rows of its residual identities and its Q
+    and P equations, as the pentad suite makes them."""
+    return lambda pd: [values_check(name, equation, 0.0, pd)
+                       for name, equation in zip(pd.residual_names, pd.values.equations)]
 
 
 @pytest.fixture(scope="session")

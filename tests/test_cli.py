@@ -7,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from odegeom import expr, jet, pentad, so3
+from odegeom import catalog, expr, geom, jet, pentad, so3
 from odegeom.cli import Session, geom_suite, main, pentad_suite, radon_suite, run, so3_suite
-from odegeom.expr import DEFAULT_REL_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, Const, Evaluator
+from odegeom.expr import (
+    DEFAULT_REL_TOL,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    ZERO,
+    Const,
+    Evaluator,
+    equiv_all,
+)
 from odegeom.jet import builtin, load_ode_file
 from odegeom.report import CheckReport
 
@@ -306,6 +314,50 @@ def test_radon_f_negative_fractional_base_exit_2():
     code, text = run(["radon", "--ode", "conics5", "--f", "(x - 0.9)^(1/2)"])
     assert code == 2
     assert "{'x': -0.7993680985819488, 'y': 1.3874343484851892}" in text
+
+
+def _catalogue_pairs(pd) -> dict:
+    """The expression pairs of a report's catalogue rows, by row name."""
+    cat = catalog.for_ode(pd.ode.name)
+    pairs = {catalog.p_check_name(pd.ode.name): [(pd.P, catalog.expr(cat["P"]))],
+             "Q_matches_expected": [(pd.Q, catalog.expr(cat["Q"]))]}
+    if pd.ode.name == "conics5":
+        cf, conn = geom.connection_forms(pd), cat["connection"]
+        for name in ("delta", "gamma", "alpha"):
+            pairs[f"connection_{name}_expected"] = [(getattr(cf, name), catalog.expr(conn[name]))]
+        pairs["connection_psi_expected"] = [(comp, catalog.expr(text))
+                                            for comp, text in zip(cf.psi, conn["psi"])]
+        pairs["chi_spans_dy_dp_only"] = [(comp, ZERO) for comp in cf.chi[2:]]
+    return pairs
+
+
+@pytest.mark.parametrize("seed, samples", [(DEFAULT_SEED, DEFAULT_SAMPLES), (7, 9),
+                                           (DEFAULT_SEED, 1)])
+@pytest.mark.parametrize("ode_name", ["conics5", "gn5", "conics4"])
+def test_sampled_rows_match_the_identity_test_bit_for_bit(ode_name, seed, samples):
+    """Each catalogue row is the result of `equiv_all` on its pairs at the
+    same samples, and each residual row the largest |e| / (1 + |e|) of its
+    equation's values at the points, in plain Python floats: the same
+    status, tolerance, samples, seed and max_residual, bit for bit."""
+    s = Session(builtin(ode_name), samples, DEFAULT_REL_TOL, seed)
+    report = pentad_suite(s)
+    if ode_name == "conics5":
+        report.extend(geom_suite(s).checks)
+    rows = {c.name: c for c in report.checks}
+    pairs = _catalogue_pairs(s.pd)
+    assert len(pairs) == (7 if ode_name == "conics5" else 2)
+    for name, row in pairs.items():
+        res = equiv_all(row, s.ode.domain, n=samples, tol=DEFAULT_REL_TOL, seed=seed)
+        got = rows[name]
+        assert (got.status, got.tolerance, got.samples, got.seed, got.max_residual) == (
+            "pass" if res.passed else "fail", res.tolerance, res.samples, res.seed,
+            res.max_residual), name
+    for name, equation in zip(s.pd.residual_names, s.pd.values.equations):
+        worst = max(abs(v) / (1.0 + abs(v)) for v in equation.tolist())
+        got = rows[name]
+        assert (got.status, got.tolerance, got.samples, got.seed, got.max_residual) == (
+            "pass" if worst <= DEFAULT_REL_TOL else "fail", DEFAULT_REL_TOL, samples, seed,
+            worst), name
 
 
 def _count_stages(monkeypatch):

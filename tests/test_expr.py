@@ -42,7 +42,6 @@ from odegeom.expr import (
     var,
     worst_sample,
 )
-from odegeom.geom import sample_points
 from odegeom.jet import JetOde, flow_series, load_ode_file, total_derivative
 from odegeom.pentad import _build_rows, solve_pentad
 from odegeom.radon import COORDS, _condition_rows
@@ -668,16 +667,16 @@ def test_a_batch_fails_where_the_scalar_oracle_fails_first(exprs, points):
 def test_a_lone_point_matches_the_scalar_oracle_on_the_built_in_tables(
         pd_conics5, pd_gn5, pd_conics4, metric_conics5, metric_gn5, symbolic_metric_tables):
     for pd in (pd_conics5, pd_gn5, pd_conics4):
-        points = sample_points(pd.ode, 3, seed=17)
+        points = pd.ode.domain.draw(3, 17)
         _assert_lone_points_match_the_oracle(Evaluator([pd.ode.rhs]), points)
         for rows in (pd.lower, pd.coframe_rows):
             _assert_lone_points_match_the_oracle(Evaluator([e for row in rows for e in row]), points)
     for m in (metric_conics5, metric_gn5):
-        points = sample_points(m.ode, 3, seed=17)
+        points = m.ode.domain.draw(3, 17)
         g, dg, ddg = symbolic_metric_tables(m)
         _assert_lone_points_match_the_oracle(Evaluator(g + dg), points)
         _assert_lone_points_match_the_oracle(Evaluator(ddg), points)
-    jet_points = [dict(pt, x=0.0) for pt in sample_points(pd_conics5.ode, 3, seed=17)]
+    jet_points = [dict(pt, x=0.0) for pt in pd_conics5.ode.domain.draw(3, 17)]
     _assert_lone_points_match_the_oracle(Evaluator(_conic_minor_table()), jet_points)
 
 
@@ -1037,7 +1036,7 @@ def test_second_order_values_are_the_plain_pass_and_gradients_the_first_order_pa
 def test_second_order_conic_minors_match_their_symbolic_partials(pd_conics5, count):
     table = _conic_minor_table()
     minors = table[::21]
-    points = [dict(pt, x=0.0) for pt in sample_points(pd_conics5.ode, count, seed=17)]
+    points = [dict(pt, x=0.0) for pt in pd_conics5.ode.domain.draw(count, 17)]
     want = Evaluator(table).eval_points(points).reshape(6, 21, count)
     upper = [(i, j) for i in range(5) for j in range(i, 5)]
     want_grad = np.moveaxis(want[:, 1:6], 1, 0)

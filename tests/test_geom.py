@@ -31,7 +31,6 @@ from odegeom.geom import (
     integrability_check,
     metric_from_frame,
     metric_pairing_check,
-    sample_points,
     structure_checks,
 )
 from odegeom.jet import total_derivative
@@ -50,7 +49,7 @@ def test_metric_requires_order5(pd_conics4):
 def _assert_upper_entries(m, entries):
     """g^ab at 50 sample points against the expressions of entries, a map
     from (a, b) to text, under the residual of `equiv`."""
-    points = sample_points(m.ode, 50, DEFAULT_SEED)
+    points = m.ode.domain.draw(50, DEFAULT_SEED)
     g_inv = m.frame_at(points).g_inv
     for (a, b), text in entries.items():
         want = Evaluator([parse(text)]).eval_points(points)[0]
@@ -96,7 +95,7 @@ def test_pairing_checks_gn5(metric_gn5):
 
 
 def test_curvature_einstein_conics5(metric_conics5, conics5):
-    pts = sample_points(conics5, 20, seed=101)
+    pts = conics5.domain.draw(20, 101)
     cv = curvature(metric_conics5, pts[:5])
     assert cv.scalar == pytest.approx(np.full(5, -60.0), abs=1e-6)
     assert np.max(np.abs(cv.ricci + 12.0 * cv.g)) < 1e-6
@@ -104,7 +103,7 @@ def test_curvature_einstein_conics5(metric_conics5, conics5):
 
 
 def test_curvature_gn5_scalar_flat_not_ricci_flat(metric_gn5, gn5):
-    pts = sample_points(gn5, 10, seed=7)
+    pts = gn5.domain.draw(10, 7)
     cv = curvature(metric_gn5, pts[:3])
     assert np.all(np.abs(cv.scalar) < 1e-8)
     assert np.all(np.max(np.abs(cv.ricci), axis=(1, 2)) > 0.1 * np.max(np.abs(cv.g), axis=(1, 2)))
@@ -112,7 +111,7 @@ def test_curvature_gn5_scalar_flat_not_ricci_flat(metric_gn5, gn5):
 
 
 def test_riemann_symmetries_at_point(metric_conics5, conics5):
-    pt = sample_points(conics5, 1, seed=4)[0]
+    pt = conics5.domain.draw(1, 4)[0]
     [R] = curvature(metric_conics5, [pt]).riemann
     scale = np.max(np.abs(R))
     assert np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))) < 1e-9 * scale
@@ -173,7 +172,7 @@ def test_integrability(conn, metric_conics5):
 @pytest.mark.parametrize("metric", ["metric_conics5", "metric_gn5"])
 def test_christoffel_first_order_table_matches_full_table(metric, request):
     m = request.getfixturevalue(metric)
-    pts = sample_points(m.ode, 4, seed=11)
+    pts = m.ode.domain.draw(4, 11)
     g, dg, g_inv, gamma = m.christoffel_at(pts)
     g2, dg2, _, g_inv2 = m.derivatives_at(pts)
     gamma2 = 0.5 * np.einsum(
@@ -202,7 +201,7 @@ def test_radon_suite_never_builds_second_order_table(monkeypatch, conics5):
 def test_forward_mode_metric_matches_the_symbolic_derivatives(
         metric, request, symbolic_metric_tables):
     m = request.getfixturevalue(metric)
-    pts = sample_points(m.ode, 20, seed=23)
+    pts = m.ode.domain.draw(20, 23)
     g, dg, _, _ = m.christoffel_at(pts)
     g_table, dg_table, _ = symbolic_metric_tables(m)
     want = Evaluator(g_table + dg_table).eval_points(pts).T
@@ -214,7 +213,7 @@ def test_forward_mode_metric_matches_the_symbolic_derivatives(
 @pytest.mark.parametrize("metric", ["metric_conics5", "metric_gn5"])
 def test_second_order_metric_matches_the_symbolic_table(metric, request, symbolic_metric_tables):
     m = request.getfixturevalue(metric)
-    pts = sample_points(m.ode, 20, seed=23)
+    pts = m.ode.domain.draw(20, 23)
     g, dg, ddg, g_inv = m.derivatives_at(pts)
     *_, ddg_table = symbolic_metric_tables(m)
     ddg_ref = Evaluator(ddg_table).eval_points(pts).T.reshape(-1, 5, 5, 5, 5)
@@ -264,7 +263,7 @@ def test_curvature_rows_keep_the_point_whose_residual_is_largest(
     # Riemann, Ricci and the scalar perturbed with a different weight at each
     # point: all four rows fail, and each row's point is the one whose
     # lone-point residual, recomputed by the same check, is the largest
-    points = sample_points(conics5, 20, DEFAULT_SEED)
+    points = conics5.domain.draw(20, DEFAULT_SEED)
     weight = _weights(points, 5)
     rng = np.random.default_rng(6)
     E4, E2 = rng.standard_normal((5, 5, 5, 5)), rng.standard_normal((5, 5))
@@ -291,7 +290,7 @@ def test_curvature_rows_keep_the_point_whose_residual_is_largest(
 
 def test_harmonic_coordinates_keep_the_point_whose_residual_is_largest(
         metric_conics5, conics5, monkeypatch):
-    points = sample_points(conics5, 10, DEFAULT_SEED)
+    points = conics5.domain.draw(10, DEFAULT_SEED)
     weight = _weights(points, 7)
     E = np.random.default_rng(8).standard_normal((5, 5, 5))
     exact = geom.MetricField.christoffel_at
@@ -317,9 +316,9 @@ def test_connection_compatibility_keeps_the_point_whose_residual_is_largest(
     bad = dataclasses.replace(conn, phi=(add(conn.phi[0], mul(Const(Fraction(1, 10)),
                                                               pow_(var("r"), 2))),)
                               + conn.phi[1:])
-    points = sample_points(conics5, 20, DEFAULT_SEED)
+    points = conics5.domain.draw(20, DEFAULT_SEED)
     rec = connection_checks(bad, metric_conics5, points=points)[-1]
-    residuals = [connection_checks(bad, metric_conics5, points=[pt], samples=2)[-1].max_residual
+    residuals = [connection_checks(bad, metric_conics5, points=[pt])[-1].max_residual
                  for pt in points]
     assert rec.name == "connection_frame_compatibility"
     assert rec.status == "fail"
@@ -355,7 +354,7 @@ def _lie_derivative_of_metric(m, xi, eta, points):
 
 def test_projective_fields_are_killing_fields_of_the_conics_metric(metric_conics5, conics5):
     # conics form SL(3)/SO(2,1): all eight projective fields preserve g
-    points = sample_points(conics5, 20, DEFAULT_SEED)
+    points = conics5.domain.draw(20, DEFAULT_SEED)
     for name, (xi, eta) in _PROJECTIVE_FIELDS.items():
         lie, g = _lie_derivative_of_metric(metric_conics5, xi, eta, points)
         assert np.max(np.abs(lie)) <= 1e-12 * np.max(np.abs(g)), name

@@ -6,7 +6,6 @@ import pytest
 
 from odegeom import catalog, so3
 from odegeom.expr import DEFAULT_SEED, evaluate
-from odegeom.geom import sample_points
 from odegeom.so3 import (
     So3Error,
     _K_PAIRING,
@@ -104,7 +103,7 @@ def test_closed_form_basis_spinors_match_the_definition(monkeypatch):
     assert so3._basis_spinors() == _basis_spinors_by_definition()
     data = spinor_frame_data()
     monkeypatch.setattr(so3, "_basis_spinors", _basis_spinors_by_definition)
-    assert so3._spinor_frame_data() == data
+    assert spinor_frame_data.__wrapped__() == data
 
 
 def test_frame_tables_made_of_integer_numerators_are_exact_fractions(monkeypatch):
@@ -113,7 +112,7 @@ def test_frame_tables_made_of_integer_numerators_are_exact_fractions(monkeypatch
     thirds = [{idx: v / 3 for idx, v in vec.items()} for vec in frame]
     khat, ghat_raw, ghat = spinor_frame_data()
     monkeypatch.setattr(so3, "_spinor_frame", lambda: thirds)
-    k3, raw3, sym3 = so3._spinor_frame_data()
+    k3, raw3, sym3 = spinor_frame_data.__wrapped__()
     assert k3 == [[v / 9 for v in row] for row in khat]
     assert raw3 == [[[v / 27 for v in row] for row in blk] for blk in ghat_raw]
     assert sym3 == [[[v / 27 for v in row] for row in blk] for blk in ghat]
@@ -125,7 +124,7 @@ def test_raw_symmetry_fails_on_an_asymmetric_contraction(monkeypatch, pd_conics5
     assert build_G(pd_conics5, metric_conics5).ghat_raw_symmetric
     asymmetric = [[row[:] for row in blk] for blk in ghat_raw]
     asymmetric[0][2][4] += 1
-    monkeypatch.setattr(so3, "_SPINOR_CACHE", (khat, asymmetric, ghat))
+    monkeypatch.setattr(so3, "spinor_frame_data", lambda: (khat, asymmetric, ghat))
     assert not build_G(pd_conics5, metric_conics5).ghat_raw_symmetric
 
 
@@ -179,7 +178,7 @@ def _geometry_at(gtensor, metric, pt):
 
 
 def test_operator_on_constant(gtensor, metric_conics5, conics5):
-    pt = sample_points(conics5, 1, seed=9)[0]
+    pt = conics5.domain.draw(1, 9)[0]
     hv = hor_operator(np.zeros(5), np.zeros((5, 5)), *_geometry_at(gtensor, metric_conics5, pt))
     assert np.max(np.abs(hv.covector)) == 0.0
     assert hv.laplacian == 0.0
@@ -187,7 +186,7 @@ def test_operator_on_constant(gtensor, metric_conics5, conics5):
 
 def test_operator_on_coordinate_is_harmonic(gtensor, metric_conics5, conics5):
     # F = y: the laplacian reduces to -g^ab Gamma^y_ab, which vanishes
-    pt = sample_points(conics5, 1, seed=10)[0]
+    pt = conics5.domain.draw(1, 10)[0]
     grad = np.zeros(5)
     grad[0] = 1.0
     hv = hor_operator(grad, np.zeros((5, 5)), *_geometry_at(gtensor, metric_conics5, pt))
@@ -216,7 +215,7 @@ def _patch_lower_at(monkeypatch, change):
 
 def test_a_nan_fails_every_identity_and_operator_row_at_its_point(
         gtensor, metric_conics5, conics5, monkeypatch):
-    points = sample_points(conics5, 10, DEFAULT_SEED)
+    points = conics5.domain.draw(10, DEFAULT_SEED)
     bad = points[6]
 
     def poison(G_k, pt):
@@ -237,7 +236,7 @@ def test_identity_rows_keep_the_point_whose_residual_is_largest(
     # a perturbation of G with a different weight at each point fails all
     # eight rows; each row's point is the one whose lone-point residual,
     # recomputed by the same check, is the largest
-    points = sample_points(conics5, 10, DEFAULT_SEED)
+    points = conics5.domain.draw(10, DEFAULT_SEED)
     weight = {tuple(sorted(pt.items())): w
               for pt, w in zip(points, np.random.default_rng(3).permutation(10) + 1.0)}
     E = np.random.default_rng(4).standard_normal((5, 5, 5))
@@ -292,7 +291,7 @@ def test_operator_rows_keep_the_point_whose_residual_is_largest(
         table[pair] = (f"lambda:{2 * float(text.split(':')[1])}" if text.startswith("lambda:")
                        else f"2*({text})")
     monkeypatch.setitem(catalog.for_ode("conics5"), "operator_rows", rows)
-    points = sample_points(conics5, 10, DEFAULT_SEED)
+    points = conics5.domain.draw(10, DEFAULT_SEED)
     oracle = _operator_row_residuals(gtensor, metric_conics5, rows, points)
     records = expansion_check(gtensor, metric_conics5, points=points)
     assert [rec.name for rec in records] == [f"operator_row_{c}" for c in conics5.coords]
