@@ -4,21 +4,3 @@ SO(3) structure tensor, and the integral transform that solves the associated
 second-order system."""
 
 __version__ = "0.1.0"
-
-from .expr import (  # noqa: F401
-    DEFAULT_REL_TOL,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    EquivResult,
-    EvalError,
-    Expr,
-    ExprError,
-    ParseError,
-    SampleDomain,
-    diff,
-    equiv,
-    evaluate,
-    parse,
-    var,
-)
-from .jet import JetOde, builtin, builtin_names, prolongation, total_derivative  # noqa: F401

@@ -52,6 +52,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expr import (
+    DEFAULT_REL_TOL,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     Const,
     EvalError,
     Evaluator,
@@ -352,7 +355,8 @@ def _fit_exponents(
     return None
 
 
-def solve_pentad(ode: JetOde, samples: int = 50, tol: float = 1e-9, seed: int = 0x5EED) -> PentadData:
+def solve_pentad(ode: JetOde, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_REL_TOL,
+                 seed: int = DEFAULT_SEED) -> PentadData:
     """Solve for P and Q; the frame and the coefficient equations at
     `samples` points are built from them on first read."""
     n = ode.order

@@ -559,25 +559,6 @@ def test_radon_error_at_a_jet_the_user_did_not_give_names_it(capsys):
         "'q': 0.044004253209064606, 'r': -0.5118862111731556, 's': 0.7642554674472568}\n"))
 
 
-_SCIPY_FREE_REPORT = """
-import sys
-from odegeom import cli
-code, _ = cli.run(["radon", "--ode", "conics5", "--json"])
-print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-"""
-
-
-def test_cli_and_radon_report_do_not_import_scipy():
-    # a fresh interpreter: this one may have loaded scipy for the oracle tests
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_REPORT],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=300, check=True,
-    ).stdout
-    assert out == "0 []\n"
-
-
 _LAPACK_FREE_REPORT = """
 import sys
 from odegeom import cli
@@ -587,12 +568,39 @@ print(code, sorted(m for m in sys.modules
 """
 
 
-def test_radon_report_imports_neither_numpy_polynomial_nor_scipy():
-    # the Gauss-Legendre rule is computed without numpy's leggauss
+def _fresh_interpreter(code: str, **env: str) -> str:
+    """Stdout of `code` run in a new interpreter on `src/`, with
+    OPENBLAS_NUM_THREADS taken from `env` alone."""
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", _LAPACK_FREE_REPORT],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(base, PYTHONPATH=str(src), **env),
         capture_output=True, text=True, timeout=300, check=True,
     ).stdout
-    assert out == "0 []\n"
+
+
+def test_radon_report_imports_neither_numpy_polynomial_nor_scipy():
+    # the Gauss-Legendre rule is computed without numpy's leggauss; a fresh
+    # interpreter, as this one may have loaded scipy for the oracle tests
+    assert _fresh_interpreter(_LAPACK_FREE_REPORT) == "0 []\n"
+
+
+_BLAS_THREADS = """
+import os, sys
+import odegeom
+print("numpy" in sys.modules)
+from odegeom import cli
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
+print(os.environ["OPENBLAS_NUM_THREADS"], tasks)
+"""
+
+
+def test_cli_runs_blas_on_one_thread_unless_the_user_chose():
+    # the package loads no numpy, so the entry module's default comes first
+    assert _fresh_interpreter(_BLAS_THREADS) == "False\n1 1\n"
+    preset = _fresh_interpreter(_BLAS_THREADS, OPENBLAS_NUM_THREADS="2").split()
+    assert preset[:2] == ["False", "2"]
+    # only the command line sets it: a library import keeps the environment
+    library = 'import os, odegeom.expr; print(os.environ.get("OPENBLAS_NUM_THREADS"))'
+    assert _fresh_interpreter(library) == "None\n"
