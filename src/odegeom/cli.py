@@ -7,8 +7,8 @@ check passed, 1 means at least one failed, 2 means the invocation or its
 inputs were invalid.
 
 A run builds one `Session`, and every suite it runs takes it, so each pipeline
-stage (frame, metric, structure tensor) is computed
-once per run however many suites read it.
+stage (frame, metric, structure tensor, the metric's stream of seeded points)
+is computed once per run, however many suites read it and in whatever order.
 """
 
 from __future__ import annotations
@@ -184,9 +184,6 @@ def geom_suite(s: Session) -> CheckReport:
     report.extend(geom.curvature_checks(m))
     if cf is not None:
         report.extend(geom.connection_checks(cf, m))
-    # the rows at the solve's sample points come last (structure_checks ends
-    # with them): `frame_at` keeps one batch, so they share one frame pass
-    # with each other and with the so3 suite's
     report.extend(geom.structure_checks(m))
     report.extend(geom.metric_pairing_check(m))
     if cf is not None:

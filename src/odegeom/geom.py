@@ -18,19 +18,19 @@ the solved frame over a batch of points (`pentad.PentadData.coframe_at`,
 on `expr.Jet1` numbers; Griewank & Walther, Evaluating Derivatives, 2008),
 the pass the order-4 two-form reads too.  Then d_c g = (d_c C)^T K C plus
 its transpose (`pentad.paired_at`); the inverse and the Christoffel symbols
-follow in numpy.  The last batch is kept, so `christoffel_at`,
-`derivatives_at` and `so3.GTensor.lower_at` on the same points share one
-pass.  Only curvature needs second derivatives: `derivatives_at` runs the
-coframe program once more on `expr.Jet2` numbers seeded with the five unit
-directions, and d_e d_c g = (d_e d_c C)^T K C + (d_e C)^T K (d_c C) plus
-its transpose.  Only a coframe that holds x has d_x g != 0; the pass then
-runs each point once more along x.
+follow in numpy.  Only curvature needs second derivatives: one more pass,
+on `expr.Jet2` numbers seeded with the five unit directions, gives
+d_e d_c g = (d_e d_c C)^T K C + (d_e C)^T K (d_c C) plus its transpose.
+Only a coframe that holds x has d_x g != 0; the pass then runs each point
+once more along x.  Over the points drawn with the solve's seed, prefixes
+of one stream (`MetricField.points`), each pass runs once, read in slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -61,6 +61,7 @@ _K = np.array([[float(_K_LOWER.get((i, j), 0)) for j in range(5)] for i in range
 # its inverse: the pairing is anti-diagonal, so each entry inverts alone
 _K_UPPER = np.array([[float(1 / _K_LOWER[i, j]) if (i, j) in _K_LOWER else 0.0
                       for j in range(5)] for i in range(5)])
+_CURVATURE_POINTS = 20   # the seeded points that curvature and the connection read
 
 
 class GeomError(InputError):
@@ -78,33 +79,57 @@ class MetricField:
         self.pd = pd
         self.ode = pd.ode
         self.coords = pd.ode.coords
-        self._frame: Optional[tuple] = None   # (coframe batch, FrameAtPoints)
+
+    @cached_property
+    def points(self) -> tuple:
+        """`pd.points`, then further draws of the solve's seed up to 20: a draw
+        reads one `random.Random(seed)`, so each prefix is a draw too."""
+        pd = self.pd
+        return pd.points + tuple(self.ode.domain.draw(_CURVATURE_POINTS, pd.seed)[len(pd.points):])
+
+    def _in_stream(self, points: Sequence[Dict[str, float]]) -> bool:
+        return len(points) <= len(self.points) and all(p is q for p, q in zip(points, self.points))
+
+    @cached_property
+    def _stream_frame(self) -> "FrameAtPoints":
+        return self._frame_pass(self.points)
+
+    @cached_property
+    def _stream_ddg(self) -> np.ndarray:
+        points = self.points[:_CURVATURE_POINTS]
+        return self._ddg_pass(points, self.frame_at(points))
 
     # -- numeric evaluation ----------------------------------------------------
 
     def frame_at(self, points: Sequence[Dict[str, float]]) -> "FrameAtPoints":
-        """Coframe, metric and Christoffel symbols at a batch of points, from
-        the coframe pass of `PentadData.coframe_at`: g = C^T K C and its
-        partials.  The frame of the last batch is kept with its pass, so the
-        callers that read the same points share both."""
+        """Coframe, metric and Christoffel symbols at a batch of points: a
+        slice of the stream's frame if they are its first points, else a pass."""
+        if self._in_stream(points):
+            stream = vars(self._stream_frame).values()
+            return FrameAtPoints(*(a if a is None else a[:len(points)] for a in stream))
+        return self._frame_pass(points)
+
+    def _frame_pass(self, points: Sequence[Dict[str, float]]) -> "FrameAtPoints":
         coframe = self.pd.coframe_at(points)
-        if self._frame is not None and self._frame[0] is coframe:
-            return self._frame[1]
         g, dg, dxg = paired_at(coframe, _K)
         g_inv = np.linalg.inv(g)
         frame = FrameAtPoints(*coframe[:2], g, dg, dxg, g_inv, _christoffel(g_inv, dg))
         for arr in vars(frame).values():
             if arr is not None:
-                arr.flags.writeable = False  # shared by every reader of the batch
-        self._frame = (coframe, frame)
+                arr.flags.writeable = False
         return frame
 
     def derivatives_at(self, points: Sequence[Dict[str, float]]):
-        """(g, dg, ddg, g_inv) at a batch of points, each with a leading
-        point axis, ddg[k, e, c, a, b] = d_e d_c g_ab: g, dg and g_inv from
-        `frame_at`, ddg from one second-order forward-mode pass over the
-        coframe program, which only curvature needs."""
+        """(g, dg, ddg, g_inv) at a batch of points, leading axis the point,
+        ddg[k, e, c, a, b] = d_e d_c g_ab from the `Jet2` pass (sliced for the
+        stream's first 20 points), the rest from `frame_at`."""
         fr = self.frame_at(points)
+        if self._in_stream(points) and len(points) <= _CURVATURE_POINTS:
+            return fr.g, fr.dg, self._stream_ddg[:len(points)], fr.g_inv
+        return fr.g, fr.dg, self._ddg_pass(points, fr), fr.g_inv
+
+    def _ddg_pass(self, points: Sequence[Dict[str, float]], fr: "FrameAtPoints") -> np.ndarray:
+        """d_e d_c g_ab from one `Jet2` pass over the coframe program."""
         n, count = 5, len(points)
         seeds = dict(zip(self.coords, np.eye(n)))
         hess = self.pd.coframe_program.eval_points(points, [seeds] * count,
@@ -112,7 +137,9 @@ class MetricField:
         ddC = np.moveaxis(hess.reshape(n, n, n, n, count), -1, 0)   # [k, e, c, i, a]
         X = (np.swapaxes(ddC, 3, 4) @ (_K @ fr.C)[:, None, None]
              + np.swapaxes(fr.dC, 2, 3)[:, :, None] @ (_K @ fr.dC)[:, None])
-        return fr.g, fr.dg, X + np.swapaxes(X, 3, 4), fr.g_inv
+        ddg = X + np.swapaxes(X, 3, 4)
+        ddg.flags.writeable = False
+        return ddg
 
     def christoffel_at(self, points: Sequence[Dict[str, float]]):
         """(g, dg, g_inv, gamma) at a batch of points from `frame_at`, each
@@ -257,7 +284,7 @@ def curvature_checks(
     the points, by default 20 drawn with the solve's seed."""
     seed = m.pd.seed
     if points is None:
-        points = m.ode.domain.draw(20, seed)
+        points = m.points[:_CURVATURE_POINTS]
     checks: List[CheckRecord] = []
     sym_tol = 1e-9
     cat = catalog.for_ode(m.ode.name) or {}
@@ -311,23 +338,20 @@ def structure_checks(m: MetricField) -> List[CheckRecord]:
     seed = pd.seed
     checks: List[CheckRecord] = []
 
-    cat = catalog.for_ode(ode.name) or {}
-    harmonic_pts = ode.domain.draw(10, seed) if cat.get("harmonic") else []
-    pts = ode.domain.draw(5, seed + 1)
-    g, _, g_inv, gamma = m.christoffel_at(harmonic_pts + pts)
-    h = len(harmonic_pts)
-    if h:
-        div_c = np.einsum("kab,kcab->kc", g_inv[:h], gamma[:h])
-        scale = np.max(np.abs(gamma[:h]), axis=(1, 2, 3)) + 1e-300
+    if (catalog.for_ode(ode.name) or {}).get("harmonic"):
+        harmonic_pts = m.points[:10]
+        _, _, g_inv, gamma = m.christoffel_at(harmonic_pts)
+        div_c = np.einsum("kab,kcab->kc", g_inv, gamma)
+        scale = np.max(np.abs(gamma), axis=(1, 2, 3)) + 1e-300
         checks.append(CheckRecord.from_residual(
-            "harmonic_coordinates", np.abs(div_c) / scale[:, None], 1e-8, h, seed,
+            "harmonic_coordinates", np.abs(div_c) / scale[:, None], 1e-8, 10, seed,
             notes="g^ab Gamma^c_ab = 0", points=harmonic_pts))
 
-    eigs = np.linalg.eigvalsh(g[h:])
+    eigs = np.linalg.eigvalsh(m.frame_at(ode.domain.draw(5, seed + 1)).g)
     split_ok = bool(np.all((eigs > 0).sum(axis=1) == 3) and np.all((eigs < 0).sum(axis=1) == 2))
     checks.append(CheckRecord(
         "signature_split_3_2", "pass" if split_ok else "fail",
-        0.0, 0.0, len(pts), seed + 1,
+        0.0, 0.0, 5, seed + 1,
         "eigenvalues of g split 3 positive / 2 negative at sample points"))
 
     # g_ab along the solutions, and its Lie derivative along the shift field
@@ -411,7 +435,7 @@ def connection_checks(
                                [catalog.expr(text) for text in conn["psi"]], pd))
 
     if points is None:
-        points = ode.domain.draw(20, seed)
+        points = m.points[:_CURVATURE_POINTS]
     n = 5
     fr = m.frame_at(points)
     forms = Evaluator(list(cf.phi) + list(cf.psi) + list(cf.chi)).eval_points(points)

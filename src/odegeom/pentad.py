@@ -44,7 +44,7 @@ those values; no entry of omega is an expression.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -98,7 +98,7 @@ class FrameValues:
     """The frame at sample points, from one series pass along the flow."""
 
     shifts: np.ndarray      # (n + 1, n, points): d(y), its n - 1 shifts, the last shift
-    equations: np.ndarray   # (n, points): the coefficient equations of `_build_rows`
+    equations: np.ndarray   # (n, points): the coefficient equations (`_equation`)
 
     @property
     def lower(self) -> np.ndarray:
@@ -136,8 +136,6 @@ class PentadData:
     points: tuple   # the solve's sample points
     tol: float
     seed: int
-    # the last batch of `coframe_at`: (points key, (C, dC, dxC))
-    _coframe_batch: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -165,11 +163,8 @@ class PentadData:
         and dxC[k, i, a] = d_x C_ia at fixed coordinates, None unless the
         coframe holds x.  One forward-mode pass over the coframe program
         gives them: each point once per coordinate, seeded with the unit
-        tangent, and once more along x when the coframe holds x.  The last
-        batch is kept, so the readers of the same points share the pass."""
-        key = tuple(tuple(sorted(pt.items())) for pt in points)
-        if self._coframe_batch and self._coframe_batch[0] == key:
-            return self._coframe_batch[1]
+        tangent, and once more along x when the coframe holds x.  Each call
+        is a pass; the metric keeps the one over its seeded stream."""
         n, count = self.n, len(points)
         tangents = [{c: 1.0} for c in self.ode.coords]
         if any("x" in free_variables(e) for e in self.coframe_program.exprs):
@@ -180,10 +175,7 @@ class PentadData:
         # rows are the entries C[i][a], columns the points, tangent-minor
         C = jets.val.reshape(n, n, count, d)[..., 0].transpose(2, 0, 1)
         der = jets.der.reshape(n, n, count, d).transpose(2, 3, 0, 1)
-        for arr in (C, der):
-            arr.flags.writeable = False  # shared by every reader of the batch
-        self._coframe_batch[:] = (key, (C, der[:, :n], der[:, n] if d > n else None))
-        return self._coframe_batch[1]
+        return C, der[:, :n], der[:, n] if d > n else None
 
     @cached_property
     def coefficients(self) -> dict:
@@ -254,20 +246,9 @@ def _equation(rows: Sequence[Sequence[Expr]], P: Expr, Q: Expr,
     return add(_shift_slot(rows[-1], P, Q, j + 1, derive), neg(rhs))
 
 
-def _build_rows(ode: JetOde, P: Expr, Q: Expr, lam_partials: Optional[list] = None):
-    """Rows of the lower-triangular change of basis, plus the n coefficient
-    equations of the final differentiation, all as expressions: the symbolic
-    oracle of `frame_values`."""
-    D = _derivation(ode)
-    rows = _frame_rows(P, Q, ode.order, D)
-    if lam_partials is None:
-        lam_partials = [diff(ode.rhs, c) for c in ode.coords]
-    return rows, [_equation(rows, P, Q, lam_partials, j, D) for j in range(ode.order)]
-
-
 def frame_values(ode: JetOde, P: Expr, Q: Expr, points: Sequence[dict]) -> FrameValues:
-    """The rows, the last dyad shift and the coefficient equations of
-    `_build_rows` at the points, as numbers.
+    """The rows, the last dyad shift and the n coefficient equations
+    (`_equation`) at the points, as numbers.
 
     One series pass over P, Q and the partials of the rhs, seeded with the
     flow's series to degree n - 1, gives P and Q as `Taylor` numbers;

@@ -739,11 +739,6 @@ def _distinct_jets(stencils: Iterable[Sequence[Dict[str, float]]]
     return at, distinct
 
 
-def _fd_gradient(Ffun: Callable[[Dict[str, float]], float], X: Dict[str, float], h: float) -> np.ndarray:
-    """Central differences with one Richardson level of a scalar F."""
-    return _fd_combine([Ffun(Xp) for Xp in _fd_stencil(X, h)], h)
-
-
 @dataclass
 class PointVerification:
     jet: Dict[str, float]
@@ -797,7 +792,7 @@ def verify_system(
 
     The configurations share one contour.  Per point, once for all test
     functions: the branch at the nodes (`_branch_fwd`) and the point's
-    geometry (`christoffel_at`, `lower_at`, one batch over the points).  Per
+    geometry (`frame_at`, G on its coframe: one pass over the points).  Per
     test function and point: F with its exact gradient and Hessian (no
     finite differences), then lambda-hat from least squares on
     (covector = lambda * grad F) with its relative residual.  Across points
@@ -818,13 +813,13 @@ def verify_system(
         derivatives = [_transform_derivatives(cfg, branch) for cfg in cfgs]
     except RadonError as err:
         raise _at_jet(err, points, "companion jet", given) from None
-    _, _, g_inv, gamma = m.christoffel_at(points)
-    G_lower = G.lower_at(points)
+    fr = m.frame_at(points)
+    G_lower = G.lower(fr.C)
     results = []
     for cfg, per_jet in zip(cfgs, derivatives):
         per_point: List[PointVerification] = []
         for j, (jet, (F0, grad, hess)) in enumerate(zip(points, per_jet)):
-            hv = hor_operator(grad, hess, g_inv[j], gamma[j], G_lower[j])
+            hv = hor_operator(grad, hess, fr.g_inv[j], fr.gamma[j], G_lower[j])
             denom = float(grad @ grad)
             if denom < 1e-24:
                 raise RadonError("gradient of F too small for a least-squares eigenvalue")

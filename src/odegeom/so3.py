@@ -197,9 +197,11 @@ class GTensor:
         return np.array([[[float(v) for v in row] for row in blk] for blk in self.ghat])
 
     def lower_at(self, points: Sequence[Dict[str, float]]) -> np.ndarray:
-        """G_abc at a batch of points (leading point axis), from the frame
-        components and the coframe of the metric's `frame_at` pass."""
-        C = self.m.frame_at(points).C
+        """G_abc at a batch of points (leading point axis), from `frame_at`'s coframe."""
+        return self.lower(self.m.frame_at(points).C)
+
+    def lower(self, C: np.ndarray) -> np.ndarray:
+        """G_abc at the points of a coframe batch C[k, i, a]."""
         return np.einsum("ijk,pia,pjb,pkc->pabc", self.ghat_np, C, C, C)
 
     def derivative_at(self, points: Sequence[Dict[str, float]]) -> np.ndarray:
@@ -318,7 +320,7 @@ def g_identities(
     m = G.m
     seed, tol = m.pd.seed, 1e-8
     if points is None:
-        points = m.ode.domain.draw(10, seed)
+        points = m.points[:10]
 
     cv = curvature(m, points)
     g, ginv, R4 = cv.g, cv.g_inv, cv.riemann
@@ -449,7 +451,7 @@ def expansion_check(
     """
     ode, seed, n_fields = m.ode, m.pd.seed, 20
     if points is None:
-        points = ode.domain.draw(10, seed)
+        points = m.points[:10]
     rows = catalog.for_ode("conics5")["operator_rows"]
     coords = ode.coords
 

@@ -5,7 +5,8 @@ import pytest
 from odegeom.expr import ZERO, Const, add, diff, mul, neg
 from odegeom.geom import _K_LOWER, metric_from_frame
 from odegeom.jet import builtin, prolongation
-from odegeom.pentad import _LETTERS, _derivation, _dyad_shift, solve_pentad
+from odegeom.pentad import _LETTERS, _derivation, _dyad_shift, _equation, _frame_rows, solve_pentad
+from odegeom.radon import _fd_combine, _fd_stencil
 from odegeom.report import values_check
 from odegeom.so3 import build_G
 
@@ -118,6 +119,23 @@ def symbolic_two_form():
     return _symbolic_two_form
 
 
+def _symbolic_frame(pd):
+    """The rows of a frame and the n coefficient equations of its final
+    differentiation, all as expressions built by D."""
+    D = _derivation(pd.ode)
+    rows = _frame_rows(pd.P, pd.Q, pd.n, D)
+    lam_partials = [diff(pd.ode.rhs, c) for c in pd.ode.coords]
+    return rows, [_equation(rows, pd.P, pd.Q, lam_partials, j, D) for j in range(pd.n)]
+
+
+@pytest.fixture(scope="session")
+def symbolic_frame():
+    """For a frame: its rows and coefficient equations as expressions, the
+    oracle of their values at the points (`pentad.frame_values`); the
+    program builds no expression of an equation."""
+    return _symbolic_frame
+
+
 def _symbolic_letters(pd):
     """The coefficient letters A..H of a frame as expressions; at order 4,
     E..H are slots of the last dyad shift, built here by D."""
@@ -146,3 +164,11 @@ def residual_rows():
 @pytest.fixture(scope="session")
 def gtensor(pd_conics5, metric_conics5):
     return build_G(pd_conics5, metric_conics5)
+
+
+@pytest.fixture(scope="session")
+def fd_gradient():
+    """The gradient of a scalar F of a jet by central differences with one
+    Richardson level, at step h: the finite-difference oracle of the exact
+    transform derivatives."""
+    return lambda F, X, h: _fd_combine([F(Xp) for Xp in _fd_stencil(X, h)], h)

@@ -23,7 +23,6 @@ from odegeom.jet import JetOde, builtin
 from odegeom.pentad import solve_pentad
 from odegeom.radon import (
     RadonConfig,
-    _fd_gradient,
     default_test_jets,
     integration_cross_checks,
     radon_F,
@@ -184,15 +183,15 @@ def test_criterion_10_symplectic_form(pd_conics4, conics4, symbolic_two_form):
             f"({elapsed:.1f}s)")
 
 
-def test_criterion_11_numerics_hygiene(conics5, gn5):
+def test_criterion_11_numerics_hygiene(conics5, gn5, fd_gradient):
     cfg = RadonConfig(f=parse("x*y"))
     jet = default_test_jets()[0]
 
     def Ffun(X):
         return radon_F(cfg, X)
 
-    g1 = _fd_gradient(Ffun, jet, cfg.h)
-    g2 = _fd_gradient(Ffun, jet, cfg.h / 2)
+    g1 = fd_gradient(Ffun, jet, cfg.h)
+    g2 = fd_gradient(Ffun, jet, cfg.h / 2)
     grad_gap = float(np.linalg.norm(g1 - g2) / np.linalg.norm(g1))
 
     F1 = radon_F(cfg, jet)

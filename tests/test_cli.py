@@ -398,10 +398,37 @@ def test_all_runs_each_stage_once(monkeypatch):
     counts = _count_stages(monkeypatch)
     code, _ = run(["all", "--ode", "conics5", "--json"])
     assert code == 0
-    # one second-order pass per batch of curvature points: geom's 20 and
-    # the so3 identities' 10
-    assert counts == {"solve_pentad": 1, "build_G": 1, "second_order": 2,
+    # one second-order pass, over the first 20 seeded points: geom's
+    # curvature rows and the so3 identities read slices of it
+    assert counts == {"solve_pentad": 1, "build_G": 1, "second_order": 1,
                       "frame_builds": 1, "certifications": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    "all --ode conics5 --json",
+    "all --ode gn5 --json",
+    "all --ode conics4 --json",
+    "all --ode conics5 --samples 1 --json",
+    "all --ode conics5 --samples 9 --json",
+    "all --ode conics5 --samples 100 --json",
+    "all --ode conics5 --seed 7 --json",
+    "geom --ode gn5 --point y=1,p=0.5,q=1.5,r=0.7,s=0.3",
+    "radon --ode conics5 --point y=1.098864,p=0.061431,q=2.096677,r=0.053546,s=-0.058008 --json",
+])
+def test_slices_of_the_seeded_stream_give_the_bytes_of_passes_of_their_own(monkeypatch, argv):
+    """A report is the same bytes whether the readers at the seed's points
+    read slices of the metric's stream or each run a pass of its own on
+    copies of its points."""
+    stored = run(argv.split())
+
+    def on_copies(method):
+        def fresh(self, points):
+            return method(self, [dict(pt) for pt in points])
+        return fresh
+
+    for name in ("frame_at", "derivatives_at"):
+        monkeypatch.setattr(geom.MetricField, name, on_copies(getattr(geom.MetricField, name)))
+    assert run(argv.split()) == stored
 
 
 def test_geom_point_reuses_the_session(monkeypatch):

@@ -43,7 +43,7 @@ from odegeom.expr import (
     worst_sample,
 )
 from odegeom.jet import JetOde, flow_series, load_ode_file, total_derivative
-from odegeom.pentad import _build_rows, solve_pentad
+from odegeom.pentad import solve_pentad
 from odegeom.radon import COORDS, _condition_rows
 from odegeom.report import CheckRecord
 
@@ -372,17 +372,17 @@ def _assert_hash_consed(roots):
         assert other is node, f"two nodes for {to_string(node)}"
 
 
-def _frame_roots(pd):
+def _frame_roots(pd, symbolic_frame):
     # the frame keeps no equation expressions; they are built here, as the
     # symbolic oracle of the numeric equations builds them
     return ([e for row in pd.lower for e in row]
             + [e for row in pd.coframe_rows for e in row]
-            + _build_rows(pd.ode, pd.P, pd.Q)[1])
+            + symbolic_frame(pd)[1])
 
 
-def test_solved_frames_have_one_node_per_key(pd_conics5, tmp_path):
-    _assert_hash_consed(_frame_roots(pd_conics5))
-    _assert_hash_consed(_frame_roots(solve_pentad(_user_ode(tmp_path))))
+def test_solved_frames_have_one_node_per_key(pd_conics5, tmp_path, symbolic_frame):
+    _assert_hash_consed(_frame_roots(pd_conics5, symbolic_frame))
+    _assert_hash_consed(_frame_roots(solve_pentad(_user_ode(tmp_path)), symbolic_frame))
 
 
 # -- one-level constructors and the support mask, against the old core ------

@@ -218,9 +218,10 @@ def test_second_order_metric_matches_the_symbolic_table(metric, request, symboli
     *_, ddg_table = symbolic_metric_tables(m)
     ddg_ref = Evaluator(ddg_table).eval_points(pts).T.reshape(-1, 5, 5, 5, 5)
     assert np.max(np.abs(ddg - ddg_ref)) <= 1e-12 * np.max(np.abs(ddg_ref))
-    # g, dg and g_inv are those of the first-order pass
+    # g, dg and g_inv are those of the first-order pass, bit for bit
     fr = m.frame_at(pts)
-    assert (g is fr.g) and (dg is fr.dg) and (g_inv is fr.g_inv)
+    assert (g.tobytes(), dg.tobytes(), g_inv.tobytes()) == (
+        fr.g.tobytes(), fr.dg.tobytes(), fr.g_inv.tobytes())
 
 
 def test_radon_report_runs_the_coframe_program_once_per_batch(monkeypatch, conics5):
@@ -246,6 +247,44 @@ def test_radon_report_runs_the_coframe_program_once_per_batch(monkeypatch, conic
     coframe = session.pd.coframe_program
     assert len(verify_calls) == 1
     assert [tangents for ev, tangents in calls if ev is coframe] == [True]
+
+
+@pytest.mark.parametrize("argv, first_order, second_order", [
+    # the stream (the solve's 50 points), the 5 signature points of the next
+    # seed, the 3 radon jets; one second-order pass, at the first 20 points
+    ("all --ode conics5", [50, 5, 3], [20]),
+    # the 9 solve points, then draws of the seed up to the 20 curvature reads
+    ("all --ode conics5 --samples 9", [20, 5, 3], [20]),
+    ("all --ode gn5", [50, 5], [20]),
+    # the order-4 two-form at the solve's points; no metric
+    ("all --ode conics4", [50], []),
+    ("geom --ode gn5 --point y=1,p=0.5,q=1.5,r=0.7,s=0.3", [50, 5, 1], [20, 1]),
+    # the jet and its two companions, and no pass over the stream
+    ("radon --ode conics5 --point y=1.098864,p=0.061431,q=2.096677,r=0.053546,s=-0.058008",
+     [3], []),
+])
+def test_each_point_stream_runs_its_coframe_passes_once(
+        monkeypatch, argv, first_order, second_order):
+    from odegeom import cli, pentad
+
+    solved, passes = [], {False: [], True: []}
+    solve_pentad, eval_points = pentad.solve_pentad, Evaluator.eval_points
+
+    def kept_solve_pentad(*args, **kwargs):
+        solved.append(solve_pentad(*args, **kwargs))
+        return solved[-1]
+
+    def counted_eval_points(self, points, tangents=None, second_order=False, series=False):
+        if tangents is not None and any(self is vars(pd).get("coframe_program") for pd in solved):
+            # a first-order pass repeats each point once per tangent
+            passes[second_order].append(len({id(pt) for pt in points}))
+        return eval_points(self, points, tangents, second_order, series)
+
+    monkeypatch.setattr(pentad, "solve_pentad", kept_solve_pentad)
+    monkeypatch.setattr(Evaluator, "eval_points", counted_eval_points)
+    assert cli.run(argv.split())[0] == 0
+    assert len(solved) == 1
+    assert passes == {False: first_order, True: second_order}
 
 
 def _key(pt):

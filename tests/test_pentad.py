@@ -22,7 +22,6 @@ from odegeom.expr import (
 from odegeom.jet import JetOde, builtin, load_ode_file
 from odegeom.pentad import (
     PentadError,
-    _build_rows,
     frame_values,
     solve_pentad,
     symplectic_at,
@@ -279,10 +278,10 @@ def any_pd(request, tmp_path, conics5):
     return request.getfixturevalue(f"pd_{request.param}")
 
 
-def test_numeric_equations_match_the_symbolic_last_shift(any_pd, residual_rows):
+def test_numeric_equations_match_the_symbolic_last_shift(any_pd, residual_rows, symbolic_frame):
     ode = any_pd.ode
     points = ode.domain.draw(50, DEFAULT_SEED)
-    rows, equations = _build_rows(ode, any_pd.P, any_pd.Q)
+    rows, equations = symbolic_frame(any_pd)
     # the frame built on first read is the eager build, node for node
     assert all(a is b for got, want in zip(any_pd.lower, rows) for a, b in zip(got, want))
     got = frame_values(ode, any_pd.P, any_pd.Q, points)

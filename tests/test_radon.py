@@ -20,7 +20,6 @@ from odegeom.radon import (
     _distinct_jets,
     _fd_combine,
     _fd_derivatives,
-    _fd_gradient,
     _fd_stencil,
     _gauss,
     _signed_minors,
@@ -321,7 +320,7 @@ _BOX_JET = {"y": 1.139205, "p": 0.021584, "q": 2.090531, "r": -0.104452, "s": 0.
 
 
 @pytest.mark.parametrize("text", ["1", "x", "y", "x*y"])
-def test_radon_F_batch_matches_radon_F_over_fd_stencils(text):
+def test_radon_F_batch_matches_radon_F_over_fd_stencils(text, fd_gradient):
     # numerics_checks takes its finite differences from these batches
     cfg = RadonConfig(f=parse(text))
     for h in (cfg.h, cfg.h / 2):
@@ -329,7 +328,7 @@ def test_radon_F_batch_matches_radon_F_over_fd_stencils(text):
         got = radon_F_batch(cfg, stencil)
         assert got == [radon_F(cfg, jet) for jet in stencil]
         assert np.array_equal(_fd_combine(got, h),
-                              _fd_gradient(lambda X: radon_F(cfg, X), _BOX_JET, h))
+                              fd_gradient(lambda X: radon_F(cfg, X), _BOX_JET, h))
 
 
 def test_radon_F_batch_takes_the_parabola_among_other_jets():
@@ -625,7 +624,7 @@ def _central_hessian(Ffun, X, h):
 
 
 @pytest.mark.parametrize("text", ["1", "x", "y", "x*y"])
-def test_exact_derivatives_match_quadrature_and_finite_differences(text):
+def test_exact_derivatives_match_quadrature_and_finite_differences(text, fd_gradient):
     cfg = RadonConfig(f=parse(text))
 
     def Ffun(X):
@@ -634,7 +633,7 @@ def test_exact_derivatives_match_quadrature_and_finite_differences(text):
     for jet in _ORACLE_JETS:
         F, grad, hess = radon_derivatives(cfg, jet)
         assert F == radon_F(cfg, jet)  # the value part of the same pass
-        g_ref = _fd_gradient(Ffun, jet, cfg.h)
+        g_ref = fd_gradient(Ffun, jet, cfg.h)
         assert np.linalg.norm(grad - g_ref) <= 1e-8 * np.linalg.norm(g_ref)
         scale = np.max(np.abs(hess))
         assert np.max(np.abs(hess - hess.T)) <= 1e-14 * scale
