@@ -202,7 +202,7 @@ def so3_suite(s: Session) -> CheckReport:
     report.extend(so3.frame_constant_checks(G))
     report.extend(so3.trace_checks(G))
     report.extend(so3.g_identities(G))
-    report.extend(so3.expansion_check(G, s.metric))
+    report.extend(so3.expansion_check(G))
     return report
 
 
@@ -227,16 +227,15 @@ def radon_suite(
     report.extend(radon.integration_cross_checks(s.ode, builtin("gn5"), seed=seed))
     cfg = radon.RadonConfig(f=parse(f_texts[0]), x_a=span[0], x_b=span[1])
     report.extend(radon.numerics_checks(cfg, jet=points[0] if points else None, seed=seed))
-    report.extend(radon.system_checks(G, s.metric, f_texts=f_texts, interval=span,
-                                      points=points))
+    report.extend(radon.system_checks(G, f_texts=f_texts, interval=span, points=points))
     return report
 
 
 _SUITES = {
-    "pentad": ("frame functions, recurrence identities, coframe", pentad_suite),
-    "geom": ("metric, curvature, structure checks, connection", geom_suite),
-    "so3": ("structure tensor identities and operator expansion", so3_suite),
-    "radon": ("integral transform vs the operator pair", radon_suite),
+    "pentad": "frame functions, recurrence identities, coframe",
+    "geom": "metric, curvature, structure checks, connection",
+    "so3": "structure tensor identities and operator expansion",
+    "radon": "integral transform vs the operator pair",
 }
 
 
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_positive_tolerance, default=DEFAULT_REL_TOL)
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    for name, (help_text, _) in _SUITES.items():
+    for name, help_text in _SUITES.items():
         p = sub.add_parser(name, help=help_text)
         common(p)
         if name == "geom":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,15 +100,6 @@ class JetOde:
         return f"JetOde({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class ProlongationField:
-    """Components of the shift field (p, q, r[, s], Lambda) on the moduli
-    coordinates, in coordinate order."""
-
-    ode: JetOde
-    components: tuple
-
-
 def total_derivative(e: Expr, ode: JetOde) -> Expr:
     """D = d_x + p d_y + q d_p + r d_q (+ s d_r) + Lambda d_last."""
     coords = ode.jet_vars
@@ -121,9 +112,10 @@ def total_derivative(e: Expr, ode: JetOde) -> Expr:
     return add(*terms)
 
 
-def prolongation(ode: JetOde) -> ProlongationField:
-    comps = tuple(var(c) for c in ode.jet_vars[2:]) + (ode.rhs,)
-    return ProlongationField(ode, comps)
+def prolongation(ode: JetOde) -> Tuple[Expr, ...]:
+    """Components of the shift field (p, q, r[, s], Lambda) on the moduli
+    coordinates, in coordinate order."""
+    return tuple(var(c) for c in ode.jet_vars[2:]) + (ode.rhs,)
 
 
 def flow_series(ode: JetOde, points: Sequence[dict], degree: int) -> list:

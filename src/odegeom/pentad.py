@@ -415,7 +415,7 @@ def along_flow(pd: PentadData, t: np.ndarray, dt: np.ndarray,
     + t_ac d_b V^c.  V and d_a V^c come from one forward-mode pass of the
     field (each point once per coordinate, seeded with the unit tangent)."""
     n, count = pd.n, len(pd.points)
-    jets = Evaluator(list(prolongation(pd.ode).components)).eval_points(
+    jets = Evaluator(list(prolongation(pd.ode))).eval_points(
         [pt for pt in pd.points for _ in range(n)], [{c: 1.0} for c in pd.ode.coords] * count)
     V = jets.val.reshape(n, count, n)[..., 0].T
     dV = jets.der.reshape(n, count, n).transpose(1, 2, 0)   # [k, a, c] = d_a V^c

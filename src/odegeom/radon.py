@@ -32,14 +32,19 @@ it raises alone; at a jet the caller did not give (a finite-difference
 stencil jet, a companion of a lone point, the jet carried to a shifted base
 point) the error names that jet and its role.
 
-The second-order operator pair is then applied with each point's geometry
-(one batch over the points) and the eigenvalue content extracted: a
+The second-order operator pair of the structure tensor G and its metric
+`G.m` (`so3.hor_operator`) is then applied to each test function's exact
+derivatives at all points at once, and the eigenvalue content extracted: a
 per-point least-squares lambda, and (mu, c) regressed across points from
-laplacian(F) = mu * (F + c).  Central differences of F remain only as an
-independent cross-check of those derivatives (`numerics_checks`).  They
-come from 22 stencils of 20 jets that share about half their jets, so each
-distinct jet is evaluated once: the 215-231 distinct jets of a point run in
-the fewest batches of at most 115, two for nearly every point.
+laplacian(F) = mu * (F + c).  Central differences of F are no part of that
+system, and no row compares them with the exact derivatives (the tests
+do).  `numerics_checks` measures only the differences themselves:
+`fd_gradient_step_doubling` is the gap between the Richardson gradients at
+steps h and h/2, and `fd_hessian_symmetry` the asymmetry of the Hessian
+made as differences of those gradients.  They come from 22 stencils of 20
+jets that share about half their jets, so each distinct jet is evaluated
+once: the 215-231 distinct jets of a point run in the fewest batches of at
+most 115, two for nearly every point.
 
 The Gauss-Legendre rule (`_gauss`) is computed by Newton's method on the
 three-term Legendre recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35
@@ -60,9 +65,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from . import catalog
 from .expr import (DEFAULT_SEED, Evaluator, Expr, ExprError, InputError, Jet2, diff,
                    free_variables, parse)
-from .geom import MetricField
 from .jet import JetOde
 from .report import CheckRecord
 from .so3 import GTensor, hor_operator, mu_lambda
@@ -279,7 +284,7 @@ def integrate_ode(
 @dataclass(frozen=True)
 class RadonConfig:
     """Contour and quadrature of the transform, and the step h of the
-    finite-difference cross-check (`numerics_checks`)."""
+    finite differences of `numerics_checks`."""
 
     f: Expr
     x_a: float = -0.8
@@ -740,25 +745,26 @@ def _distinct_jets(stencils: Iterable[Sequence[Dict[str, float]]]
 
 
 @dataclass
-class PointVerification:
-    jet: Dict[str, float]
-    value: float
-    gradient: np.ndarray
-    covector: np.ndarray
-    laplacian: float
-    lam: float
-    residual: float
-
-
-@dataclass
 class RadonVerification:
+    """The system of one test function at its jets: per jet (the leading
+    axis of each array) F, its gradient, the covector G_a^bc nabla_b
+    nabla_c F, the Laplacian, lambda-hat and the relative residual of
+    covector = lambda-hat * gradient; across the jets lambda-hat's mean
+    and spread, (mu, c) and the gap of the eigenvalue relation."""
+
     f_text: str
-    points: List[PointVerification]
+    jets: List[Dict[str, float]]
+    values: np.ndarray
+    gradients: np.ndarray
+    covectors: np.ndarray
+    laplacians: np.ndarray
+    lams: np.ndarray
+    residuals: np.ndarray
     lam: float
     lam_spread: float
     mu: float
     c_offset: float
-    relation_gap: float   # |mu - (6 lam^2 + R/10)| with R = -60
+    relation_gap: float   # |mu - (6 lam^2 + R/10)|, R the catalogued scalar curvature
 
 
 def default_test_jets() -> List[Dict[str, float]]:
@@ -784,22 +790,23 @@ def verify_system(
     cfgs: Sequence[RadonConfig],
     points: Union[Dict[str, float], Sequence[Dict[str, float]]],
     G: GTensor,
-    m: MetricField,
-    scalar_curvature: float = -60.0,
 ) -> List[RadonVerification]:
     """Check that the transform of each test function solves the operator
-    pair; one `RadonVerification` per configuration, in order.
+    pair of G and its metric `G.m`; one `RadonVerification` per
+    configuration, in order.
 
-    The configurations share one contour.  Per point, once for all test
-    functions: the branch at the nodes (`_branch_fwd`) and the point's
-    geometry (`frame_at`, G on its coframe: one pass over the points).  Per
-    test function and point: F with its exact gradient and Hessian (no
-    finite differences), then lambda-hat from least squares on
-    (covector = lambda * grad F) with its relative residual.  Across points
-    (at least two; a single input point gets deterministic companions):
-    mu-hat and the additive constant from laplacian(F) = mu * (F + c), and
-    the gap against the eigenvalue relation mu = 6 lambda^2 + R/10.  An
-    error at a companion names it.
+    The configurations share one contour.  Once for all test functions:
+    the branch at the nodes (`_branch_fwd`) and the points' geometry
+    (`frame_at`, G on its coframe: one pass over the points).  Per test
+    function, over all points at once: F with its exact gradient and
+    Hessian (no finite differences), the operator pair (`hor_operator`),
+    then lambda-hat from least squares on (covector = lambda * grad F) with
+    its relative residual.  Across points (at least two; a single input
+    point gets deterministic companions): mu-hat and the additive constant
+    from laplacian(F) = mu * (F + c), and the gap against the eigenvalue
+    relation mu = 6 lambda^2 + R/10, R the catalogued scalar curvature.  An
+    error at a companion names it; a gradient too small or a covector that
+    vanishes raises at the first test function and point, in that order.
     """
     points = [points] if isinstance(points, dict) else list(points)
     given = len(points)
@@ -813,34 +820,31 @@ def verify_system(
         derivatives = [_transform_derivatives(cfg, branch) for cfg in cfgs]
     except RadonError as err:
         raise _at_jet(err, points, "companion jet", given) from None
-    fr = m.frame_at(points)
+    fr = G.m.frame_at(points)
     G_lower = G.lower(fr.C)
+    R = catalog.for_ode("conics5")["scalar_curvature"]
     results = []
     for cfg, per_jet in zip(cfgs, derivatives):
-        per_point: List[PointVerification] = []
-        for j, (jet, (F0, grad, hess)) in enumerate(zip(points, per_jet)):
-            hv = hor_operator(grad, hess, fr.g_inv[j], fr.gamma[j], G_lower[j])
-            denom = float(grad @ grad)
-            if denom < 1e-24:
-                raise RadonError("gradient of F too small for a least-squares eigenvalue")
-            lam = float(hv.covector @ grad) / denom
-            vnorm = float(np.linalg.norm(hv.covector))
-            if vnorm == 0.0:
-                raise RadonError("operator value vanished; cannot form a relative residual")
-            residual = float(np.linalg.norm(hv.covector - lam * grad)) / vnorm
-            per_point.append(
-                PointVerification(jet, F0, grad, hv.covector, hv.laplacian, lam, residual)
-            )
+        values, grads, hessians = (np.array(part) for part in zip(*per_jet))
+        covectors, laplacians = hor_operator(grads, hessians, fr.g_inv, fr.gamma, G_lower)
+        denom = np.einsum("kb,kb->k", grads, grads)
+        vnorm = np.linalg.norm(covectors, axis=1)
+        small, vanished = denom < 1e-24, vnorm == 0.0
+        if (small | vanished).any():
+            j = int(np.argmax(small | vanished))
+            raise RadonError("gradient of F too small for a least-squares eigenvalue" if small[j]
+                             else "operator value vanished; cannot form a relative residual")
+        lams = np.einsum("ka,ka->k", covectors, grads) / denom
+        residuals = np.linalg.norm(covectors - lams[:, None] * grads, axis=1) / vnorm
 
-        lams = [p.lam for p in per_point]
-        lam = float(np.mean(lams))
-        spread = float(max(lams) - min(lams))
-        A = np.vstack([[p.value for p in per_point], np.ones(len(per_point))]).T
-        (mu, k), *_ = np.linalg.lstsq(A, np.array([p.laplacian for p in per_point]), rcond=None)
+        A = np.vstack([values, np.ones(len(points))]).T
+        (mu, k), *_ = np.linalg.lstsq(A, laplacians, rcond=None)
         c_offset = float(k / mu) if mu != 0 else float("inf")
-        gap = abs(float(mu) - mu_lambda(lam, scalar_curvature))
-        results.append(
-            RadonVerification(str(cfg.f), per_point, lam, spread, float(mu), c_offset, gap))
+        lam = float(np.mean(lams))
+        results.append(RadonVerification(
+            str(cfg.f), points, values, grads, covectors, laplacians, lams, residuals, lam,
+            float(lams.max() - lams.min()), float(mu), c_offset,
+            abs(float(mu) - mu_lambda(lam, R))))
     return results
 
 
@@ -953,8 +957,10 @@ def _fd_derivatives(cfg: RadonConfig,
 def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
                     seed: int = DEFAULT_SEED) -> List[CheckRecord]:
     """Quadrature stability, reparametrisation invariance, finite-difference
-    hygiene.  The finite differences take each distinct jet of their 22
-    stencils once (`_fd_derivatives`)."""
+    hygiene: the finite-difference gradient's change when its step is
+    halved and the asymmetry of the finite-difference Hessian, neither
+    compared with the exact derivatives.  The finite differences take each
+    distinct jet of their 22 stencils once (`_fd_derivatives`)."""
     if jet is None:
         jet = default_test_jets()[0]
     checks: List[CheckRecord] = []
@@ -995,30 +1001,28 @@ def numerics_checks(cfg: RadonConfig, jet: Optional[Dict[str, float]] = None,
 
 def system_checks(
     G: GTensor,
-    m: MetricField,
     f_texts: Sequence[str] = ("1", "x", "y", "x*y"),
     interval: Tuple[float, float] = (-0.8, 0.8),
     points: Optional[Sequence[Dict[str, float]]] = None,
 ) -> List[CheckRecord]:
     """The eigen-system residuals for a family of test functions, recorded
-    under the seed of the solve that `m` was built from."""
-    seed = m.pd.seed
+    under the seed of the solve that G's metric was built from."""
+    seed = G.m.pd.seed
     if points is None:
         points = default_test_jets()
     checks: List[CheckRecord] = []
     cfgs = [RadonConfig(f=parse(text), x_a=interval[0], x_b=interval[1]) for text in f_texts]
-    vers = verify_system(cfgs, points, G, m)
+    vers = verify_system(cfgs, points, G)
     for text, ver in zip(f_texts, vers):
         tag = text.replace("*", "")
         checks.append(CheckRecord.from_residual(
-            f"system_residual_f_{tag}", [p.residual for p in ver.points], 1e-4,
-            len(ver.points), seed, notes=f"lambda_hat = {ver.lam:.6f}",
-            points=[p.jet for p in ver.points]))
+            f"system_residual_f_{tag}", ver.residuals, 1e-4, len(ver.jets), seed,
+            notes=f"lambda_hat = {ver.lam:.6f}", points=ver.jets))
     # the spread of lambda as each sample's height above the smallest
-    lams = np.array([p.lam for ver in vers for p in ver.points])
+    lams = np.concatenate([ver.lams for ver in vers])
     checks.append(CheckRecord.from_residual(
         "lambda_point_to_point_spread", lams - np.min(lams), 1e-3, len(lams), seed,
-        points=[p.jet for ver in vers for p in ver.points]))
+        points=[jet for ver in vers for jet in ver.jets]))
     # the samples of the relation are the test functions
     checks.append(CheckRecord.from_residual(
         "eigenvalue_relation_mu_6lam2_R10", [ver.relation_gap for ver in vers], 1e-3,

@@ -9,11 +9,15 @@ symmetrised.  Its frame components are rational constants.  Its coordinate
 components exist only at points: `GTensor.lower_at` contracts the frame
 components with the coframe of the metric's forward-mode pass, and
 `GTensor.derivative_at` with its first-order jets; no coordinate component
-is an expression.  Everything the tensor is supposed to satisfy
+is an expression.  The tensor carries the metric it is built on (`G.m`),
+so every check takes G alone.  Everything the tensor is supposed to satisfy
 (trace-freeness, the quartic normalisation, parallelism, the curvature
 contractions, and the printed coordinate expansion of the associated
 second-order operator) is checked numerically at sample points against the
-metric and curvature machinery.
+metric and curvature machinery.  The operator pair has one implementation,
+`hor_operator`, over a leading point axis and any field axes after it: the
+expansion rows apply it to 20 test fields per point, and
+`radon.verify_system` to each test function's transform at all its points.
 """
 
 from __future__ import annotations
@@ -60,20 +64,17 @@ def _sym_power(a: Sequence[Fraction], b: Sequence[Fraction], m: int) -> dict:
 
 
 def _frac_inv(mat: List[List[Fraction]]) -> List[List[Fraction]]:
+    """The exact inverse of a matrix with one nonzero entry in each row and
+    each column (both pairings are anti-diagonal): each entry inverts alone,
+    into the transposed position."""
     n = len(mat)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise So3Error("singular pairing matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    nonzero = [(i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v != 0]
+    if len(nonzero) != n or len({i for i, _ in nonzero}) != n or len({j for _, j in nonzero}) != n:
+        raise So3Error("singular pairing matrix")
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in nonzero:
+        inv[j][i] = Fraction(1) / mat[i][j]
+    return inv
 
 
 # the basis dyad with lower indices
@@ -398,35 +399,27 @@ def g_identities(
 # the second-order operator
 
 
-@dataclass(frozen=True)
-class HorOperatorValue:
-    covector: np.ndarray    # G_a^bc nabla_b nabla_c F
-    laplacian: float
-    gradient: np.ndarray
-
-
 def hor_operator(
     grad: np.ndarray,
     hess: np.ndarray,
     g_inv: np.ndarray,
     gamma: np.ndarray,
     G_lower: np.ndarray,
-) -> HorOperatorValue:
-    """Apply the operator pair to a scalar field given by its gradient and
-    Hessian at a point.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Apply the operator pair to scalar fields given by their gradients
+    and Hessians at points: the covector G_a^bc nabla_b nabla_c F [k, ..., a]
+    and the Laplacian g^bc nabla_b nabla_c F [k, ...].
 
-    grad (5,) and hess (5, 5) are coordinate partials over (y, p, q, r, s);
-    g_inv, gamma (gamma[d, a, b] = Gamma^d_ab) and G_lower are the point's
-    geometry (`MetricField.christoffel_at`, `GTensor.lower_at`), and the
-    covariant corrections are added here.
+    grad [k, ..., b] and hess [k, ..., b, c] are coordinate partials over
+    (y, p, q, r, s), the point k on the leading axis and any field axes
+    between; g_inv [k], gamma [k, d, a, b] = Gamma^d_ab and G_lower [k] are
+    the points' geometry (`MetricField.christoffel_at` or `frame_at`, and
+    `GTensor.lower_at`), and the covariant corrections are added here.
     """
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    Gmixed = np.einsum("abc,bx,cy->axy", G_lower, g_inv, g_inv)
-    cov_hess = hess - np.einsum("dbc,d->bc", gamma, grad)
-    v = np.einsum("abc,bc->a", Gmixed, cov_hess)
-    lap = float(np.einsum("bc,bc->", g_inv, cov_hess))
-    return HorOperatorValue(v, lap, grad)
+    Gmixed = np.einsum("kabc,kbx,kcy->kaxy", G_lower, g_inv, g_inv)
+    cov_hess = hess - np.einsum("kdbc,k...d->k...bc", gamma, grad)
+    return (np.einsum("kabc,k...bc->k...a", Gmixed, cov_hess),
+            np.einsum("kbc,k...bc->k...", g_inv, cov_hess))
 
 
 def mu_lambda(lam: float, scalar_curvature: float) -> float:
@@ -436,7 +429,6 @@ def mu_lambda(lam: float, scalar_curvature: float) -> float:
 
 def expansion_check(
     G: GTensor,
-    m: MetricField,
     points: Optional[Sequence[Dict[str, float]]] = None,
 ) -> List[CheckRecord]:
     """Printed coordinate rows of the operator vs the tensorial value, for
@@ -447,8 +439,10 @@ def expansion_check(
     term per row; the coefficient tagged `lambda:` stands for the equation's
     right-hand side evaluated at the point (the only sensible reading of the
     derivative-of-top-coordinate shorthand, and the one the tensorial
-    operator confirms).
+    operator confirms).  The tensorial value is `hor_operator` on each
+    field.
     """
+    m = G.m
     ode, seed, n_fields = m.ode, m.pd.seed, 20
     if points is None:
         points = m.points[:10]
@@ -479,9 +473,7 @@ def expansion_check(
     b = draws[..., 25:]
 
     _, _, g_inv, gamma = m.christoffel_at(points)
-    Gmixed = np.einsum("kabc,kbx,kcy->kaxy", G.lower_at(points), g_inv, g_inv)
-    cov_hess = H - np.einsum("kdbc,kfd->kfbc", gamma, b)
-    v = np.einsum("kabc,kfbc->kfa", Gmixed, cov_hess)
+    v, _ = hor_operator(b, H, g_inv, gamma, G.lower_at(points))
     scale = np.max(np.abs(v), axis=2) + 1e-300
 
     records = []

@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from odegeom.expr import ZERO, Const, add, diff, mul, neg
@@ -98,7 +99,7 @@ def _symbolic_two_form(pd, j12=-3):
                for a in range(4) for b in range(a + 1, 4) for c in range(b + 1, 4)]
     volume = mul(Const(2), add(mul(mat[0][1], mat[2][3]), neg(mul(mat[0][2], mat[1][3])),
                                mul(mat[0][3], mat[1][2])))
-    V = prolongation(pd.ode).components
+    V = prolongation(pd.ode)
     x_invariance = []
     for a in range(4):
         for b in range(a + 1, 4):
@@ -172,3 +173,20 @@ def fd_gradient():
     Richardson level, at step h: the finite-difference oracle of the exact
     transform derivatives."""
     return lambda F, X, h: _fd_combine([F(Xp) for Xp in _fd_stencil(X, h)], h)
+
+
+def _operator_at_point(grad, hess, g_inv, gamma, G_lower):
+    """The operator pair on one scalar field at one point, written out:
+    grad (5,) and hess (5, 5) over the coordinates, g_inv (5, 5),
+    gamma[d, a, b] = Gamma^d_ab and G_lower (5, 5, 5); returns the covector
+    G_a^bc nabla_b nabla_c F (5,) and the Laplacian g^bc nabla_b nabla_c F."""
+    cov_hess = hess - np.einsum("dbc,d->bc", gamma, grad)
+    return (np.einsum("abc,bx,cy,xy->a", G_lower, g_inv, g_inv, cov_hess),
+            float(np.einsum("bc,bc->", g_inv, cov_hess)))
+
+
+@pytest.fixture(scope="session")
+def operator_at_point():
+    """The per-point reference of the operator pair: the oracle of the
+    batched `so3.hor_operator`."""
+    return _operator_at_point

@@ -140,19 +140,17 @@ def test_criterion_07_so3_identities(gtensor):
     _report(7, "structure tensor identity suite", ok, d or "all < 1e-8; traces exact")
 
 
-def test_criterion_08_operator_expansion(gtensor, metric_conics5):
-    checks = expansion_check(gtensor, metric_conics5)
+def test_criterion_08_operator_expansion(gtensor):
+    checks = expansion_check(gtensor)
     ok, d = _assert_all(checks)
     noted = any("equation rhs" in c.notes for c in checks)
     _report(8, "printed operator rows vs tensorial operator", ok and noted,
             d or "20 random quadratics at 10 points, rel 1e-8")
 
 
-def test_criterion_09_radon_verification(gtensor, metric_conics5):
+def test_criterion_09_radon_verification(gtensor):
     t0 = time.perf_counter()
-    checks = system_checks(gtensor, metric_conics5,
-                           f_texts=("1", "x", "y", "x*y"),
-                           points=default_test_jets())
+    checks = system_checks(gtensor, f_texts=("1", "x", "y", "x*y"), points=default_test_jets())
     elapsed = time.perf_counter() - t0
     ok, d = _assert_all(checks)
     ok = ok and elapsed < 120.0

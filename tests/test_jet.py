@@ -49,11 +49,11 @@ def test_total_derivative_order4(conics4):
 
 def test_prolongation_components(conics5, gn5, conics4):
     v5 = prolongation(conics5)
-    assert v5.components[:4] == (var("p"), var("q"), var("r"), var("s"))
-    assert v5.components[4] is conics5.rhs
-    assert prolongation(gn5).components[4] is gn5.rhs
+    assert v5[:4] == (var("p"), var("q"), var("r"), var("s"))
+    assert v5[4] is conics5.rhs
+    assert prolongation(gn5)[4] is gn5.rhs
     v4 = prolongation(conics4)
-    assert len(v4.components) == 4 and v4.components[3] is conics4.rhs
+    assert len(v4) == 4 and v4[3] is conics4.rhs
 
 
 def test_derivation_property(conics5):

@@ -242,24 +242,24 @@ def test_numerics_suite():
     _all_pass(numerics_checks(RadonConfig(f=parse("x*y"))))
 
 
-def test_verify_system_single_f(gtensor, metric_conics5):
+def test_verify_system_single_f(gtensor):
     cfg = RadonConfig(f=parse("y"))
-    [ver] = verify_system([cfg], default_test_jets(), gtensor, metric_conics5)
-    assert all(p.residual < 1e-4 for p in ver.points)
+    [ver] = verify_system([cfg], default_test_jets(), gtensor)
+    assert (ver.residuals < 1e-4).all()
     assert ver.lam == pytest.approx(1.0 / 3.0, abs=1e-4)
     assert ver.lam_spread < 1e-3
     assert ver.relation_gap < 1e-3
 
 
-def test_verify_system_accepts_single_point(gtensor, metric_conics5):
+def test_verify_system_accepts_single_point(gtensor):
     cfg = RadonConfig(f=parse("1"))
-    [ver] = verify_system([cfg], default_test_jets()[0], gtensor, metric_conics5)
-    assert len(ver.points) >= 2
-    assert all(p.residual < 1e-4 for p in ver.points)
+    [ver] = verify_system([cfg], default_test_jets()[0], gtensor)
+    assert len(ver.jets) >= 2 and ver.residuals.shape == (len(ver.jets),)
+    assert (ver.residuals < 1e-4).all()
 
 
-def test_system_suite(gtensor, metric_conics5):
-    _all_pass(system_checks(gtensor, metric_conics5))
+def test_system_suite(gtensor):
+    _all_pass(system_checks(gtensor))
 
 
 def _per_node_radon_F(cfg, jet, order=None):
@@ -467,7 +467,7 @@ def _fails(cfg, jet) -> bool:
     return False
 
 
-def test_a_companion_jet_error_names_the_companion(gtensor, metric_conics5):
+def test_a_companion_jet_error_names_the_companion(gtensor):
     # the jet passes, its first companion (y and q scaled) does not
     cfg = RadonConfig(f=parse("1"))
     jet = {"y": 1.0, "p": 0.3, "q": 0.05, "r": 0.5, "s": -3.0}
@@ -478,11 +478,11 @@ def test_a_companion_jet_error_names_the_companion(gtensor, metric_conics5):
     assert str(alone.value).startswith("recovered conic does not reproduce the jet")
     for given in (jet, [jet]):
         with pytest.raises(RadonError) as named:
-            verify_system([cfg], given, gtensor, metric_conics5)
+            verify_system([cfg], given, gtensor)
         assert str(named.value) == f"{alone.value} at the companion jet {companion}"
     # a jet the caller gave keeps the error it raises alone
     with pytest.raises(RadonError) as own:
-        verify_system([cfg], [default_test_jets()[0], companion], gtensor, metric_conics5)
+        verify_system([cfg], [default_test_jets()[0], companion], gtensor)
     assert str(own.value) == str(alone.value)
 
 
@@ -687,7 +687,7 @@ def test_exact_derivatives_name_the_first_bad_node():
         radon_derivatives(cfg, default_test_jets()[1])
 
 
-def test_verify_system_at_random_jets(gtensor, metric_conics5):
+def test_verify_system_at_random_jets(gtensor):
     # the box the benchmark draws its radon --point jets from
     box = (("y", 0.8, 1.3), ("p", -0.2, 0.3), ("q", 1.7, 2.4),
            ("r", -0.2, 0.3), ("s", -0.2, 0.4))
@@ -695,20 +695,19 @@ def test_verify_system_at_random_jets(gtensor, metric_conics5):
     cfgs = [RadonConfig(f=parse(text)) for text in ("1", "x", "y", "x*y")]
     for _ in range(10):
         jet = {name: rng.uniform(lo, hi) for name, lo, hi in box}
-        for ver in verify_system(cfgs, jet, gtensor, metric_conics5):
-            assert all(p.residual < 1e-12 for p in ver.points)
+        for ver in verify_system(cfgs, jet, gtensor):
+            assert (ver.residuals < 1e-12).all()
             assert ver.lam == pytest.approx(1.0 / 3.0, abs=1e-12)
             assert ver.relation_gap <= 1e-9
 
 
-def test_verify_system_does_not_use_the_quadrature(gtensor, metric_conics5, monkeypatch):
+def test_verify_system_does_not_use_the_quadrature(gtensor, monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("verify_system must not call radon_F")
 
     monkeypatch.setattr(radon, "radon_F", no_quadrature)
-    [ver] = verify_system([RadonConfig(f=parse("x*y"))], default_test_jets(), gtensor,
-                          metric_conics5)
-    assert all(p.residual < 1e-12 for p in ver.points)
+    [ver] = verify_system([RadonConfig(f=parse("x*y"))], default_test_jets(), gtensor)
+    assert (ver.residuals < 1e-12).all()
 
 
 def test_forward_mode_minors_match_the_symbolic_minors():
@@ -727,30 +726,90 @@ def test_forward_mode_minors_match_the_symbolic_minors():
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
-def test_joint_verify_system_matches_each_function_alone(gtensor, metric_conics5):
+def test_joint_verify_system_matches_each_function_alone(gtensor):
     cfgs = [RadonConfig(f=parse(text)) for text in ("1", "x", "y", "x*y")]
-    joint = verify_system(cfgs, default_test_jets(), gtensor, metric_conics5)
+    joint = verify_system(cfgs, default_test_jets(), gtensor)
     for cfg, ver in zip(cfgs, joint):
-        [alone] = verify_system([cfg], default_test_jets(), gtensor, metric_conics5)
-        assert (ver.f_text, ver.lam, ver.lam_spread, ver.mu, ver.c_offset, ver.relation_gap) == (
-            alone.f_text, alone.lam, alone.lam_spread, alone.mu, alone.c_offset,
-            alone.relation_gap)
-        for p, q in zip(ver.points, alone.points):
-            assert (p.jet, p.value, p.laplacian, p.lam, p.residual) == (
-                q.jet, q.value, q.laplacian, q.lam, q.residual)
-            assert np.array_equal(p.gradient, q.gradient)
-            assert np.array_equal(p.covector, q.covector)
+        [alone] = verify_system([cfg], default_test_jets(), gtensor)
+        assert (ver.f_text, ver.jets, ver.lam, ver.lam_spread, ver.mu, ver.c_offset,
+                ver.relation_gap) == (alone.f_text, alone.jets, alone.lam, alone.lam_spread,
+                                      alone.mu, alone.c_offset, alone.relation_gap)
+        for name in ("values", "gradients", "covectors", "laplacians", "lams", "residuals"):
+            assert (getattr(ver, name) == getattr(alone, name)).all(), name
+
+
+def test_verify_system_applies_the_operator_at_each_point(gtensor, operator_at_point):
+    # the arrays over the points against each jet alone: F and its
+    # derivatives bitwise, the operator pair against the per-point reference
+    cfg = RadonConfig(f=parse("x*y"))
+    [ver] = verify_system([cfg], default_test_jets(), gtensor)
+    fr = gtensor.m.frame_at(ver.jets)
+    G_lower = gtensor.lower(fr.C)
+    for k, jet in enumerate(ver.jets):
+        F, grad, hess = radon_derivatives(cfg, jet)
+        assert ver.values[k] == F and np.array_equal(ver.gradients[k], grad)
+        v, lap = operator_at_point(grad, hess, fr.g_inv[k], fr.gamma[k], G_lower[k])
+        assert np.max(np.abs(ver.covectors[k] - v)) <= 1e-14 * np.max(np.abs(v))
+        assert abs(ver.laplacians[k] - lap) <= 1e-14 * abs(lap)
+        lam = (v @ grad) / (grad @ grad)
+        assert ver.lams[k] == pytest.approx(lam, rel=1e-13)
+        assert ver.residuals[k] < 1e-13
+
+
+_SMALL = "gradient of F too small for a least-squares eigenvalue"
+_VANISHED = "operator value vanished; cannot form a relative residual"
+
+
+@pytest.mark.parametrize("zero_grad, zero_cov, message", [
+    # (test function, point) pairs: the first pair in the loop order raises
+    ({(1, 0)}, {(0, 2)}, _VANISHED),
+    ({(1, 1)}, {(1, 0)}, _VANISHED),
+    ({(0, 2)}, {(1, 0)}, _SMALL),
+    # at one point the gradient comes first
+    ({(1, 1)}, {(1, 1)}, _SMALL),
+    (set(), set(), None),
+])
+def test_verify_system_raises_at_the_first_function_and_point(
+        gtensor, monkeypatch, zero_grad, zero_cov, message):
+    cfgs = [RadonConfig(f=parse(text)) for text in ("1", "y")]
+    transform, operator = radon._transform_derivatives, radon.hor_operator
+
+    def gradients_zeroed(cfg, branch):
+        i = cfgs.index(cfg)
+        return [(F, grad * 0.0 if (i, j) in zero_grad else grad, hess)
+                for j, (F, grad, hess) in enumerate(transform(cfg, branch))]
+
+    calls = []
+
+    def covectors_zeroed(*args):
+        covector, laplacian = operator(*args)
+        for i, j in zero_cov:
+            if i == len(calls):
+                covector[j] = 0.0
+        calls.append(None)
+        return covector, laplacian
+
+    monkeypatch.setattr(radon, "_transform_derivatives", gradients_zeroed)
+    monkeypatch.setattr(radon, "hor_operator", covectors_zeroed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert len(verify_system(cfgs, default_test_jets(), gtensor)) == 2
+        else:
+            with pytest.raises(RadonError) as err:
+                verify_system(cfgs, default_test_jets(), gtensor)
+            assert str(err.value) == message
 
 
 @pytest.mark.parametrize("interval, bad", [
     ((-0.8, 0.8), dict(_CONIC_JET, y=math.nan)),
     ((-5.0, 5.0), default_test_jets()[1]),
 ])
-def test_a_batch_names_its_bad_jet_as_that_jet_alone(gtensor, metric_conics5, interval, bad):
+def test_a_batch_names_its_bad_jet_as_that_jet_alone(gtensor, interval, bad):
     cfg = RadonConfig(f=parse("1"), x_a=interval[0], x_b=interval[1])
     good = default_test_jets()[0]
     with pytest.raises(RadonError) as alone:
         radon_derivatives(cfg, bad)
     with pytest.raises(RadonError) as batched:
-        verify_system([cfg], [good, bad, good], gtensor, metric_conics5)
+        verify_system([cfg], [good, bad, good], gtensor)
     assert str(batched.value) == str(alone.value)

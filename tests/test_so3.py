@@ -160,6 +160,46 @@ def test_sparse_frame_contractions_match_the_dense_loops(gtensor):
     assert all(type(v) is Fraction for v in trace + [full] + sum(quadratic, []))
 
 
+def _spinor_pairing():
+    e_lo, f_hi = so3._basis_spinors()
+    return [[sum((e_lo[i].get(idx, Fraction(0)) * v for idx, v in f_hi[j].items()), Fraction(0))
+             for j in range(5)] for i in range(5)]
+
+
+def _frac_matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_pairing_inverse_is_exact():
+    spinor = _spinor_pairing()
+    assert [spinor[i][4 - i] for i in range(5)] == [1, Fraction(-1, 4), Fraction(1, 6),
+                                                   Fraction(-1, 4), 1]
+    frame = [[_K_PAIRING.get((i, j), Fraction(0)) for j in range(5)] for i in range(5)]
+    # one entry per row and column, not symmetric: each inverts into the
+    # transposed position
+    monomial = [[Fraction(v) for v in row] for row in ((0, 2, 0), (0, 0, -3), (5, 0, 0))]
+    for mat in (spinor, frame, monomial):
+        n = len(mat)
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        inv = _frac_inv(mat)
+        assert _frac_matmul(inv, mat) == identity and _frac_matmul(mat, inv) == identity
+        assert all(type(v) is Fraction for row in inv for v in row)
+
+
+def test_pairing_inverse_rejects_a_matrix_without_one_entry_per_row_and_column():
+    frame = [[_K_PAIRING.get((i, j), Fraction(0)) for j in range(5)] for i in range(5)]
+    two_in_a_row = [row[:] for row in frame]
+    two_in_a_row[0][0] = Fraction(1)
+    empty_row = [row[:] for row in frame]
+    empty_row[2][2] = Fraction(0)
+    # one entry per row, two in the last column
+    shared_column = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)]]
+    for mat in (two_in_a_row, empty_row, shared_column):
+        with pytest.raises(So3Error, match="singular pairing matrix"):
+            _frac_inv(mat)
+
+
 def test_trace_free_coordinates(gtensor):
     _all_pass(trace_checks(gtensor))
 
@@ -168,29 +208,63 @@ def test_identities(gtensor):
     _all_pass(g_identities(gtensor))
 
 
-def test_expansion_rows(gtensor, metric_conics5):
-    _all_pass(expansion_check(gtensor, metric_conics5))
+def test_expansion_rows(gtensor):
+    _all_pass(expansion_check(gtensor))
 
 
-def _geometry_at(gtensor, metric, pt):
-    _, _, g_inv, gamma = metric.christoffel_at([pt])
-    return g_inv[0], gamma[0], gtensor.lower_at([pt])[0]
+def _geometry_at(gtensor, points):
+    """g^-1, the Christoffel symbols and G_abc at the points, leading axis
+    the point."""
+    _, _, g_inv, gamma = gtensor.m.christoffel_at(points)
+    return g_inv, gamma, gtensor.lower_at(points)
 
 
-def test_operator_on_constant(gtensor, metric_conics5, conics5):
-    pt = conics5.domain.draw(1, 9)[0]
-    hv = hor_operator(np.zeros(5), np.zeros((5, 5)), *_geometry_at(gtensor, metric_conics5, pt))
-    assert np.max(np.abs(hv.covector)) == 0.0
-    assert hv.laplacian == 0.0
+def test_operator_on_constant(gtensor, conics5):
+    geometry = _geometry_at(gtensor, conics5.domain.draw(1, 9))
+    covector, laplacian = hor_operator(np.zeros((1, 5)), np.zeros((1, 5, 5)), *geometry)
+    assert np.max(np.abs(covector)) == 0.0
+    assert laplacian.tolist() == [0.0]
 
 
-def test_operator_on_coordinate_is_harmonic(gtensor, metric_conics5, conics5):
+def test_operator_on_coordinate_is_harmonic(gtensor, conics5):
     # F = y: the laplacian reduces to -g^ab Gamma^y_ab, which vanishes
-    pt = conics5.domain.draw(1, 10)[0]
-    grad = np.zeros(5)
-    grad[0] = 1.0
-    hv = hor_operator(grad, np.zeros((5, 5)), *_geometry_at(gtensor, metric_conics5, pt))
-    assert abs(hv.laplacian) < 1e-9
+    grad = np.zeros((1, 5))
+    grad[0, 0] = 1.0
+    _, laplacian = hor_operator(grad, np.zeros((1, 5, 5)),
+                                *_geometry_at(gtensor, conics5.domain.draw(1, 10)))
+    assert abs(laplacian[0]) < 1e-9
+
+
+def test_batched_operator_matches_the_per_point_reference(gtensor, conics5, operator_at_point):
+    # 6 points, each with a 4 x 3 grid of random fields
+    points = conics5.domain.draw(6, 5)
+    geometry = _geometry_at(gtensor, points)
+    rng = np.random.default_rng(7)
+    grad = rng.standard_normal((6, 4, 3, 5))
+    hess = rng.standard_normal((6, 4, 3, 5, 5))
+    hess = (hess + np.swapaxes(hess, -1, -2)) / 2.0
+    covector, laplacian = hor_operator(grad, hess, *geometry)
+    assert covector.shape == (6, 4, 3, 5) and laplacian.shape == (6, 4, 3)
+    for k, f, h in itertools.product(range(6), range(4), range(3)):
+        want_v, want_lap = operator_at_point(grad[k, f, h], hess[k, f, h],
+                                             *(a[k] for a in geometry))
+        assert np.max(np.abs(covector[k, f, h] - want_v)) <= 1e-14 * np.max(np.abs(want_v))
+        assert abs(laplacian[k, f, h] - want_lap) <= 1e-14 * abs(want_lap)
+
+    # a point's result is bitwise the same in any batch: alone, one field
+    # alone, one field over every point, and the points reversed
+    def same(got, at):
+        return all(np.array_equal(g, want[at]) for g, want in zip(got, (covector, laplacian)))
+
+    for k in range(6):
+        alone = [a[k:k + 1] for a in geometry]
+        assert same(hor_operator(grad[k:k + 1], hess[k:k + 1], *alone), slice(k, k + 1))
+        for f, h in itertools.product(range(4), range(3)):
+            assert same(hor_operator(grad[k:k + 1, f, h], hess[k:k + 1, f, h], *alone),
+                        (slice(k, k + 1), f, h))
+    assert same(hor_operator(grad[:, 1, 2], hess[:, 1, 2], *geometry), (slice(None), 1, 2))
+    back = slice(None, None, -1)
+    assert same(hor_operator(grad[back], hess[back], *(a[back] for a in geometry)), back)
 
 
 def test_mu_lambda_values():
@@ -213,8 +287,7 @@ def _patch_lower_at(monkeypatch, change):
     monkeypatch.setattr(so3.GTensor, "lower_at", patched)
 
 
-def test_a_nan_fails_every_identity_and_operator_row_at_its_point(
-        gtensor, metric_conics5, conics5, monkeypatch):
+def test_a_nan_fails_every_identity_and_operator_row_at_its_point(gtensor, conics5, monkeypatch):
     points = conics5.domain.draw(10, DEFAULT_SEED)
     bad = points[6]
 
@@ -223,7 +296,7 @@ def test_a_nan_fails_every_identity_and_operator_row_at_its_point(
             G_k[1, 2, 3] = np.nan
 
     _patch_lower_at(monkeypatch, poison)
-    records = g_identities(gtensor) + expansion_check(gtensor, metric_conics5)
+    records = g_identities(gtensor) + expansion_check(gtensor)
     assert len(records) == 13
     for rec in records:
         assert rec.status == "fail", rec.name
@@ -254,14 +327,15 @@ def test_identity_rows_keep_the_point_whose_residual_is_largest(
         assert rec.max_residual == pytest.approx(max(residuals), rel=1e-9), rec.name
 
 
-def _operator_row_residuals(gtensor, metric, rows, points, n_fields=20, seed=DEFAULT_SEED):
+def _operator_row_residuals(gtensor, rows, points, operator_at_point, n_fields=20,
+                            seed=DEFAULT_SEED):
     """[point, row] residuals of the printed operator rows, one point and
-    one test field at a time through `hor_operator`, each field's Hessian
-    and gradient drawn as 25 + 5 numbers of one stream."""
-    ode = metric.ode
+    one test field at a time through the per-point reference operator,
+    each field's Hessian and gradient drawn as 25 + 5 numbers of one
+    stream."""
+    ode = gtensor.m.ode
     coords = ode.coords
-    _, _, g_inv, gamma = metric.christoffel_at(points)
-    Gl = gtensor.lower_at(points)
+    g_inv, gamma, Gl = _geometry_at(gtensor, points)
     rng = np.random.default_rng(seed)
     out = np.zeros((len(points), len(coords)))
     for k, pt in enumerate(points):
@@ -273,7 +347,7 @@ def _operator_row_residuals(gtensor, metric, rows, points, n_fields=20, seed=DEF
             H = rng.standard_normal((5, 5))
             H = (H + H.T) / 2.0
             b = rng.standard_normal(5)
-            v = hor_operator(b, H, g_inv[k], gamma[k], Gl[k]).covector
+            v, _ = operator_at_point(b, H, g_inv[k], gamma[k], Gl[k])
             for ci, c in enumerate(coords):
                 printed = -b[ci] + sum(coeff[(c, pair)] * H[coords.index(pair[0]),
                                                             coords.index(pair[1])]
@@ -283,7 +357,7 @@ def _operator_row_residuals(gtensor, metric, rows, points, n_fields=20, seed=DEF
 
 
 def test_operator_rows_keep_the_point_whose_residual_is_largest(
-        gtensor, metric_conics5, conics5, monkeypatch):
+        gtensor, conics5, monkeypatch, operator_at_point):
     # every row's first coefficient doubled: all five rows fail
     rows = {c: dict(table) for c, table in catalog.for_ode("conics5")["operator_rows"].items()}
     for table in rows.values():
@@ -292,8 +366,8 @@ def test_operator_rows_keep_the_point_whose_residual_is_largest(
                        else f"2*({text})")
     monkeypatch.setitem(catalog.for_ode("conics5"), "operator_rows", rows)
     points = conics5.domain.draw(10, DEFAULT_SEED)
-    oracle = _operator_row_residuals(gtensor, metric_conics5, rows, points)
-    records = expansion_check(gtensor, metric_conics5, points=points)
+    oracle = _operator_row_residuals(gtensor, rows, points, operator_at_point)
+    records = expansion_check(gtensor, points=points)
     assert [rec.name for rec in records] == [f"operator_row_{c}" for c in conics5.coords]
     for rec, column in zip(records, oracle.T):
         assert rec.status == "fail", rec.name
