@@ -12,8 +12,8 @@ and `equiv` (one pair) reduce its results.  They decide the solve (the
 exponent fit, the Q pivot) and match a file to a built-in; a report's rows
 are made by `report.values_check` at the solve's points, under the same
 `relative_residual`.  Constructors only do cheap local
-folding (constants, neutral elements, nested sums/products) to keep trees
-small.
+folding (constants, neutral elements, nested sums/products, nested powers
+and the powers of one base in a product) to keep trees small.
 
 Nodes are hash-consed: every constructor looks its (type, children, exact
 value or exponent) key up in a weak-value intern table and returns the live
@@ -56,8 +56,9 @@ their operands one level only:
 
   * a `Sum`'s terms hold no `Sum`, and at most one `Const`, the last term,
     which is not 0;
-  * a `Prod`'s factors hold no `Prod` and no `Neg`, and at most one `Const`,
-    the first factor, which is neither 0 nor 1;
+  * a `Prod`'s factors hold no `Prod` and no `Neg`, at most one `Const`,
+    the first factor, which is neither 0 nor 1, and no two powers of one
+    base (a bare factor u being u^1) when one of them is fractional;
   * a `Neg` never wraps a `Neg` or a `Const`.
 
 A lone constant operand is reused as it is; only two or more constants (or
@@ -67,7 +68,10 @@ Nested powers (u^a)^b are combined into u^(ab) only when b is an integer or
 a is not.  An integer power under a fractional one, such as (p^2)^(1/2), is
 kept as it is: p^2 is never negative, while p can be.  When a is fractional,
 u^a already requires u > 0 wherever it is evaluated, and there u^(ab) is
-exact.
+exact.  For the same reason a product combines u^a * u^b into u^(a+b), where
+u first appears, when a or b is fractional: q^(1/2) * q^(1/2) is q, and
+q^(1/2) * q^(-1/2) is 1.  Powers of a base under integer exponents only stay
+apart, so r * r^(-1) still fails at r = 0.
 """
 
 from __future__ import annotations
@@ -332,12 +336,44 @@ def add(*terms) -> Expr:
     return Sum(tuple(flat))
 
 
+def _combine_powers(flat: list) -> list:
+    """The factors, each base that some factor raises to a fractional
+    exponent taking all its powers, u^a * u^b -> u^(a+b) (a bare factor u
+    being u^1), where it first appears; `flat` itself if no such base
+    occurs twice.  A base under integer exponents only is left alone."""
+    fractional = {f.base for f in flat if type(f) is Pow and f.exponent.denominator != 1}
+    if not fractional:
+        return flat
+    occurrences = 0
+    for f in flat:
+        if (f.base if type(f) is Pow else f) in fractional:
+            occurrences += 1
+    if occurrences == len(fractional):
+        return flat
+    bases = [f.base if type(f) is Pow else f for f in flat]
+    total = dict.fromkeys(fractional, 0)
+    for f, base in zip(flat, bases):
+        if base in total:
+            total[base] += f.exponent if type(f) is Pow else 1
+    out = []
+    for f, base in zip(flat, bases):
+        if base not in fractional:
+            out.append(f)
+        elif base in total:
+            out.append(pow_(base, total.pop(base)))
+    return out
+
+
 def mul(*factors) -> Expr:
     """Product with flattening, constant folding, and 0/1 elimination.
 
     A negation's sign joins the constant; operand products (under a
     negation or not) are flattened one level: their factors are flat
-    already."""
+    already.  The powers of a base combine, u^a * u^b -> u^(a+b), when
+    one of them is fractional (`_combine_powers`): as for `pow_`'s nested
+    powers, the base is then positive wherever the product is evaluated,
+    and the fold is exact.  A combined power of 1 is dropped, and a
+    constant one joins the coefficient."""
     flat = []
     consts = []
     negative = False
@@ -369,6 +405,10 @@ def mul(*factors) -> Expr:
         const = consts[0] if consts else ONE
     if const is ZERO:
         return ZERO
+    combined = _combine_powers(flat)
+    if combined is not flat:
+        # a combined power may be 1, a constant, a product or a negation
+        return mul(const, *combined)
     if not flat:
         return const
     if const is not ONE:
@@ -411,7 +451,8 @@ def pow_(base, exponent) -> Expr:
     Nested powers are combined ((u^a)^b -> u^(ab)) when b is an integer or a
     is not: an integer a under a fractional b, as in (p^2)^(1/2), is kept,
     since u^a may be positive where u is not.  A fractional a keeps u
-    strictly positive on every sampling domain, so there the fold is exact.
+    strictly positive on every sampling domain, so there the fold is exact;
+    `mul` combines the powers of one base in a product on the same ground.
     """
     base = as_expr(base)
     if isinstance(exponent, Expr):

@@ -806,7 +806,8 @@ def verify_system(
     from laplacian(F) = mu * (F + c), and the gap against the eigenvalue
     relation mu = 6 lambda^2 + R/10, R the catalogued scalar curvature.  An
     error at a companion names it; a gradient too small or a covector that
-    vanishes raises at the first test function and point, in that order.
+    vanishes raises at the first test function and point, in that order,
+    naming both and the point's role (given point or companion jet).
     """
     points = [points] if isinstance(points, dict) else list(points)
     given = len(points)
@@ -832,8 +833,10 @@ def verify_system(
         small, vanished = denom < 1e-24, vnorm == 0.0
         if (small | vanished).any():
             j = int(np.argmax(small | vanished))
-            raise RadonError("gradient of F too small for a least-squares eigenvalue" if small[j]
-                             else "operator value vanished; cannot form a relative residual")
+            err = RadonError(("gradient of F too small for a least-squares eigenvalue" if small[j]
+                              else "operator value vanished; cannot form a relative residual")
+                             + f" for the test function f = {cfg.f}", j)
+            raise _at_jet(err, points, "given point" if j < given else "companion jet")
         lams = np.einsum("ka,ka->k", covectors, grads) / denom
         residuals = np.linalg.norm(covectors - lams[:, None] * grads, axis=1) / vnorm
 

@@ -199,6 +199,30 @@ def test_ode_file_fractional_powers_sample_positive_bases(tmp_path):
         assert failed == {"residual_identity_1", "residual_identity_2", "residual_identity_3"}
 
 
+@pytest.mark.parametrize("rhs, merged, code", [
+    # p is no longer the base of a fractional power, so it is sampled in
+    # [-1, 1]; the residual identities still fail
+    ("(5/3)*s^2/r + p^(1/2)*p^(1/2)", "(5/3)*s^2*r^(-1) + p", 1),
+    # likewise s, and no product ansatz over q, r and x*p - y fits D(P)/P
+    ("(5/3)*s^2/r + s^(1/2)*s^(1/2)", "(5/3)*s^2*r^(-1) + s", 2),
+    # r is sampled in [1/2, 2] either way: the file is gn5's equation
+    ("(5/3)*s^2*r^(-1/3)*r^(-2/3)", "(5/3)*s^2*r^(-1)", 0),
+], ids=["p", "s", "r"])
+def test_ode_file_with_fractional_powers_that_combine_into_an_integer_one(
+        tmp_path, rhs, merged, code):
+    # the file's rhs is the combined product, and its sampling box is that
+    # of the combined rhs
+    path = tmp_path / "merged.ode"
+    path.write_text(f"name = merged\norder = 5\nrhs = {rhs}\n")
+    ode = load_ode_file(path)
+    assert str(ode.rhs) == merged
+    assert jet._fractional_bases(ode.rhs) == ()
+    status, text = run(["all", "--ode", str(path)])
+    assert status == code, text
+    if code == 2:
+        assert text == "error: no rational-exponent product ansatz matches D(P)/P for merged"
+
+
 _FIRST_FIT_POINT = ("{'p': -0.35233447033367526, 'q': 0.7262737608867529, "
                     "'r': 1.4764017095597806, 's': -0.8551274266649145, "
                     "'x': 0.0179410021533446, 'y': -0.2686221661748289}")
@@ -513,6 +537,16 @@ def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
         assert not (entries - coframe | partials) & set(compiled)
         assert not (entries | partials) & set(differentiated)
 
+    # the catalogue rows evaluate the catalogued forms, which `catalog.expr`
+    # parses once per process: parsed here first, so that the nodes the
+    # parser builds for them are not counted as the report's.  With the
+    # powers of q and x*p - y in 3! P^3 combined, the row entry L[3][3] is
+    # the node of the catalogued letter D, 6*q^(4/3)*(x*p - y), and the
+    # parse of omega_yq builds omega_ry = -1/L[3][3]
+    cat = catalog.for_ode("conics4")
+    catalogued = {catalog.expr(text) for text in (
+        cat["P"], cat["Q"], *cat["coefficients"].values(), *cat["symplectic"].values(),
+        cat["symplectic_volume"])}
     # every node the order-4 report builds or looks up passes `_interned`
     built = []
     interned = expr._interned
@@ -537,7 +571,8 @@ def test_no_subcommand_builds_a_symbolic_metric_derivative_table(
     assert entries & coframe and not (entries - coframe | partials) & set(built)
     assert not (entries | partials) & set(differentiated)
     rows = {e for row in pd_conics4.lower for e in row if not isinstance(e, Const)}
-    assert rows and not rows & set(plain)
+    assert rows & catalogued == {pd_conics4.lower[3][3]}
+    assert rows and not (rows - catalogued) & set(plain)
 
 
 # (file name, rhs, parent-code residuals of killing_prolongation and

@@ -250,6 +250,50 @@ def test_integer_power_under_a_fractional_power_is_kept():
     assert diff(e, "p") is parse("(1/2)*(p^2)^(-1/2)*2*p")
 
 
+def test_products_combine_the_powers_of_a_base_under_a_fractional_exponent():
+    q, r, x = var("q"), var("r"), var("x")
+    assert parse("q^(1/2)*q^(1/2)") is q
+    assert parse("q^(1/2)*q^(-1/2)") is expr.ONE
+    assert parse("(x*p - y)^(-2/3)*(x*p - y)^(1/3)") is pow_(parse("x*p - y"), Fraction(-1, 3))
+    # the combined power stands where its base first appears
+    assert parse("2*q^(-7/2)*x*q^(1/2)*q^(1/2)") is Prod(
+        (Const(2), pow_(q, Fraction(-5, 2)), x))
+    assert parse("q*x*q^(1/2)*q^2") is Prod((pow_(q, Fraction(7, 2)), x))
+    # a constant joins the coefficient; a product or a negation is flattened
+    assert parse("2^(1/2)*x*2^(1/2)") is Prod((Const(2), x))
+    assert parse("(q*r)^(1/2)*x*(q*r)^(1/2)") is Prod((q, r, x))
+    assert parse("(-q)^(1/3)*x*(-q)^(2/3)") is Prod((Const(-1), q, x))
+    # a base under integer exponents only is left alone
+    e = parse("r*r^(-1)")
+    assert isinstance(e, Prod) and e.factors == (r, pow_(r, -1))
+    with pytest.raises(EvalError, match="zero or non-finite base under a negative exponent"):
+        evaluate(e, {"r": 0.0})
+    assert parse("(p^2)^(1/2)*p^2") is Prod((pow_(pow_(var("p"), 2), Fraction(1, 2)),
+                                             pow_(var("p"), 2)))
+
+
+_positive_bases = st.sampled_from([var("q"), var("r"), parse("q + r"), parse("q*r")])
+_power_factors = st.one_of(
+    st.builds(lambda b, k, d: pow_(b, Fraction(k, d)), _positive_bases,
+              st.integers(-4, 4), st.sampled_from([1, 2, 3, 6])),
+    st.sampled_from([var("s"), Const(3), Const(Fraction(-1, 2))]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_power_factors, min_size=2, max_size=6),
+       st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=4))
+def test_combined_powers_agree_with_the_product_as_built(factors, points):
+    """Where every fractional base is positive, the product `mul` builds and
+    the product of the factors as given (a `Prod` built directly) agree to a
+    relative 1e-14."""
+    merged, unmerged = mul(*factors), Prod(tuple(factors))
+    values = Evaluator([merged, unmerged]).eval_points(
+        [{"q": q, "r": r, "s": s} for q, r, s in points])
+    assert np.all(np.abs(values[0] - values[1]) <= 1e-14 * np.abs(values).max(axis=0))
+
+
 def _random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         choice = rng.random()
@@ -390,8 +434,10 @@ def test_solved_frames_have_one_node_per_key(pd_conics5, tmp_path, symbolic_fram
 # The oracles are the constructors and the derivative as they were before
 # nodes carried a support mask: add and mul flatten every nested operand
 # through a stack and fold every constant through Fraction arithmetic, and
-# diff walks every node under the root into a fresh memo.  The new ones
-# must build the very same interned node.
+# diff walks every node under the root into a fresh memo.  mul's oracle also
+# combines the powers of a base that one of them raises to a fractional
+# exponent, by grouping the factors on their bases.  The new ones must build
+# the very same interned node.
 
 
 def _add_by_stack(*terms):
@@ -432,6 +478,24 @@ def _mul_by_stack(*factors):
             flat.append(f)
     if acc == 0:
         return ZERO
+    # like powers: every base some factor raises to a fractional exponent
+    # takes all its powers, summed, at its first position; the product is
+    # then built again, since such a power may be 1, a constant, a product
+    # or a negation
+    powers = [(f.base, f.exponent) if isinstance(f, Pow) else (f, Fraction(1)) for f in flat]
+    groups = {}
+    for i, (base, _) in enumerate(powers):
+        groups.setdefault(base, []).append(i)
+    if any(len(at) > 1 and any(powers[i][1].denominator > 1 for i in at)
+           for at in groups.values()):
+        rebuilt = []
+        for i, f in enumerate(flat):
+            at = groups[powers[i][0]]
+            if len(at) == 1 or all(powers[j][1].denominator == 1 for j in at):
+                rebuilt.append(f)
+            elif i == at[0]:
+                rebuilt.append(pow_(powers[i][0], sum(powers[j][1] for j in at)))
+        return _mul_by_stack(Const(acc), *rebuilt)
     if not flat:
         return Const(acc)
     if acc != 1:

@@ -760,18 +760,9 @@ _SMALL = "gradient of F too small for a least-squares eigenvalue"
 _VANISHED = "operator value vanished; cannot form a relative residual"
 
 
-@pytest.mark.parametrize("zero_grad, zero_cov, message", [
-    # (test function, point) pairs: the first pair in the loop order raises
-    ({(1, 0)}, {(0, 2)}, _VANISHED),
-    ({(1, 1)}, {(1, 0)}, _VANISHED),
-    ({(0, 2)}, {(1, 0)}, _SMALL),
-    # at one point the gradient comes first
-    ({(1, 1)}, {(1, 1)}, _SMALL),
-    (set(), set(), None),
-])
-def test_verify_system_raises_at_the_first_function_and_point(
-        gtensor, monkeypatch, zero_grad, zero_cov, message):
-    cfgs = [RadonConfig(f=parse(text)) for text in ("1", "y")]
+def _zeroed_system(monkeypatch, cfgs, zero_grad, zero_cov):
+    """Inside verify_system, set to 0 the gradients at the (test function,
+    point) pairs of zero_grad and the covectors at those of zero_cov."""
     transform, operator = radon._transform_derivatives, radon.hor_operator
 
     def gradients_zeroed(cfg, branch):
@@ -791,14 +782,51 @@ def test_verify_system_raises_at_the_first_function_and_point(
 
     monkeypatch.setattr(radon, "_transform_derivatives", gradients_zeroed)
     monkeypatch.setattr(radon, "hor_operator", covectors_zeroed)
+
+
+@pytest.mark.parametrize("zero_grad, zero_cov, message", [
+    # (test function, point) pairs: the first pair in the loop order raises
+    ({(1, 0)}, {(0, 2)}, _VANISHED),
+    ({(1, 1)}, {(1, 0)}, _VANISHED),
+    ({(0, 2)}, {(1, 0)}, _SMALL),
+    # at one point the gradient comes first
+    ({(1, 1)}, {(1, 1)}, _SMALL),
+    (set(), set(), None),
+])
+def test_verify_system_raises_at_the_first_function_and_point(
+        gtensor, monkeypatch, zero_grad, zero_cov, message):
+    cfgs = [RadonConfig(f=parse(text)) for text in ("1", "y")]
+    _zeroed_system(monkeypatch, cfgs, zero_grad, zero_cov)
+    jets = default_test_jets()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if message is None:
-            assert len(verify_system(cfgs, default_test_jets(), gtensor)) == 2
+            assert len(verify_system(cfgs, jets, gtensor)) == 2
         else:
             with pytest.raises(RadonError) as err:
-                verify_system(cfgs, default_test_jets(), gtensor)
-            assert str(err.value) == message
+                verify_system(cfgs, jets, gtensor)
+            # the error names the first pair, in the loop order
+            i, j = min(zero_grad | zero_cov)
+            assert str(err.value) == (f"{message} for the test function f = {('1', 'y')[i]} "
+                                      f"at the given point {jets[j]}")
+            assert err.value.jet == j
+
+
+@pytest.mark.parametrize("zero_grad, zero_cov, message, j, role", [
+    ({(0, 1)}, set(), _SMALL, 1, "companion jet"),
+    (set(), {(1, 0)}, _VANISHED, 0, "given point"),
+])
+def test_verify_system_names_the_role_of_the_jets_of_a_lone_point(
+        gtensor, monkeypatch, zero_grad, zero_cov, message, j, role):
+    cfgs = [RadonConfig(f=parse(text)) for text in ("1", "y")]
+    _zeroed_system(monkeypatch, cfgs, zero_grad, zero_cov)
+    jet = default_test_jets()[0]
+    points = [jet] + radon._aux_points(jet)
+    with pytest.raises(RadonError) as err:
+        verify_system(cfgs, jet, gtensor)
+    f = "1" if zero_grad else "y"
+    assert str(err.value) == f"{message} for the test function f = {f} at the {role} {points[j]}"
+    assert err.value.jet == j
 
 
 @pytest.mark.parametrize("interval, bad", [
